@@ -3,8 +3,8 @@
 
 A standalone script (``make bench-fidelity``), not a pytest-benchmark
 target: it sweeps byte budgets over one τ-thresholded synthetic archive
-and, at every budget, runs the exclusive multi-fidelity solver
-(:func:`repro.fidelity.solver.fidelity_main` on the
+and, at every budget, runs the multi-fidelity solve
+(:func:`repro.fidelity.solver.fidelity_main`, the CELF driver over the
 :data:`~repro.fidelity.catalog.DEFAULT_TIERS` recompression menu)
 against the discard-only baseline
 (:func:`repro.core.greedy.main_algorithm`) on the *same* instance, and
@@ -154,15 +154,15 @@ def measure_point(instance, catalog, total: float, fraction: float):
 
 
 def check_trivial_contract(instance, total: float) -> bool:
-    """Originals-only catalog must reproduce ``lazy_greedy`` bit for bit."""
+    """``catalog=None`` and an originals-only catalog agree bit for bit."""
     from repro.core.greedy import CB, UC, lazy_greedy
-    from repro.fidelity import VariantCatalog, exclusive_lazy_greedy
+    from repro.fidelity import VariantCatalog
 
     catalog = VariantCatalog.trivial(instance.costs)
     inst_b = instance.with_budget(total * BUDGET_FRACTIONS[0])
     for mode in (UC, CB):
         base = lazy_greedy(inst_b, mode)
-        excl = exclusive_lazy_greedy(inst_b, catalog, mode)
+        excl = lazy_greedy(inst_b, mode, catalog=catalog)
         if (
             excl.selection != base.selection
             or excl.value != base.value

@@ -136,13 +136,18 @@ class CoverageState:
             self._best = [np.zeros(len(q), dtype=np.float64) for q in instance.subsets]
         self._value = 0.0
         self._selected: set = set()
-        # Insertion order of every add(); replaying it on a fresh state
-        # reproduces _best and _value bit-for-bit (float additions are
-        # order-sensitive), which is what solve checkpoints rely on.
+        # Fidelity of every photo inserted below 1 (multi-fidelity solves);
+        # photos absent from it are held at full fidelity.
+        self._fidelity: Dict[int, float] = {}
+        # Insertion order of every add(); for a full-fidelity state, replaying
+        # it on a fresh state reproduces _best and _value bit-for-bit (float
+        # additions are order-sensitive), which plain checkpoints rely on.
+        # It records no phi, so multi-fidelity checkpoints replay variant ids.
         self._order: List[int] = []
-        # (photo, stamp, total, segments) of the most recent gain() query;
-        # segments hold the already-computed masks an add() can replay.
-        self._gain_cache: Optional[Tuple[int, int, float, list]] = None
+        # (photo, phi, stamp, total, segments) of the most recent gain()
+        # query; segments hold the already-computed masks an add() can
+        # replay.
+        self._gain_cache: Optional[Tuple[int, float, int, float, list]] = None
         for p in selection:
             self.add(int(p))
 
@@ -166,38 +171,50 @@ class CoverageState:
 
     @property
     def order(self) -> List[int]:
-        """The photos in the exact order they were added (copy)."""
+        """The photos in the exact order they were added (copy); replayable
+        bit for bit only if every insertion was at full fidelity."""
         return list(self._order)
 
     def __contains__(self, photo_id: int) -> bool:
         return int(photo_id) in self._selected
 
-    def gain(self, photo_id: int) -> float:
-        """Marginal gain ``G(S ∪ {p}) − G(S)`` without changing the state."""
+    def gain(self, photo_id: int, phi: float = 1.0) -> float:
+        """Marginal gain ``G(S ∪ {p}) − G(S)`` without changing the state.
+
+        ``phi`` inserts the photo at that fidelity: it covers every slot
+        at ``phi ·`` the stored similarity.  For a photo already held at
+        a lower fidelity this is the exact upgrade gain — raising ``phi``
+        is monotone, so each slot simply moves to ``max(best, phi·sim)``.
+        """
         p = int(photo_id)
-        if p in self._selected:
+        if p in self._selected and self._fidelity.get(p, 1.0) >= phi:
             return 0.0
         if self.backend == KERNEL:
-            total, segments = self._evaluate_kernel(p)
+            total, segments = self._evaluate_kernel(p, phi)
         else:
-            total, segments = self._evaluate_reference(p)
-        self._gain_cache = (p, len(self._order), total, segments)
+            total, segments = self._evaluate_reference(p, phi)
+        self._gain_cache = (p, phi, len(self._order), total, segments)
         return total
 
-    def add(self, photo_id: int) -> float:
-        """Add a photo to the selection; return the realised marginal gain."""
+    def add(self, photo_id: int, phi: float = 1.0) -> float:
+        """Add a photo (or upgrade it to ``phi``); return the realised gain."""
         p = int(photo_id)
-        if p in self._selected:
+        if p in self._selected and self._fidelity.get(p, 1.0) >= phi:
             return 0.0
         cache = self._gain_cache
-        if cache is not None and cache[0] == p and cache[1] == len(self._order):
+        if (
+            cache is not None
+            and cache[0] == p
+            and cache[1] == phi
+            and cache[2] == len(self._order)
+        ):
             # The preceding gain(p) already computed the deltas and masks
             # at this exact selection — replay them instead of recomputing.
-            realized, segments = cache[2], cache[3]
+            realized, segments = cache[3], cache[4]
         elif self.backend == KERNEL:
-            realized, segments = self._evaluate_kernel(p)
+            realized, segments = self._evaluate_kernel(p, phi)
         else:
-            realized, segments = self._evaluate_reference(p)
+            realized, segments = self._evaluate_reference(p, phi)
         if self.backend == KERNEL:
             best = self._best_flat
             for slots, sims, positive in segments:
@@ -207,13 +224,17 @@ class CoverageState:
                 self._best[qi][idx[positive]] = sims[positive]
         self._gain_cache = None
         self._selected.add(p)
+        if phi != 1.0:
+            self._fidelity[p] = phi
+        elif self._fidelity:  # plain solves never touch the dict
+            self._fidelity.pop(p, None)
         self._order.append(p)
         self._value += realized
         return realized
 
     # ----------------------------------------------------------- kernels
 
-    def _evaluate_kernel(self, p: int) -> Tuple[float, list]:
+    def _evaluate_kernel(self, p: int, phi: float) -> Tuple[float, list]:
         """Marginal gain of ``p`` on the flat CSR plus replayable segments.
 
         One gather/subtract/compare pass over the photo's whole entry
@@ -221,7 +242,9 @@ class CoverageState:
         the reference backend bit for bit: delta values are elementwise
         identical however the range is sliced, each dot runs on the same
         extracted operands in the same (ascending-subset) order, and
-        all-zero segments contribute exactly nothing either way.
+        all-zero segments contribute exactly nothing either way.  At
+        ``phi == 1`` the stored similarities are used unscaled, so full
+        fidelity accumulates the very same floats as a plain insertion.
         """
         inc = self.instance.incidence
         s0 = inc.entry_indptr[p]
@@ -230,6 +253,8 @@ class CoverageState:
             return 0.0, []
         slots = inc.slots[s0:e0]
         sims = inc.sims[s0:e0]
+        if phi != 1.0:
+            sims = phi * sims
         delta = sims - self._best_flat[slots]
         positive = delta > 0
         if not positive.any():
@@ -253,7 +278,7 @@ class CoverageState:
         # collide and one masked assignment equals the per-segment writes.
         return total, [(slots, sims, positive)]
 
-    def _evaluate_reference(self, p: int) -> Tuple[float, list]:
+    def _evaluate_reference(self, p: int, phi: float) -> Tuple[float, list]:
         """The original per-subset ``neighbors()`` evaluation (oracle)."""
         total = 0.0
         segments: list = []
@@ -262,6 +287,8 @@ class CoverageState:
             best = self._best[qi]
             wrel = self._weighted_rel[qi]
             idx, sims = subset.similarity.neighbors(local)
+            if phi != 1.0:
+                sims = phi * sims
             delta = sims - best[idx]
             positive = delta > 0
             if np.any(positive):
@@ -356,6 +383,7 @@ class CoverageState:
             clone._best = [b.copy() for b in self._best]
         clone._value = self._value
         clone._selected = set(self._selected)
+        clone._fidelity = dict(self._fidelity)
         clone._order = list(self._order)
         clone._gain_cache = None
         return clone

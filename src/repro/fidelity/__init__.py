@@ -7,9 +7,9 @@ solver picks at most one variant per photo under the byte budget.
 
 * :mod:`repro.fidelity.catalog` — :class:`VariantCatalog`, the flat
   CSR-shaped per-photo variant menus;
-* :mod:`repro.fidelity.solver` — the exclusive CELF solver
-  (:func:`fidelity_main`, :func:`exclusive_lazy_greedy`) and the
-  fidelity-scaled coverage state;
+* :mod:`repro.fidelity.solver` — :func:`fidelity_main`, the paper's
+  CELF driver run over a variant catalog, and the
+  :func:`fidelity_score` oracle;
 * :mod:`repro.fidelity.frontier` — budget-vs-quality sweeps against
   discard-only PHOcus (:func:`budget_frontier`);
 * :mod:`repro.fidelity.policy` — the service-facing ``fidelity`` policy
@@ -25,20 +25,11 @@ from repro.fidelity.policy import (
     resolve_catalog,
     score_fidelity_payload,
 )
-from repro.fidelity.solver import (
-    FidelityCoverageState,
-    FidelityRun,
-    exclusive_lazy_greedy,
-    fidelity_main,
-    fidelity_score,
-)
+from repro.fidelity.solver import fidelity_main, fidelity_score
 
 __all__ = [
     "DEFAULT_TIERS",
     "VariantCatalog",
-    "FidelityCoverageState",
-    "FidelityRun",
-    "exclusive_lazy_greedy",
     "fidelity_main",
     "fidelity_score",
     "budget_frontier",

@@ -24,17 +24,14 @@ structured 422.
 from __future__ import annotations
 
 from time import perf_counter as _perf_counter
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
+from repro.core.greedy import lazy_greedy
 from repro.core.instance import PARInstance
 from repro.errors import ValidationError
 from repro.fidelity.catalog import VariantCatalog
 from repro.fidelity.frontier import budget_frontier
-from repro.fidelity.solver import (
-    exclusive_lazy_greedy,
-    fidelity_main,
-    fidelity_score,
-)
+from repro.fidelity.solver import fidelity_main, fidelity_score
 from repro.obs import probes as _obs_probes
 
 __all__ = [
@@ -117,14 +114,21 @@ def _chosen_records(
 
 
 def execute_fidelity_payload(
-    policy: Any, *, instance: PARInstance
+    policy: Any,
+    *,
+    instance: PARInstance,
+    checkpoint_every: Optional[int] = None,
+    checkpoint_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
+    resume_from: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Run the fidelity policy for a solve payload; return the wire doc.
 
     With ``budgets`` the response is a frontier sweep
     (``algorithm: "fidelity-frontier"``); otherwise a single exclusive
     solve at the instance budget with the per-photo chosen variants and
-    the quality report.
+    the quality report.  The checkpoint hooks reach the single solve
+    exactly as they reach a plain one; sweeps ignore them (each member
+    solve is short, a retry re-runs the sweep).
     """
     policy = _check_policy(policy)
     if policy.get("chosen") is not None:
@@ -151,11 +155,16 @@ def execute_fidelity_payload(
         doc["algorithm"] = "fidelity-frontier"
         return doc
 
+    hooks = {
+        "checkpoint_every": checkpoint_every,
+        "checkpoint_sink": checkpoint_sink,
+        "resume_from": resume_from,
+    }
     t0 = _perf_counter()
     if mode is None:
-        run = fidelity_main(instance, catalog, upgrade=upgrade)
+        run = fidelity_main(instance, catalog, upgrade=upgrade, **hooks)
     else:
-        run = exclusive_lazy_greedy(instance, catalog, mode, upgrade=upgrade)
+        run = lazy_greedy(instance, mode, catalog=catalog, upgrade=upgrade, **hooks)
     elapsed = _perf_counter() - t0
     quality = catalog.describe_selection(run.chosen)
     _obs = _obs_probes.active()

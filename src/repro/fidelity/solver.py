@@ -1,4 +1,4 @@
-"""Exclusive-choice CELF: at most one variant per photo under the budget.
+"""Multi-fidelity solves: best-of-UC/CB over a variant catalog.
 
 Multi-fidelity PAR is a submodular knapsack with *item multiplicity*:
 every photo contributes a menu of mutually exclusive variants (see
@@ -9,370 +9,30 @@ the original similarity.  The objective over exclusive choices
 
     G(A) = Σ_q W(q) · Σ_j R(q, j) · max_{(p, φ) ∈ A, p ∈ q} φ·SIM(q, p, j)
 
-which is monotone submodular in the set of chosen variants, so the CELF
-machinery of :func:`repro.core.greedy.lazy_greedy` extends directly:
-
-* the heap holds one entry **per variant** — ``(-key, counter, vid,
-  stamp)``, exactly the encoding of ``lazy_greedy`` with variant ids in
-  place of photo ids;
-* a per-photo *exclusion set* skips every popped sibling of an already
-  chosen photo (exclusivity is enforced at pop time, not by heap
-  surgery);
-* sibling entries are seeded with the **optimistic bound** ``φ ·
-  gain₁(p)`` instead of an exact evaluation — valid because
-  ``max(0, φ·s − b) ≤ φ·max(0, s − b)`` for ``b ≥ 0, φ ≤ 1`` — at stamp
-  ``−1`` so they can never be accepted without a refresh.  Seeding
-  therefore costs one exact evaluation per photo, the same as the
-  discard-only solver;
-* **upgrades ride the same drain**: because raising ``φ_p`` is monotone
-  (every covered slot moves to ``max(best, φ_new·sim)``), swapping a
-  chosen variant for a higher-fidelity sibling is just another
-  insertion through :meth:`FidelityCoverageState.add` — so a popped
-  sibling of an already chosen photo is treated as an *upgrade move*
-  priced at its **incremental** cost ``cost(w) − cost(chosen_p)``.  The
-  greedy therefore weighs "upgrade a kept photo" against "keep one more
-  photo" at every step; lower-or-equal-fidelity siblings are skipped as
-  dominated.  Upgrade keys are conservative: if a photo upgrades again
-  between a push and a pop, the cached key underestimates (the
-  incremental cost shrank), which can only delay the move, never accept
-  a stale one — the stamp check forces an exact refresh before any
-  accept.
-
-Degradation contract: on a :meth:`VariantCatalog.trivial` catalog the
-heap sequence, evaluation count, picks, value, and cost reproduce
-``lazy_greedy`` bit for bit — the coverage kernel below accumulates
-floats in the identical order (``1.0 · sims`` is exact in IEEE-754),
-and :func:`fidelity_main` mirrors ``main_algorithm``'s best-of-UC/CB,
-preserving the ``(1 − 1/e)/2``-style guarantee over the exclusive
-ground set.
+which is monotone submodular in the set of chosen variants, so the
+paper's CELF driver solves it directly: :func:`repro.core.greedy.lazy_greedy`
+runs over variant ids and adds optimistic sibling seeding, pop-time
+exclusivity and upgrade moves when handed a catalog (DESIGN.md
+§"Exclusive-choice CELF").  This module keeps the multi-fidelity entry
+point, :func:`fidelity_main`, and the from-scratch oracle
+:func:`fidelity_score`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from time import perf_counter as _perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from repro.core.greedy import CB, UC, _MODES, GreedyMode
+from repro.core.greedy import GreedyRun, main_algorithm
 from repro.core.instance import PARInstance
-from repro.errors import ConfigurationError, ValidationError
-from repro.faults import check as _fault_check
+from repro.errors import ValidationError
 from repro.fidelity.catalog import VariantCatalog
-from repro.obs import probes as _obs_probes
-from repro.resilience import deadline as _deadline
 
 __all__ = [
-    "FidelityCoverageState",
-    "FidelityRun",
-    "exclusive_lazy_greedy",
     "fidelity_main",
     "fidelity_score",
 ]
-
-
-class FidelityCoverageState:
-    """Incremental coverage under fidelity-scaled insertions.
-
-    The φ-generalisation of :class:`repro.core.objective.CoverageState`'s
-    kernel backend: ``add(p, φ)`` covers photo ``p``'s incidence slots at
-    ``φ ·`` their stored similarity.  Accumulation order, masked dots,
-    the gain-replay cache, and the write-back are copied verbatim from
-    the discard-only kernel so that ``φ = 1`` insertions are bit-exact
-    with ``CoverageState.add`` (``1.0 · s == s`` for every float).
-    """
-
-    __slots__ = (
-        "instance",
-        "_best_flat",
-        "_value",
-        "_selected",
-        "_order",
-        "_gain_cache",
-    )
-
-    def __init__(
-        self,
-        instance: PARInstance,
-        selection: Iterable[Tuple[int, float]] = (),
-    ) -> None:
-        self.instance = instance
-        self._best_flat = np.zeros(
-            instance.incidence.total_slots, dtype=np.float64
-        )
-        self._value = 0.0
-        self._selected: Dict[int, float] = {}
-        self._order: List[Tuple[int, float]] = []
-        # (photo, phi, stamp, total, segments) of the latest gain() —
-        # replayed by an add() at the same selection size (the CELF
-        # accept step always adds the entry it just refreshed).
-        self._gain_cache = None
-        for p, phi in selection:
-            self.add(int(p), float(phi))
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    @property
-    def size(self) -> int:
-        return len(self._selected)
-
-    @property
-    def selected(self) -> Dict[int, float]:
-        """``{photo_id: fidelity}`` of the insertions so far (copy)."""
-        return dict(self._selected)
-
-    @property
-    def order(self) -> List[Tuple[int, float]]:
-        return list(self._order)
-
-    def __contains__(self, photo_id: int) -> bool:
-        return int(photo_id) in self._selected
-
-    def gain(self, photo_id: int, phi: float) -> float:
-        """Marginal gain of inserting ``p`` at fidelity ``phi``.
-
-        For a photo already selected at a *lower* fidelity this is the
-        exact upgrade gain: raising ``φ_p`` is monotone, so the new
-        coverage of every slot is simply ``max(best, φ_new·sim)`` — the
-        same one-row evaluation as a fresh insertion, no removal or
-        replay of the rest of the selection required.
-        """
-        p = int(photo_id)
-        if self._selected.get(p, 0.0) >= phi:
-            return 0.0
-        total, segments = self._evaluate(p, phi)
-        self._gain_cache = (p, phi, len(self._order), total, segments)
-        return total
-
-    def add(self, photo_id: int, phi: float) -> float:
-        """Insert ``p`` at ``phi`` — or upgrade it, if already selected lower."""
-        p = int(photo_id)
-        if self._selected.get(p, 0.0) >= phi:
-            return 0.0
-        cache = self._gain_cache
-        if (
-            cache is not None
-            and cache[0] == p
-            and cache[1] == phi
-            and cache[2] == len(self._order)
-        ):
-            realized, segments = cache[3], cache[4]
-        else:
-            realized, segments = self._evaluate(p, phi)
-        best = self._best_flat
-        for slots, scaled, positive in segments:
-            best[slots[positive]] = scaled[positive]
-        self._gain_cache = None
-        self._selected[p] = phi
-        self._order.append((p, phi))
-        self._value += realized
-        return realized
-
-    def _evaluate(self, p: int, phi: float) -> Tuple[float, list]:
-        """Kernel evaluation at fidelity ``phi`` (cf. ``_evaluate_kernel``).
-
-        Identical slicing, masking, and per-membership dot order as the
-        discard-only kernel; the only change is the pre-scaled
-        similarity vector (left as the stored ``sims`` when ``phi == 1``
-        so the trivial catalog accumulates the very same floats).
-        """
-        inc = self.instance.incidence
-        s0 = inc.entry_indptr[p]
-        e0 = inc.entry_indptr[p + 1]
-        if s0 == e0:
-            return 0.0, []
-        slots = inc.slots[s0:e0]
-        scaled = inc.sims[s0:e0]
-        if phi != 1.0:
-            scaled = phi * scaled
-        delta = scaled - self._best_flat[slots]
-        positive = delta > 0
-        if not positive.any():
-            return 0.0, []
-        wrel = inc.wrel[s0:e0]
-        ms = inc.photo_member_indptr[p]
-        me = inc.photo_member_indptr[p + 1]
-        if me - ms == 1:
-            return float(wrel[positive] @ delta[positive]), [
-                (slots, scaled, positive)
-            ]
-        eptr = inc.member_entry_indptr
-        total = 0.0
-        for k in range(ms, me):
-            s = eptr[k] - s0
-            e = eptr[k + 1] - s0
-            pseg = positive[s:e]
-            dsel = delta[s:e][pseg]
-            if dsel.size:
-                total += float(wrel[s:e][pseg] @ dsel)
-        return total, [(slots, scaled, positive)]
-
-
-@dataclass
-class FidelityRun:
-    """Outcome of one exclusive-choice pass.
-
-    ``chosen`` maps photo id → chosen *variant id* (global, into the
-    catalog's flat arrays); ``selection`` lists the photos in pick order
-    (retention set first), matching ``GreedyRun.selection`` so the two
-    run kinds are drop-in comparable.
-    """
-
-    selection: List[int]
-    chosen: Dict[int, int]
-    value: float
-    cost: float
-    mode: str
-    evaluations: int = 0
-    picks: List[Tuple[int, float]] = field(default_factory=list)
-    #: applied upgrade swaps as (photo, from_variant, to_variant, gain).
-    upgrades: List[Tuple[int, int, int, float]] = field(default_factory=list)
-
-
-def exclusive_lazy_greedy(
-    instance: PARInstance,
-    catalog: VariantCatalog,
-    mode: GreedyMode = CB,
-    *,
-    upgrade: bool = True,
-) -> FidelityRun:
-    """One exclusive-choice CELF pass (UC or CB) with in-drain upgrades.
-
-    With ``upgrade=False`` siblings of a chosen photo are skipped at pop
-    time (insert-only exclusive choice, the flat-expansion semantics);
-    the default also considers upgrade moves priced at incremental cost.
-    """
-    if mode not in _MODES:
-        raise ConfigurationError(f"unknown greedy mode {mode!r}; expected UC or CB")
-    if catalog.n_photos != instance.n:
-        raise ValidationError(
-            f"variant catalog covers {catalog.n_photos} photos, "
-            f"instance has {instance.n}"
-        )
-
-    indptr = catalog.indptr
-    vcost = catalog.cost
-    vfid = catalog.fidelity
-    photo_of = catalog.photo_of
-    budget = instance.budget
-    budget_cap = budget * (1 + 1e-12)
-
-    # Retained photos are kept at their original rendition — S0 is a
-    # keep-as-is contract, not a keep-at-any-quality one.
-    state = FidelityCoverageState(
-        instance, ((p, 1.0) for p in instance.retained)
-    )
-    chosen: Dict[int, int] = {
-        p: catalog.original_of(p) for p in instance.retained
-    }
-    # Seed cost mirrors PARInstance.cost_of: one fancy-indexed sum over
-    # the retention ids in set-iteration order, so a trivial catalog
-    # (variant costs == photo costs, vid == photo id) reproduces
-    # lazy_greedy's ``spent`` float exactly.
-    ids = list(frozenset(chosen.values()))
-    spent = float(vcost[ids].sum()) if ids else 0.0
-    run = FidelityRun(
-        selection=list(state._selected),
-        chosen=chosen,
-        value=state.value,
-        cost=spent,
-        mode=mode,
-        evaluations=0,
-    )
-
-    # --- seed: one exact evaluation per photo, optimistic siblings -----
-    counter = 0
-    heap: List[Tuple[float, int, int, int]] = []
-    stamp = state.size
-    for p in range(instance.n):
-        if p in chosen:
-            continue
-        s, e = int(indptr[p]), int(indptr[p + 1])
-        # Costs strictly decrease within a photo, so the last slot is the
-        # cheapest variant; when even it cannot fit, the photo needs no
-        # evaluation (matching lazy_greedy's unaffordable-seed skip).
-        if spent + vcost[e - 1] > budget_cap:
-            continue
-        g1 = state.gain(p, 1.0)
-        run.evaluations += 1
-        for vid in range(s, e):
-            if spent + vcost[vid] > budget_cap:
-                continue
-            if vid == s:
-                gain, vstamp = g1, stamp
-            else:
-                # Upper bound φ·gain₁(p): never accepted un-refreshed.
-                gain, vstamp = vfid[vid] * g1, -1
-            key = gain / vcost[vid] if mode == CB else gain
-            heapq.heappush(heap, (-key, counter, vid, vstamp))
-            counter += 1
-
-    _obs = _obs_probes.active()
-    _t0 = _perf_counter() if _obs is not None else 0.0
-
-    # --- CELF drain (the lazy_greedy hot loop over variant ids) -------
-    size = state.size
-    _dl = _deadline.current()
-    _dl_tick = 0
-    while heap:
-        _fault_check("solver.iteration")
-        if _dl is not None:
-            if (_dl_tick & 15) == 0 or _dl._interrupt is not None:
-                if _dl.expired():
-                    raise _dl.to_exception(None)
-            _dl_tick += 1
-        neg_key, _, vid, gain_stamp = heapq.heappop(heap)
-        p = int(photo_of[vid])
-        cur = chosen.get(p)
-        if cur is not None:
-            # Exclusivity: a sibling of a chosen photo is either an
-            # upgrade move (strictly higher fidelity, priced at its
-            # incremental cost) or dominated and skipped.
-            if not upgrade or vid >= cur:
-                continue
-            _fault_check("fidelity.swap")
-            extra = float(vcost[vid] - vcost[cur])
-        else:
-            extra = float(vcost[vid])
-        if spent + extra > budget_cap:
-            # ``spent − cost(chosen_p)`` only grows during the drain, so
-            # this move can never become affordable again — drop it.
-            continue
-        if gain_stamp == size:
-            realized = state.add(p, float(vfid[vid]))
-            size += 1
-            if cur is None:
-                run.selection.append(p)
-                run.picks.append((p, realized))
-            else:
-                run.upgrades.append((p, cur, vid, realized))
-            chosen[p] = vid
-            spent += extra
-            run.value = state.value
-            run.cost = spent
-        else:
-            gain = state.gain(p, float(vfid[vid]))
-            run.evaluations += 1
-            key = gain / extra if mode == CB else gain
-            heapq.heappush(heap, (-key, counter, vid, size))
-            counter += 1
-
-    if _obs is not None:
-        _obs.fidelity_solves.labels(mode=mode).inc()
-        _obs.fidelity_solve_seconds.labels(mode=mode).observe(
-            _perf_counter() - _t0
-        )
-        for p, vid in run.chosen.items():
-            _obs.fidelity_variants_selected.labels(
-                tier=catalog.tier[vid]
-            ).inc()
-        if run.upgrades:
-            _obs.fidelity_upgrade_swaps.inc(len(run.upgrades))
-    return run
 
 
 def fidelity_main(
@@ -380,21 +40,25 @@ def fidelity_main(
     catalog: VariantCatalog,
     *,
     upgrade: bool = True,
-) -> FidelityRun:
+    checkpoint_every: Optional[int] = None,
+    checkpoint_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
+    resume_from: Optional[Dict[str, Any]] = None,
+) -> GreedyRun:
     """Best of the UC and CB exclusive passes (Algorithm 1, lifted).
 
-    The exclusive ground set (one element per variant, a partition
-    matroid intersected with the knapsack) keeps the objective monotone
-    submodular, so taking the better of the unit-cost and cost-benefit
-    passes carries the same ``(1 − 1/e)/2``-style worst-case bound the
-    discard-only ``main_algorithm`` has.  ``evaluations`` sums both
-    passes, mirroring ``main_algorithm``.
+    :func:`repro.core.greedy.main_algorithm` over ``catalog``: the
+    winning run's ``chosen`` maps photo id → variant id and ``upgrades``
+    lists the applied swaps.  Checkpoint, resume and deadline progress
+    are the plain solve's, unchanged.
     """
-    res_uc = exclusive_lazy_greedy(instance, catalog, UC, upgrade=upgrade)
-    res_cb = exclusive_lazy_greedy(instance, catalog, CB, upgrade=upgrade)
-    winner = res_cb if res_cb.value >= res_uc.value else res_uc
-    winner.evaluations = res_uc.evaluations + res_cb.evaluations
-    return winner
+    return main_algorithm(
+        instance,
+        catalog=catalog,
+        upgrade=upgrade,
+        checkpoint_every=checkpoint_every,
+        checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
+    )
 
 
 def fidelity_score(

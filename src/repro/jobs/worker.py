@@ -117,6 +117,11 @@ def execute_solve_payload(
             "kept_fraction": report.kept_fraction,
             "checked_fraction": report.checked_fraction,
         }
+    # checkpoint_every is meaningless without somewhere to put the
+    # snapshots — the synchronous /solve path has no sink, so drop it.
+    checkpoint_every = (
+        payload.get("checkpoint_every") if checkpoint_sink is not None else None
+    )
     fidelity = payload.get("fidelity")
     if fidelity is not None:
         if payload.get("budgets"):
@@ -127,7 +132,10 @@ def execute_solve_payload(
         with _trace.span("solve.fidelity") as sp:
             sp.annotate(n=instance.n, tau=tau)
             return _execute_fidelity(
-                instance, solver_instance, sparsify_doc, fidelity
+                instance, solver_instance, sparsify_doc, fidelity,
+                checkpoint_every=checkpoint_every,
+                checkpoint_sink=checkpoint_sink,
+                resume_from=resume_from,
             )
     budgets = payload.get("budgets")
     if budgets:
@@ -142,17 +150,11 @@ def execute_solve_payload(
             workers=payload.get("parallel_workers"),
         )
 
-    # checkpoint_every is meaningless without somewhere to put the
-    # snapshots — the synchronous /solve path has no sink, so drop it.
-    # The hooks are also best-effort: for algorithms that cannot
-    # checkpoint (exact / randomised baselines) they are ignored rather
-    # than rejected, so one manager can run a mixed workload.
+    # The hooks are best-effort: for algorithms that cannot checkpoint
+    # (exact / randomised baselines) they are ignored rather than
+    # rejected, so one manager can run a mixed workload.
     if algorithm not in checkpointable_algorithms():
-        checkpoint_sink = None
-        resume_from = None
-    checkpoint_every = (
-        payload.get("checkpoint_every") if checkpoint_sink is not None else None
-    )
+        checkpoint_every = checkpoint_sink = resume_from = None
     with _trace.span("solve.payload") as sp:
         sp.annotate(algorithm=str(algorithm), n=instance.n, tau=tau)
         if checkpoint_every is not None or checkpoint_sink is not None or resume_from is not None:
@@ -189,6 +191,7 @@ def _execute_fidelity(
     solver_instance,
     sparsify_doc: Optional[Dict[str, Any]],
     policy: Dict[str, Any],
+    **hooks: Any,
 ) -> Dict[str, Any]:
     """Route a solve to the exclusive multi-fidelity solver.
 
@@ -196,11 +199,13 @@ def _execute_fidelity(
     on the sparsified instance but the reported ``value`` is re-scored on
     the original one (frontier sweeps keep their comparative values —
     both arms of every point ran on the same sparsified instance).
+    ``hooks`` are the checkpoint hooks, so a drained fidelity job
+    resumes mid-solve like a plain one.
     """
     from repro.fidelity.policy import execute_fidelity_payload, resolve_catalog
     from repro.fidelity.solver import fidelity_score
 
-    doc = execute_fidelity_payload(policy, instance=solver_instance)
+    doc = execute_fidelity_payload(policy, instance=solver_instance, **hooks)
     if solver_instance is not instance and doc.get("algorithm") == "fidelity":
         catalog = resolve_catalog(instance, policy)
         chosen = {

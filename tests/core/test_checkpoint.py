@@ -7,7 +7,9 @@ the uninterrupted run, for both lazy-greedy variants and the full
 two-phase main algorithm.
 """
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,11 @@ from repro.core.checkpoint import (
 from repro.core.greedy import CB, UC, lazy_greedy, main_algorithm
 from repro.core.solver import checkpointable_algorithms, solve
 from repro.errors import CheckpointError, ConfigurationError
+from repro.fidelity import VariantCatalog
+from repro.scale import build_streamed_instance, synthetic_archive
 from tests.conftest import random_instance
+
+GOLDEN = Path(__file__).parent / "data" / "main_algorithm_cb_checkpoint.json"
 
 
 # --------------------------------------------------------------- wire format
@@ -194,3 +200,93 @@ def test_solve_facade_reports_resume_extras():
     assert resumed.value == baseline.value
     assert resumed.extras["resumed_from_picks"] >= 1
     assert "resumed_from_picks" not in baseline.extras
+
+
+# ------------------------------------------------------ format stability
+
+
+def test_golden_cb_checkpoint_still_resumes():
+    """A format-1 main_algorithm checkpoint (CB phase, mid-pass) written
+    before multi-fidelity solves shared the driver resumes to the
+    uninterrupted answer — journals already on disk keep working."""
+    fixture = json.loads(GOLDEN.read_text())
+    params = {k: v for k, v in fixture["instance"].items() if k != "generator"}
+    instance = random_instance(**params)
+    doc = fixture["checkpoint"]
+    assert doc["phase"] == CB and doc["inner"]["picks"]
+    expected = fixture["expected"]
+    for source in (doc, decode_record_b64(encode_record_b64(doc))):
+        resumed = resume_from_checkpoint(instance, source)
+        assert resumed.selection == expected["selection"]
+        assert resumed.value == expected["value"]
+        assert resumed.cost == expected["cost"]
+        assert resumed.mode == expected["mode"]
+        assert resumed.evaluations == expected["evaluations"]
+    # The parent encoding is still what the solver writes today.
+    sink = MemoryCheckpointSink()
+    main_algorithm(instance, checkpoint_every=1, checkpoint_sink=sink)
+    assert doc in sink.docs
+
+
+# ------------------------------------------------ multi-fidelity resume
+
+
+def _fidelity_instance():
+    costs, emb = synthetic_archive(60, dim=8, noise=0.7, seed=1)
+    instance, _ = build_streamed_instance(
+        costs, emb, float(costs.sum()) * 0.15, tau=0.5, rng=1, retained=[0, 7]
+    )
+    return instance, VariantCatalog.default(instance.costs)
+
+
+def _same_fidelity_run(a, b):
+    assert a.selection == b.selection
+    assert a.chosen == b.chosen
+    assert a.value == b.value
+    assert a.cost == b.cost
+    assert a.evaluations == b.evaluations
+    assert a.upgrades == b.upgrades
+
+
+@pytest.mark.parametrize("mode", [UC, CB])
+def test_fidelity_resume_matches_uninterrupted_at_every_checkpoint(mode):
+    instance, catalog = _fidelity_instance()
+    reference = lazy_greedy(instance, mode, catalog=catalog)
+    # Upgrades only pay off against cost: the CB pass must exercise them.
+    assert reference.upgrades or mode == UC
+    sink = MemoryCheckpointSink()
+    lazy_greedy(instance, mode, catalog=catalog, checkpoint_every=1, checkpoint_sink=sink)
+    assert sink.docs
+    for doc in sink.docs:
+        resumed = lazy_greedy(instance, mode, catalog=catalog, resume_from=doc)
+        _same_fidelity_run(resumed, reference)
+
+
+def test_fidelity_main_algorithm_resume_both_phases():
+    instance, catalog = _fidelity_instance()
+    reference = main_algorithm(instance, catalog=catalog)
+    sink = MemoryCheckpointSink()
+    main_algorithm(instance, catalog=catalog, checkpoint_every=2, checkpoint_sink=sink)
+    assert {doc["phase"] for doc in sink.docs} == {"UC", "CB"}
+    for doc in sink.docs:
+        resumed = main_algorithm(instance, catalog=catalog, resume_from=doc)
+        _same_fidelity_run(resumed, reference)
+        assert resumed.mode == reference.mode
+
+
+def test_plain_and_fidelity_checkpoints_never_cross_resume():
+    instance, catalog = _fidelity_instance()
+    plain, fidelity = MemoryCheckpointSink(), MemoryCheckpointSink()
+    main_algorithm(instance, checkpoint_every=1, checkpoint_sink=plain)
+    main_algorithm(
+        instance, catalog=catalog, checkpoint_every=1, checkpoint_sink=fidelity
+    )
+    with pytest.raises(CheckpointError, match="plain solve"):
+        main_algorithm(instance, catalog=catalog, resume_from=plain.last)
+    with pytest.raises(CheckpointError, match="multi-fidelity solve"):
+        main_algorithm(instance, resume_from=fidelity.last)
+    with pytest.raises(CheckpointError, match="plain solve"):
+        lazy_greedy(instance, CB, catalog=catalog, resume_from=plain.last["inner"])
+    smaller = VariantCatalog.from_levels(instance.costs, [(0.85, 0.45)])
+    with pytest.raises(CheckpointError, match="variants"):
+        main_algorithm(instance, catalog=smaller, resume_from=fidelity.last)

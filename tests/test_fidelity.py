@@ -37,7 +37,6 @@ from repro.fidelity import (
     DEFAULT_TIERS,
     VariantCatalog,
     budget_frontier,
-    exclusive_lazy_greedy,
     fidelity_main,
     fidelity_score,
 )
@@ -46,11 +45,12 @@ from repro.scale import build_streamed_instance, synthetic_archive
 LEVELS = [(0.85, 0.45), (0.6, 0.22)]
 
 
-def _archive(n, *, frac, seed, tau=0.5, noise=0.7, dtype=np.float64):
+def _archive(n, *, frac, seed, tau=0.5, noise=0.7, dtype=np.float64, retained=()):
     costs, emb = synthetic_archive(n, dim=8, noise=noise, seed=seed)
     total = float(costs.sum())
     instance, _ = build_streamed_instance(
-        costs, emb, total * frac, tau=tau, rng=seed, dtype=dtype
+        costs, emb, total * frac, tau=tau, rng=seed, dtype=dtype,
+        retained=list(retained),
     )
     return instance
 
@@ -130,12 +130,19 @@ class TestVariantCatalog:
 # ----------------------------------------------------- degradation contract
 
 
-@pytest.mark.parametrize("mode", [UC, CB])
-def test_trivial_catalog_reproduces_lazy_greedy_bit_for_bit(mode):
-    instance = _archive(150, frac=0.2, seed=3)
+_S0 = (0, 7, 33, 101, 140, 149)
+
+
+@pytest.mark.parametrize(
+    "mode, retained",
+    [(UC, ()), (CB, ()), (UC, _S0), (CB, _S0)],
+    ids=["UC", "CB", "UC-retained", "CB-retained"],
+)
+def test_trivial_catalog_reproduces_lazy_greedy_bit_for_bit(mode, retained):
+    instance = _archive(150, frac=0.2, seed=3, retained=retained)
     catalog = VariantCatalog.trivial(instance.costs)
     base = lazy_greedy(instance, mode)
-    excl = exclusive_lazy_greedy(instance, catalog, mode)
+    excl = lazy_greedy(instance, mode, catalog=catalog)
     assert excl.selection == base.selection
     assert excl.value == base.value
     assert excl.cost == base.cost
@@ -205,7 +212,7 @@ def test_solver_rejects_mismatched_catalog():
     instance = _archive(50, frac=0.2, seed=1)
     catalog = VariantCatalog.default(instance.costs[:-1])
     with pytest.raises(ValidationError, match="catalog covers"):
-        exclusive_lazy_greedy(instance, catalog)
+        lazy_greedy(instance, catalog=catalog)
 
 
 # ------------------------------------------------- approximation guarantee

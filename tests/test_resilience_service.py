@@ -144,6 +144,19 @@ class TestDeadline504:
         assert doc["reason"] == "deadline"
         assert doc["progress"] is not None  # checkpoint travelled out
 
+    def test_expired_fidelity_deadline_is_504_with_progress(self, instance_doc):
+        # Multi-fidelity solves run the same driver, so their 504s carry
+        # the same {"phase", "picks"} progress as plain ones.
+        faults.arm(FaultPlan().on("resilience.slow_solve", "drop", times=None))
+        status, doc = handle_request(
+            "POST",
+            "/solve",
+            _body({"instance": instance_doc, "fidelity": {}, "deadline_ms": 5.0}),
+        )
+        assert status == 504
+        assert doc["reason"] == "deadline"
+        assert set(doc["progress"]) == {"phase", "picks"}
+
     def test_deadline_applies_without_bundle(self, instance_doc):
         # deadline_ms in the body works even on a service with no bundle.
         faults.arm(FaultPlan().on("resilience.slow_solve", "drop", times=None))
