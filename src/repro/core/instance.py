@@ -572,6 +572,7 @@ class IncidenceCSR:
         "sims",
         "wrel",
         "total_slots",
+        "_native",
     )
 
     def __init__(
@@ -592,6 +593,18 @@ class IncidenceCSR:
         self.sims = sims
         self.wrel = wrel
         self.total_slots = int(subset_offsets[-1]) if subset_offsets.size else 0
+        # The native kernel's checked layout (repro.core.native), built on
+        # first use: None until then, False when numpy must serve.
+        self._native = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The layout holds C pointers; an unpickled copy checks afresh.
+        return {k: getattr(self, k) for k in self.__slots__ if k != "_native"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for key, value in state.items():
+            setattr(self, key, value)
+        self._native = None
 
     @property
     def nnz(self) -> int:

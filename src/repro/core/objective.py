@@ -19,18 +19,21 @@ Two interchangeable evaluation backends are provided:
 * ``backend="kernel"`` (default) — runs on the flat incidence CSR
   precomputed by :class:`~repro.core.instance.PARInstance`
   (:class:`~repro.core.instance.IncidenceCSR`): per-photo contiguous slices
-  of (slot, similarity, weighted relevance), so ``gain``/``add`` are a
-  handful of vectorised slice ops per membership and ``all_gains`` is one
-  pass of ``np.maximum`` + ``np.add.reduceat`` over the whole entry array,
-  with no per-member Python loop and no sparse special-casing;
+  of (slot, similarity, weighted relevance).  ``gain``/``add`` run in C
+  (:mod:`repro.core.native`) whenever the compiled kernel loads, and
+  otherwise as a handful of vectorised numpy slice ops per membership;
+  ``all_gains`` is one pass of ``np.maximum`` + ``np.add.reduceat`` over
+  the whole entry array, with no per-member Python loop and no sparse
+  special-casing;
 * ``backend="reference"`` — the original per-subset ``neighbors()`` loop,
   kept as the correctness oracle.
 
-Both backends accumulate floats in the *same order* (per membership, in
-ascending subset order, with identical masked dot products), so a kernel
-state and a reference state fed the same add order agree bit for bit on
-``value`` and the coverage vectors — which is what keeps the checkpoint
-resume proofs of :mod:`repro.core.checkpoint` valid on either backend.
+Both backends, and the C kernel, accumulate floats in the *same order*
+(per membership, in ascending subset order, with identical masked dot
+products), so a kernel state and a reference state fed the same add order
+agree bit for bit on ``value`` and the coverage vectors — which is what
+keeps the checkpoint resume proofs of :mod:`repro.core.checkpoint` valid
+on either backend.
 The default backend can be forced globally with the
 ``PHOCUS_COVERAGE_BACKEND`` environment variable.
 
@@ -46,6 +49,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import native as _native
 from repro.core.instance import PARInstance
 from repro.errors import ConfigurationError
 from repro.obs import probes as _obs_probes
@@ -108,11 +112,6 @@ class CoverageState:
                 f"unknown coverage backend {backend!r}; expected one of {_BACKENDS}"
             )
         self.backend = backend
-        _obs = _obs_probes.active()
-        if _obs is not None:
-            # Which evaluation backend actually serves the workload —
-            # construction-time only, so gain()/add() stay probe-free.
-            _obs.objective_states.labels(backend=backend).inc()
         self.instance = instance
         self._has_sparse = any(q.similarity.is_sparse for q in instance.subsets)
         self._weighted_rel: List[np.ndarray] = [
@@ -131,9 +130,20 @@ class CoverageState:
                 self._best_flat[off[qi] : off[qi + 1]]
                 for qi in range(len(instance.subsets))
             ]
+            # The compiled gain/add, writing into _best_flat; None when the
+            # numpy kernel serves (no compiled kernel, or a float32 CSR).
+            self._native = _native.bind(inc, self._best_flat)
         else:
             self._best_flat = None
             self._best = [np.zeros(len(q), dtype=np.float64) for q in instance.subsets]
+            self._native = None
+        _obs = _obs_probes.active()
+        if _obs is not None:
+            # What actually serves the workload — construction-time only,
+            # so gain()/add() stay probe-free.  "native" marks the compiled
+            # kernel; "kernel" then means the numpy fallback.
+            label = "native" if self._native is not None else backend
+            _obs.objective_states.labels(backend=label).inc()
         self._value = 0.0
         self._selected: set = set()
         # Fidelity of every photo inserted below 1 (multi-fidelity solves);
@@ -146,7 +156,7 @@ class CoverageState:
         self._order: List[int] = []
         # (photo, phi, stamp, total, segments) of the most recent gain()
         # query; segments hold the already-computed masks an add() can
-        # replay.
+        # replay (None: the native context holds them).
         self._gain_cache: Optional[Tuple[int, float, int, float, list]] = None
         for p in selection:
             self.add(int(p))
@@ -189,7 +199,12 @@ class CoverageState:
         p = int(photo_id)
         if p in self._selected and self._fidelity.get(p, 1.0) >= phi:
             return 0.0
-        if self.backend == KERNEL:
+        native = self._native
+        if native is not None and 0 <= p < native.n:
+            # segments=None: the coverage writes wait inside the native
+            # context for add() to commit.
+            total, segments = native.gain(p, phi), None
+        elif self.backend == KERNEL:
             total, segments = self._evaluate_kernel(p, phi)
         else:
             total, segments = self._evaluate_reference(p, phi)
@@ -202,6 +217,7 @@ class CoverageState:
         if p in self._selected and self._fidelity.get(p, 1.0) >= phi:
             return 0.0
         cache = self._gain_cache
+        native = self._native
         if (
             cache is not None
             and cache[0] == p
@@ -211,11 +227,17 @@ class CoverageState:
             # The preceding gain(p) already computed the deltas and masks
             # at this exact selection — replay them instead of recomputing.
             realized, segments = cache[3], cache[4]
+            if segments is None:
+                native.commit()
+        elif native is not None and 0 <= p < native.n:
+            realized, segments = native.add(p, phi), None
         elif self.backend == KERNEL:
             realized, segments = self._evaluate_kernel(p, phi)
         else:
             realized, segments = self._evaluate_reference(p, phi)
-        if self.backend == KERNEL:
+        if segments is None:
+            pass  # the native kernel has written the coverage already
+        elif self.backend == KERNEL:
             best = self._best_flat
             for slots, sims, positive in segments:
                 best[slots[positive]] = sims[positive]
@@ -378,9 +400,15 @@ class CoverageState:
                 clone._best_flat[off[qi] : off[qi + 1]]
                 for qi in range(len(self.instance.subsets))
             ]
+            clone._native = (
+                None
+                if self._native is None
+                else _native.bind(self.instance.incidence, clone._best_flat)
+            )
         else:
             clone._best_flat = None
             clone._best = [b.copy() for b in self._best]
+            clone._native = None
         clone._value = self._value
         clone._selected = set(self._selected)
         clone._fidelity = dict(self._fidelity)

@@ -1,11 +1,14 @@
 """Kernel-vs-reference backend equivalence — exact, not approximate.
 
-The flat-CSR kernel backend of :class:`CoverageState` must be a perfect
-stand-in for the original per-subset reference path: same add order ⇒
-bit-identical ``value``, coverage vectors, marginal gains, and — because
-heap keys flow into checkpoint documents — byte-identical checkpoints.
-These are the properties the PR-2 resume proofs and the CI bench-smoke
-gate rely on, so everything here asserts ``==``, never ``approx``.
+The flat-CSR kernel backend of :class:`CoverageState` — served by the
+compiled kernel of :mod:`repro.core.native` or, where that cannot load,
+by its numpy kernel — must be a perfect stand-in for the original
+per-subset reference path: same add order ⇒ bit-identical ``value``,
+coverage vectors, marginal gains, and — because heap keys flow into
+checkpoint documents — byte-identical checkpoints.  Every case runs on
+all three (``KINDS``).  These are the properties the checkpoint resume
+proofs and the CI bench-smoke gate rely on, so everything here asserts
+``==``, never ``approx``.
 """
 
 from __future__ import annotations
@@ -15,19 +18,73 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import native
 from repro.core.checkpoint import MemoryCheckpointSink, encode_record
 from repro.core.greedy import CB, UC, lazy_greedy, main_algorithm
-from repro.core.instance import build_incidence
+from repro.core.instance import PARInstance, PredefinedSubset, build_incidence
 from repro.core.objective import KERNEL, REFERENCE, CoverageState, score
 from repro.errors import ConfigurationError
 from repro.sparsify.threshold import threshold_sparsify
 from tests.conftest import random_instance
 
+NUMPY = "numpy"
+NATIVE = "native"
+# Reference loop, numpy kernel, compiled kernel.  Where the compiled
+# kernel cannot load (no cffi or gcc), NATIVE states run the numpy
+# kernel and the cases still hold.
+KINDS = (REFERENCE, NUMPY, NATIVE)
+
+
+def _state(inst, kind: str, selection=()) -> CoverageState:
+    """A coverage state served by ``kind``, holding ``selection``."""
+    if kind == REFERENCE:
+        return CoverageState(inst, selection, backend=REFERENCE)
+    state = CoverageState(inst, backend=KERNEL)
+    if kind == NUMPY:
+        state._native = None
+    for p in selection:
+        state.add(int(p))
+    return state
+
+
+def _with_subsets(inst, similarity_of) -> PARInstance:
+    """``inst`` with subset ``qi``'s similarity replaced by
+    ``similarity_of(qi, q)``."""
+    subsets = [
+        PredefinedSubset(
+            q.subset_id, q.weight, q.members, q.relevance,
+            similarity_of(qi, q), normalize=False,
+        )
+        for qi, q in enumerate(inst.subsets)
+    ]
+    return PARInstance(inst.photos, subsets, inst.budget, inst.retained)
+
 
 def _variants(seed: int, **kwargs):
     dense = random_instance(seed, **kwargs)
     sparse, _ = threshold_sparsify(dense, 0.3)
-    return [("dense", dense), ("sparse", sparse)]
+    # Dense and sparse subsets side by side; photos sit in several.
+    mixed = _with_subsets(
+        dense,
+        lambda qi, q: q.similarity if qi % 2 else q.similarity.sparsified(0.3),
+    )
+    return [("dense", dense), ("sparse", sparse), ("mixed", mixed)]
+
+
+def _assert_same(values: dict) -> None:
+    """Every kind produced exactly the reference's value."""
+    for kind in KINDS:
+        assert values[kind] == values[REFERENCE], (kind, values)
+
+
+def _assert_same_coverage(states: dict) -> None:
+    _assert_same({kind: s.value for kind, s in states.items()})
+    for qi in range(len(states[REFERENCE].instance.subsets)):
+        for kind in KINDS:
+            assert np.array_equal(
+                states[kind].coverage_of(qi), states[REFERENCE].coverage_of(qi)
+            ), (kind, qi)
+        _assert_same({kind: s.subset_value(qi) for kind, s in states.items()})
 
 
 class TestIncidenceLayout:
@@ -74,38 +131,67 @@ class TestBackendEquivalence:
         monkeypatch.delenv("PHOCUS_COVERAGE_BACKEND")
         assert CoverageState(inst).backend == KERNEL
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 50),
         n_photos=st.integers(6, 28),
         n_subsets=st.integers(2, 7),
+        retained=st.integers(0, 2),
         order_seed=st.integers(0, 1000),
+        phi=st.sampled_from([1.0, 0.7]),
     )
     def test_same_add_order_is_bit_identical(
-        self, seed, n_photos, n_subsets, order_seed
+        self, seed, n_photos, n_subsets, retained, order_seed, phi
     ):
-        for _, inst in _variants(seed, n_photos=n_photos, n_subsets=n_subsets):
-            kernel = CoverageState(inst, backend=KERNEL)
-            reference = CoverageState(inst, backend=REFERENCE)
+        # Gains, realised adds (warm after a gain, cold after a stale
+        # one), upgrades to full fidelity and copies taken mid-way, on
+        # dense, sparse and mixed instances with a retention set.
+        for _, inst in _variants(
+            seed, n_photos=n_photos, n_subsets=n_subsets, retained=retained
+        ):
+            states = {kind: _state(inst, kind, inst.retained) for kind in KINDS}
+            _assert_same_coverage(states)
             rng = np.random.default_rng(order_seed)
             order = [int(p) for p in rng.permutation(inst.n)[: inst.n // 2 + 1]]
-            for p in order:
-                assert kernel.gain(p) == reference.gain(p)
-                assert kernel.add(p) == reference.add(p)
-                assert kernel.value == reference.value
-            for qi in range(len(inst.subsets)):
-                assert np.array_equal(
-                    kernel.coverage_of(qi), reference.coverage_of(qi)
-                )
-                assert kernel.subset_value(qi) == reference.subset_value(qi)
+            for step, p in enumerate(order):
+                _assert_same({k: s.gain(p, phi) for k, s in states.items()})
+                if step % 2:
+                    # A gain for another photo makes the add below cold.
+                    q = order[step - 1]
+                    _assert_same({k: s.gain(q, 1.0) for k, s in states.items()})
+                _assert_same({k: s.add(p, phi) for k, s in states.items()})
+                if phi < 1.0 and step % 3 == 0:
+                    _assert_same({k: s.gain(p, 1.0) for k, s in states.items()})
+                    _assert_same({k: s.add(p, 1.0) for k, s in states.items()})
+                if step == len(order) // 2:
+                    states = {k: s.copy() for k, s in states.items()}
+                _assert_same_coverage(states)
+
+    def test_float32_sparse_multi_subset_below_full_fidelity(self):
+        # numpy computes phi * sims in float32 here (NEP 50), which a
+        # double-precision product does not reproduce; the kernel backend
+        # must still agree with the reference bit for bit.
+        sparse, _ = threshold_sparsify(random_instance(7, n_photos=24, n_subsets=6), 0.3)
+        inst = _with_subsets(sparse, lambda qi, q: q.similarity.astype(np.float32))
+        sims = inst.incidence.sims
+        assert sims.dtype == np.float32
+        assert not np.array_equal(0.7 * sims, 0.7 * sims.astype(np.float64))
+        states = {kind: _state(inst, kind) for kind in KINDS}
+        for p in range(0, inst.n, 2):
+            _assert_same({k: s.gain(p, 0.7) for k, s in states.items()})
+            _assert_same({k: s.add(p, 0.7) for k, s in states.items()})
+        for p in range(0, inst.n, 4):
+            _assert_same({k: s.gain(p, 1.0) for k, s in states.items()})
+            _assert_same({k: s.add(p, 1.0) for k, s in states.items()})
+        _assert_same_coverage(states)
 
     @settings(max_examples=10)
     @given(seed=st.integers(0, 30))
     def test_value_matches_from_scratch_score(self, seed):
         for _, inst in _variants(seed, n_photos=16, n_subsets=5):
             selection = list(range(0, inst.n, 2))
-            for backend in (KERNEL, REFERENCE):
-                state = CoverageState(inst, selection, backend=backend)
+            for kind in KINDS:
+                state = _state(inst, kind, selection)
                 assert state.value == pytest.approx(
                     score(inst, selection), rel=1e-12
                 )
@@ -116,8 +202,8 @@ class TestBackendEquivalence:
         for _, inst in _variants(seed, n_photos=14, n_subsets=4):
             rng = np.random.default_rng(order_seed)
             selection = [int(p) for p in rng.permutation(inst.n)[: inst.n // 3]]
-            for backend in (KERNEL, REFERENCE):
-                state = CoverageState(inst, selection, backend=backend)
+            for kind in KINDS:
+                state = _state(inst, kind, selection)
                 gains = state.all_gains()
                 expected = np.array([state.gain(p) for p in range(inst.n)])
                 np.testing.assert_allclose(gains, expected, rtol=1e-12, atol=1e-12)
@@ -127,9 +213,9 @@ class TestBackendEquivalence:
         # cached masks; an add with no preceding gain recomputes.  Both
         # must land in exactly the same state.
         inst = random_instance(4, n_photos=20, n_subsets=5)
-        for backend in (KERNEL, REFERENCE):
-            warm = CoverageState(inst, backend=backend)
-            cold = CoverageState(inst, backend=backend)
+        for kind in KINDS:
+            warm = _state(inst, kind)
+            cold = _state(inst, kind)
             for p in range(0, inst.n, 2):
                 g = warm.gain(p)
                 assert warm.add(p) == g
@@ -142,8 +228,8 @@ class TestBackendEquivalence:
         # gain(a); add(b); add(a) — the cached segments for a are stale
         # (computed before b joined) and must be discarded.
         inst = random_instance(5, n_photos=20, n_subsets=5)
-        for backend in (KERNEL, REFERENCE):
-            state = CoverageState(inst, backend=backend)
+        for kind in KINDS:
+            state = _state(inst, kind)
             state.gain(0)
             state.add(1)
             state.add(0)
@@ -154,18 +240,21 @@ class TestBackendEquivalence:
 
     def test_copy_is_independent_and_exact(self):
         inst = random_instance(6, n_photos=18, n_subsets=5)
-        for backend in (KERNEL, REFERENCE):
-            state = CoverageState(inst, [0, 3], backend=backend)
+        for kind in KINDS:
+            state = _state(inst, kind, [0, 3])
             clone = state.copy()
             assert clone.value == state.value
+            assert (clone._native is None) == (state._native is None)
+            clone.gain(5)
             clone.add(5)
             assert 5 not in state
-            assert state.value == CoverageState(inst, [0, 3], backend=backend).value
+            assert state.value == _state(inst, kind, [0, 3]).value
             for qi in range(len(inst.subsets)):
                 assert np.array_equal(
                     state.coverage_of(qi),
-                    CoverageState(inst, [0, 3], backend=backend).coverage_of(qi),
+                    _state(inst, kind, [0, 3]).coverage_of(qi),
                 )
+            assert clone.value == _state(inst, kind, [0, 3, 5]).value
 
 
 class TestSolverBitIdentity:
@@ -174,24 +263,32 @@ class TestSolverBitIdentity:
         for seed in range(4):
             for _, inst in _variants(seed, n_photos=24, n_subsets=6):
                 runs = {}
-                for backend in (KERNEL, REFERENCE):
-                    state = CoverageState(inst, inst.retained, backend=backend)
-                    runs[backend] = lazy_greedy(inst, mode, state=state)
-                assert runs[KERNEL].selection == runs[REFERENCE].selection
-                assert runs[KERNEL].value == runs[REFERENCE].value
-                assert runs[KERNEL].picks == runs[REFERENCE].picks
-                assert runs[KERNEL].evaluations == runs[REFERENCE].evaluations
+                for kind in KINDS:
+                    state = _state(inst, kind, inst.retained)
+                    runs[kind] = lazy_greedy(inst, mode, state=state)
+                for kind in KINDS:
+                    assert runs[kind].selection == runs[REFERENCE].selection
+                    assert runs[kind].value == runs[REFERENCE].value
+                    assert runs[kind].picks == runs[REFERENCE].picks
+                    assert runs[kind].evaluations == runs[REFERENCE].evaluations
 
     def test_main_algorithm_identical_across_backends(self, monkeypatch):
         for seed in range(3):
             for _, inst in _variants(seed, n_photos=22, n_subsets=6):
                 runs = {}
-                for backend in (KERNEL, REFERENCE):
-                    monkeypatch.setenv("PHOCUS_COVERAGE_BACKEND", backend)
-                    runs[backend] = main_algorithm(inst)
-                assert runs[KERNEL].selection == runs[REFERENCE].selection
-                assert runs[KERNEL].value == runs[REFERENCE].value
-                assert runs[KERNEL].picks == runs[REFERENCE].picks
+                for kind in KINDS:
+                    with monkeypatch.context() as patch:
+                        patch.setenv(
+                            "PHOCUS_COVERAGE_BACKEND",
+                            REFERENCE if kind == REFERENCE else KERNEL,
+                        )
+                        if kind == NUMPY:
+                            patch.setattr(native, "bind", lambda inc, best: None)
+                        runs[kind] = main_algorithm(inst)
+                for kind in KINDS:
+                    assert runs[kind].selection == runs[REFERENCE].selection
+                    assert runs[kind].value == runs[REFERENCE].value
+                    assert runs[kind].picks == runs[REFERENCE].picks
 
     @pytest.mark.parametrize("mode", [UC, CB])
     def test_checkpoint_bytes_identical_across_backends(self, mode):
@@ -201,9 +298,9 @@ class TestSolverBitIdentity:
         for seed in range(3):
             for _, inst in _variants(seed, n_photos=24, n_subsets=6):
                 encoded = {}
-                for backend in (KERNEL, REFERENCE):
+                for kind in KINDS:
                     sink = MemoryCheckpointSink()
-                    state = CoverageState(inst, inst.retained, backend=backend)
+                    state = _state(inst, kind, inst.retained)
                     lazy_greedy(
                         inst,
                         mode,
@@ -211,6 +308,6 @@ class TestSolverBitIdentity:
                         checkpoint_every=2,
                         checkpoint_sink=sink,
                     )
-                    encoded[backend] = [encode_record(doc) for doc in sink.docs]
-                assert encoded[KERNEL], "expected at least one checkpoint"
-                assert encoded[KERNEL] == encoded[REFERENCE]
+                    encoded[kind] = [encode_record(doc) for doc in sink.docs]
+                assert encoded[REFERENCE], "expected at least one checkpoint"
+                _assert_same(encoded)

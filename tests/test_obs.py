@@ -384,6 +384,28 @@ class TestProbes:
                 raise RuntimeError
         assert not probes.is_armed()
 
+    def test_state_inits_name_the_kernel_that_serves(self, monkeypatch):
+        # "native" when the compiled kernel serves a state, "kernel" when
+        # the numpy fallback does — what tells an operator from /metrics
+        # that solves have fallen back.
+        from repro.core import native
+        from repro.core.objective import CoverageState
+        from tests.conftest import random_instance
+
+        inst = random_instance(0)
+        compiled = native.kernel() is not None
+        with probes.armed() as instruments:
+            CoverageState(inst)
+            with monkeypatch.context() as patch:
+                patch.setattr(native, "bind", lambda inc, best: None)
+                CoverageState(inst)
+            CoverageState(inst, backend="reference")
+            get = instruments.registry.get_sample
+            name = "phocus_objective_state_inits_total"
+            assert get(name, {"backend": "native"}) == (1.0 if compiled else None)
+            assert get(name, {"backend": "kernel"}) == (1.0 if compiled else 2.0)
+            assert get(name, {"backend": "reference"}) == 1.0
+
     def test_failure_counts_shape(self):
         with probes.armed() as instruments:
             instruments.jobs_failures.labels(kind="timeout").inc(2)
