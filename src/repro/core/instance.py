@@ -191,6 +191,22 @@ def _check_sparse_dtype(dtype) -> np.dtype:
     return dt
 
 
+def _has_duplicate_entry(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """True when some ``(rows[t], cols[t])`` pair occurs twice.
+
+    Canonical CSR (columns strictly ascending within each row) is proven
+    duplicate-free in one linear pass; any other layout pays a sort.
+    """
+    if rows.size < 2:
+        return False
+    ascending = (cols[1:] > cols[:-1]) | (rows[1:] != rows[:-1])
+    if ascending.all():
+        return False
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    return bool(np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])))
+
+
 class SparseSimilarity:
     """Contextual similarity stored natively as a CSR matrix.
 
@@ -277,8 +293,11 @@ class SparseSimilarity:
         """Adopt ready-made CSR arrays (no per-row Python, no dense detour).
 
         Rows must already contain their diagonal entry with value 1 — this
-        is the trusted fast path for builders that guarantee the invariant
-        (``validate=True`` re-checks it vectorised, still O(nnz)).
+        is the trusted fast path for builders that guarantee the invariant.
+        ``validate=True`` checks the CSR as strictly as the per-row
+        constructor checks its lists, vectorised: indices in range, values
+        in ``[0, 1]`` (clipped within tolerance), exactly one diagonal
+        entry per row with value 1, and no duplicate ``(row, col)`` entry.
         """
         dt = _check_sparse_dtype(dtype if dtype is not None else vals.dtype)
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -295,12 +314,18 @@ class SparseSimilarity:
                 raise ValidationError("CSR neighbour index out of range")
             if np.any(vals < -_SIM_ATOL) or np.any(vals > 1.0 + _SIM_ATOL):
                 raise ValidationError("CSR similarity outside [0, 1]")
+            if vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
+                vals = np.clip(vals, 0.0, 1.0)
             rows = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
             diag = cols == rows
-            if int(diag.sum()) != size:
-                raise ValidationError("every CSR row must hold its diagonal entry")
+            if np.any(np.bincount(rows[diag], minlength=size) != 1):
+                raise ValidationError(
+                    "every CSR row must hold exactly one diagonal entry"
+                )
             if not np.all(vals[diag] == 1.0):
                 raise ValidationError("CSR self-similarity must be 1")
+            if _has_duplicate_entry(rows, cols):
+                raise ValidationError("CSR row holds a duplicate neighbour index")
         obj = cls.__new__(cls)
         obj._size = size
         obj._indptr = indptr

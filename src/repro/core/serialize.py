@@ -9,6 +9,14 @@ defines the wire format:
   is self-contained;
 * solutions serialise flat, with the diagnostics a UI needs.
 
+The same document has one *array form* (``instance_to_dict(...,
+arrays=True)``): every numeric array stays an ``np.ndarray`` leaf and a
+sparse similarity is its CSR (``size``/``indptr``/``indices``/``values``).
+The tenant store writes those leaves as raw bytes instead of decimal
+text, and :func:`json_default` renders them as lists when the document
+goes out as JSON.  :func:`instance_from_dict` reads every form: lists or
+arrays, neighbour rows or CSR.
+
 Round-tripping is exact up to float representation: tests assert that a
 round-tripped instance produces identical solver output.
 """
@@ -35,20 +43,34 @@ __all__ = [
     "instance_from_dict",
     "instance_to_json",
     "instance_from_json",
+    "json_default",
     "solution_to_dict",
 ]
 
 _FORMAT = 1
 
 
-def _similarity_to_dict(sim: Union[DenseSimilarity, SparseSimilarity]) -> Dict[str, Any]:
+def _similarity_to_dict(
+    sim: Union[DenseSimilarity, SparseSimilarity], arrays: bool
+) -> Dict[str, Any]:
     if isinstance(sim, DenseSimilarity):
-        return {"kind": "dense", "matrix": sim.matrix.tolist()}
-    rows = []
-    for i in range(len(sim)):
-        idx, val = sim.neighbors(i)
-        rows.append({"indices": idx.tolist(), "values": val.tolist()})
-    out: Dict[str, Any] = {"kind": "sparse", "size": len(sim), "rows": rows}
+        matrix = sim.matrix if arrays else sim.matrix.tolist()
+        return {"kind": "dense", "matrix": matrix}
+    if arrays:
+        indptr, indices, values = sim.csr()
+        out: Dict[str, Any] = {
+            "kind": "sparse",
+            "size": len(sim),
+            "indptr": indptr,
+            "indices": indices,
+            "values": values,
+        }
+    else:
+        rows = []
+        for i in range(len(sim)):
+            idx, val = sim.neighbors(i)
+            rows.append({"indices": idx.tolist(), "values": val.tolist()})
+        out = {"kind": "sparse", "size": len(sim), "rows": rows}
     # float64 is the implied default so format-1 documents written before
     # dtype support parse unchanged; float32 backends record their dtype
     # and round-trip exactly (float32 -> decimal text -> float64 -> float32
@@ -66,6 +88,15 @@ def _similarity_from_dict(doc: Dict[str, Any]):
         dtype_name = doc.get("dtype", "float64")
         if dtype_name not in ("float64", "float32"):
             raise ValidationError(f"unsupported sparse dtype {dtype_name!r}")
+        if "indptr" in doc:
+            return SparseSimilarity.from_csr(
+                int(doc["size"]),
+                np.asarray(doc["indptr"], dtype=np.int64),
+                np.asarray(doc["indices"], dtype=np.int64),
+                np.asarray(doc["values"]),
+                dtype=np.dtype(dtype_name),
+                validate=True,
+            )
         rows = doc["rows"]
         return SparseSimilarity(
             int(doc["size"]),
@@ -76,13 +107,21 @@ def _similarity_from_dict(doc: Dict[str, Any]):
     raise ValidationError(f"unknown similarity kind {kind!r}")
 
 
-def instance_to_dict(instance: PARInstance) -> Dict[str, Any]:
+def instance_to_dict(instance: PARInstance, *, arrays: bool = False) -> Dict[str, Any]:
     """Render an instance as a JSON-compatible dict.
+
+    ``arrays=True`` gives the array form instead: ``np.ndarray`` leaves
+    (zero-copy views of the instance's own arrays, so the document must
+    not be mutated) and CSR sparse similarities.
 
     The optional ``variants`` key (a VariantCatalog document) is written
     only when the instance carries one, so pre-fidelity readers and
     blobs stay byte-compatible in both directions.
     """
+
+    def leaf(arr: np.ndarray):
+        return arr if arrays else arr.tolist()
+
     doc = {
         "format": _FORMAT,
         "budget": instance.budget,
@@ -100,14 +139,14 @@ def instance_to_dict(instance: PARInstance) -> Dict[str, Any]:
             {
                 "subset_id": q.subset_id,
                 "weight": q.weight,
-                "members": q.members.tolist(),
-                "relevance": q.relevance.tolist(),
-                "similarity": _similarity_to_dict(q.similarity),
+                "members": leaf(q.members),
+                "relevance": leaf(q.relevance),
+                "similarity": _similarity_to_dict(q.similarity, arrays),
             }
             for q in instance.subsets
         ],
         "embeddings": (
-            instance.embeddings.tolist() if instance.embeddings is not None else None
+            leaf(instance.embeddings) if instance.embeddings is not None else None
         ),
     }
     variants = getattr(instance, "variants", None)
@@ -131,7 +170,9 @@ def instance_from_dict(doc: Dict[str, Any]) -> PARInstance:
         return _instance_from_dict_unchecked(doc)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (
+        KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError
+    ) as exc:
         raise ValidationError(f"malformed instance document: {exc!r}") from exc
 
 
@@ -204,6 +245,17 @@ def solution_to_dict(solution: Solution) -> Dict[str, Any]:
         "ratio_certificate": solution.ratio_certificate,
         "extras": _jsonable(solution.extras),
     }
+
+
+def json_default(value):
+    """``json.dumps(..., default=json_default)``: array-form leaves as lists.
+
+    Called only for objects the encoder cannot render, so a document
+    without arrays costs exactly a plain ``json.dumps``.
+    """
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _jsonable(value):

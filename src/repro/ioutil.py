@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import errno
 import os
-from typing import Union
+from typing import Sequence, Union
 
 from repro import faults
 from repro.errors import StorageExhausted
@@ -58,9 +58,17 @@ def fsync_directory(path: Union[str, os.PathLike]) -> None:
 
 
 def atomic_write_bytes(
-    path: Union[str, os.PathLike], data: bytes, *, site: str = "file"
+    path: Union[str, os.PathLike],
+    data: Union[bytes, Sequence[object]],
+    *,
+    site: str = "file",
 ) -> None:
     """Crash-safely replace ``path`` with ``data``.
+
+    ``data`` is one ``bytes`` object or a sequence of buffers (anything
+    with the buffer protocol, numpy arrays included) written back to back
+    — a caller with large arrays hands over views instead of joining them
+    into one copy.
 
     ``site`` names the fault-injection probe family: ``{site}.write``
     fires before (and may corrupt) the temp-file write, ``{site}.fsync``
@@ -69,11 +77,16 @@ def atomic_write_bytes(
     """
     path = os.fspath(path)
     tmp = path + ".tmp"
+    chunks = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
     faults.check(f"{site}.write")
-    data = faults.mangle(f"{site}.write", data)
+    if faults.is_armed():
+        # A corrupt rule flips one bit anywhere in the file, so an armed
+        # plan sees the joined bytes; disarmed writes never join.
+        chunks = [faults.mangle(f"{site}.write", b"".join(chunks))]
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             if not faults.should_drop(f"{site}.fsync"):
                 os.fsync(fh.fileno())

@@ -440,13 +440,15 @@ class LiveArchive:
     # --------------------------------------------------------- persistence
 
     def to_doc(self) -> Dict[str, Any]:
-        """The instance wire document with the live sidecar under ``"live"``.
+        """The instance document in array form, live sidecar under ``"live"``.
 
         :func:`repro.core.serialize.instance_from_dict` reads only the keys
         it knows, so the same stored document keeps serving plain
         ``by_ref`` solves while carrying the banding state deltas need.
+        Every array leaf is a view of this archive's own state — the
+        tenant store writes them as raw bytes, never as decimal text.
         """
-        doc = instance_to_dict(self.instance)
+        doc = instance_to_dict(self.instance, arrays=True)
         doc["live"] = {
             "format": LIVE_FORMAT,
             "tau": self.tau,
@@ -457,14 +459,15 @@ class LiveArchive:
             "target_recall": self.target_recall,
             "subset_id": self.subset_id,
             "weight": self.weight,
-            "raw_relevance": self.raw_relevance.tolist(),
-            "band_keys": [row.tolist() for row in self.band_keys],
+            "raw_relevance": self.raw_relevance,
+            "band_keys": self.band_keys,
         }
         return doc
 
     @classmethod
     def from_doc(cls, doc: Dict[str, Any]) -> "LiveArchive":
-        """Rebuild from a stored document produced by :meth:`to_doc`."""
+        """Rebuild from :meth:`to_doc`'s array form or any all-lists JSON
+        rendering of it (format-1 blobs hold one, with neighbour rows)."""
         live = doc.get("live")
         if not isinstance(live, dict):
             raise ValidationError("document carries no 'live' sidecar")
@@ -495,6 +498,11 @@ class LiveArchive:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed live sidecar: {exc!r}") from exc
+        if archive.raw_relevance.shape != (archive.n,):
+            raise ValidationError(
+                f"live raw_relevance shape {archive.raw_relevance.shape} != "
+                f"({archive.n},)"
+            )
         # Load-time key sort, exactly like `create`: the per-upload path
         # of a freshly loaded archive starts from the merged cache too.
         archive._sorted_key_state()

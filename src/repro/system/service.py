@@ -122,7 +122,7 @@ from urllib.parse import parse_qs, urlsplit
 from contextlib import ExitStack, contextmanager
 
 from repro.core.objective import score, score_breakdown
-from repro.core.serialize import instance_from_dict
+from repro.core.serialize import instance_from_dict, json_default
 from repro.core.solver import available_algorithms
 from repro.errors import (
     DeadlineExceeded,
@@ -861,7 +861,8 @@ class _Handler(BaseHTTPRequestHandler):
                 payload.get(RAW_CONTENT_TYPE) or "text/plain; charset=utf-8"
             )
         else:
-            data = json.dumps(payload).encode("utf-8")
+            # A live instance's stored document has ndarray leaves.
+            data = json.dumps(payload, default=json_default).encode("utf-8")
             content_type = "application/json"
         self.send_response(status)
         self.send_header("Content-Type", content_type)

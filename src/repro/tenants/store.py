@@ -5,21 +5,35 @@ documents on disk, one file per ``(tenant, instance)``::
 
     <root>/
       <tenant_id>/
-        <instance_id>.inst                  # CRC-framed JSON envelope
+        <instance_id>.inst                  # CRC-framed envelope
         <instance_id>.inst.quarantine       # corrupt blob moved aside
 
 Every write goes through :func:`repro.ioutil.atomic_write_bytes` (site
 ``tenantstore`` — chaos tests can crash the write, the fsync, or the
 rename), so a crash leaves either the previous version or the new one,
-never a torn file.  The on-disk format reuses the job journal's framing:
-one line of ``crc32-hex SP json``, where the JSON envelope carries the
-instance document plus its metadata (version, timestamps, byte size).
+never a torn file.  The envelope carries the instance document plus its
+metadata (version, timestamps).  Writes use format 2::
 
-Loads verify the CRC.  A corrupt blob — bit rot, a torn legacy write, an
-editor accident — is *quarantined*: renamed aside (never deleted; the
-bytes may still be partially salvageable by hand), logged, counted, and
-reported to callers as :class:`~repro.errors.InstanceNotFound` so the
-service answers 404 rather than 500.
+    prefix  magic (8 bytes) | CRC32 (u32 LE) | head length (u64 LE)
+    head    JSON array table, "\n", JSON envelope
+    tail    zero padding to 8 bytes, then each array's raw bytes,
+            every one starting 8-byte aligned, in table order
+
+Every ``np.ndarray`` of the stored document (int64, uint64, float64 or
+float32) goes to the tail, and the envelope holds ``{"\u0000ndarray": k}``
+in its place; table entry ``k`` is ``[dtype, shape, offset]``, the offset
+counted from the tail start.  The CRC covers every byte after the
+prefix.  Plain documents (no arrays) are stored exactly as sent, with an
+empty table.  Format-1 blobs (``crc32-hex SP json``, the job journal's
+framing, written before format 2) are still read; their next write is
+format 2.
+
+Loads verify the CRC and every array reference.  A corrupt blob — bit
+rot, a torn legacy write, an editor accident, a hostile edit — is
+*quarantined*: renamed aside (never deleted; the bytes may still be
+partially salvageable by hand), logged, counted, and reported to callers
+as :class:`~repro.errors.InstanceNotFound` so the service answers 404
+rather than 500.
 
 ``put`` is versioned: each overwrite bumps a monotonically increasing
 ``version``, which the warm cache uses as part of its key, so a stale
@@ -36,15 +50,20 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
+import struct
 import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro import faults
+from repro.core.serialize import json_default
 from repro.errors import InstanceNotFound, ValidationError
 from repro.ioutil import atomic_write_bytes
 from repro.obs import probes as _obs_probes
@@ -54,8 +73,20 @@ __all__ = ["TenantStore", "StoredInstance", "validate_id"]
 
 logger = logging.getLogger(__name__)
 
-_FORMAT = 1
+_FORMAT = 2
 _SUFFIX = ".inst"
+#: Format-2 blobs start with this; format-1 blobs start with 8 hex digits.
+_MAGIC = b"\x89PHOCUS\n"
+_PREFIX = struct.Struct("<8sIQ")  # magic, CRC32 of the rest, head length
+_ALIGN = 8
+#: The dtypes the tail stores (always little-endian); other arrays are
+#: written into the head as JSON lists.
+_TAIL_DTYPES = {
+    name: np.dtype(name).newbyteorder("<")
+    for name in ("int64", "uint64", "float64", "float32")
+}
+_REF_KEY = "\x00ndarray"
+_REF_TOKEN = json.dumps(_REF_KEY) + ":"  # the key as the head spells it
 _ID_RE = re.compile(r"^[A-Za-z0-9_-][A-Za-z0-9._-]{0,63}$")
 
 
@@ -91,14 +122,62 @@ class StoredInstance:
         }
 
 
-def _encode_envelope(doc: Dict[str, Any]) -> bytes:
-    payload = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return f"{crc:08x} ".encode("ascii") + payload + b"\n"
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
 
 
-def _decode_envelope(blob: bytes) -> Dict[str, Any]:
-    """Parse a CRC-framed envelope; ``ValueError`` on any defect."""
+def _encode_blob(envelope: Dict[str, Any]) -> Tuple[List[Any], int]:
+    """A format-2 blob as buffers to write back to back, plus its size.
+
+    The arrays go out as zero-copy byte views and the CRC is accumulated
+    chunk by chunk: the blob is never joined into one ``bytes``, so the
+    only copy of the arrays a write makes is the kernel's.
+    """
+    arrays: List[np.ndarray] = []
+
+    def to_ref(value: Any) -> Any:
+        if isinstance(value, np.ndarray) and value.dtype.name in _TAIL_DTYPES:
+            dtype = _TAIL_DTYPES[value.dtype.name]
+            arrays.append(np.asarray(value, dtype=dtype, order="C"))
+            return {_REF_KEY: len(arrays) - 1}
+        return json_default(value)
+
+    body = json.dumps(envelope, separators=(",", ":"), default=to_ref)
+    if arrays and body.count(_REF_TOKEN) != len(arrays):
+        # The document's own content holds the reference key: keep every
+        # array in the head as lists, so content can never be read back
+        # as a reference (an empty table disables reference decoding).
+        arrays = []
+        body = json.dumps(envelope, separators=(",", ":"), default=json_default)
+    table: List[Any] = []
+    chunks: List[Any] = []
+    end = 0
+    for arr in arrays:
+        start = _aligned(end)
+        table.append([arr.dtype.name, list(arr.shape), start])
+        chunks += [bytes(start - end), arr.reshape(-1).view(np.uint8)]
+        end = start + arr.nbytes
+    head = (json.dumps(table, separators=(",", ":")) + "\n" + body).encode()
+    tail_start = _aligned(_PREFIX.size + len(head))
+    chunks[:0] = [head, bytes(tail_start - _PREFIX.size - len(head))]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    chunks.insert(0, _PREFIX.pack(_MAGIC, crc & 0xFFFFFFFF, len(head)))
+    return chunks, tail_start + end
+
+
+def _decode_blob(blob: bytearray) -> Dict[str, Any]:
+    """Parse a stored blob of either format; ``ValueError`` on any defect."""
+    try:
+        if blob[: len(_MAGIC)] == _MAGIC:
+            return _decode_v2(blob)
+        return _decode_v1(blob)
+    except (TypeError, KeyError, IndexError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"malformed blob: {exc!r}") from exc
+
+
+def _decode_v1(blob: bytearray) -> Dict[str, Any]:
     if len(blob) < 10 or blob[8:9] != b" ":
         raise ValueError("missing CRC frame")
     try:
@@ -108,10 +187,98 @@ def _decode_envelope(blob: bytes) -> Dict[str, Any]:
     payload = blob[9:].rstrip(b"\n")
     if zlib.crc32(payload) & 0xFFFFFFFF != expected:
         raise ValueError("envelope CRC32 mismatch")
-    doc = json.loads(payload.decode("utf-8"))
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise ValueError(f"unsupported envelope format {doc.get('format')!r}")
+    doc = json.loads(payload)
+    if not isinstance(doc, dict) or doc.get("format") != 1:
+        raise ValueError("unsupported format-1 envelope")
     return doc
+
+
+def _decode_v2(blob: bytearray) -> Dict[str, Any]:
+    if len(blob) < _PREFIX.size:
+        raise ValueError("blob shorter than its prefix")
+    _, crc, head_len = _PREFIX.unpack_from(blob)
+    head_end = _PREFIX.size + head_len
+    if head_end > len(blob):
+        raise ValueError("head runs past the end of the blob")
+    if zlib.crc32(memoryview(blob)[_PREFIX.size :]) & 0xFFFFFFFF != crc:
+        raise ValueError("blob CRC32 mismatch")
+    newline = blob.find(b"\n", _PREFIX.size, head_end)
+    if newline < 0:
+        raise ValueError("head has no array table")
+    arrays = _tail_arrays(
+        blob, json.loads(blob[_PREFIX.size : newline]), _aligned(head_end)
+    )
+    body = blob[newline + 1 : head_end]
+    if arrays:
+        used = [False] * len(arrays)
+
+        def resolve(obj: Dict[str, Any]) -> Any:
+            if _REF_KEY not in obj:
+                return obj
+            k = obj[_REF_KEY]
+            if len(obj) != 1 or type(k) is not int or not 0 <= k < len(arrays):
+                raise ValueError(f"malformed array reference {obj!r}")
+            if used[k]:
+                raise ValueError(f"array {k} is referenced twice")
+            used[k] = True
+            return arrays[k]
+
+        envelope = json.loads(body, object_hook=resolve)
+        if not all(used):
+            raise ValueError(f"array {used.index(False)} is never referenced")
+    else:
+        envelope = json.loads(body)
+    if not isinstance(envelope, dict) or envelope.get("format") != _FORMAT:
+        raise ValueError("unsupported format-2 envelope")
+    return envelope
+
+
+def _tail_arrays(blob: bytearray, table: Any, tail_start: int) -> List[np.ndarray]:
+    """Zero-copy views of the tail's arrays, after checking every reference.
+
+    The layout must be exactly the one :func:`_encode_blob` writes: each
+    array 8-byte aligned directly after the previous one, none past the
+    tail, and no byte after the last — so a hostile table can neither
+    alias two arrays nor read outside the blob.
+    """
+    if not isinstance(table, list):
+        raise ValueError("array table is not a list")
+    tail_len = len(blob) - tail_start
+    arrays = []
+    end = 0
+    for k, ref in enumerate(table):
+        if not (isinstance(ref, list) and len(ref) == 3):
+            raise ValueError(f"array {k}: malformed reference {ref!r}")
+        name, shape, offset = ref
+        dtype = _TAIL_DTYPES.get(name) if isinstance(name, str) else None
+        if dtype is None:
+            raise ValueError(f"array {k}: dtype {name!r} is not storable")
+        if not (
+            isinstance(shape, list)
+            and len(shape) <= 32
+            and all(type(d) is int and d >= 0 for d in shape)
+        ):
+            raise ValueError(f"array {k}: malformed shape {shape!r}")
+        if type(offset) is not int or offset % _ALIGN:
+            raise ValueError(f"array {k}: offset {offset!r} is not aligned")
+        if offset < end:
+            raise ValueError(f"array {k} overlaps the array before it")
+        if offset != _aligned(end):
+            raise ValueError(f"array {k} leaves a gap after the array before it")
+        count = math.prod(shape)
+        end = offset + count * dtype.itemsize
+        if end > tail_len:
+            raise ValueError(f"array {k} runs past the tail")
+        arrays.append(
+            np.frombuffer(
+                blob, dtype=dtype, count=count, offset=tail_start + offset
+            ).reshape(shape)
+        )
+    if tail_len != end:
+        raise ValueError(
+            f"blob is {len(blob)} bytes; its table describes {tail_start + end}"
+        )
+    return arrays
 
 
 class TenantStore:
@@ -164,7 +331,12 @@ class TenantStore:
     def _read_envelope(path: str) -> Dict[str, Any]:
         faults.check("tenantstore.load")
         with open(path, "rb") as fh:
-            return _decode_envelope(fh.read())
+            # A writable buffer: tail arrays are views of it, as mutable
+            # as the arrays a JSON decode would have produced.
+            blob = bytearray(os.fstat(fh.fileno()).st_size)
+            if fh.readinto(blob) != len(blob):
+                raise ValueError("blob shrank while being read")
+        return _decode_blob(blob)
 
     def _quarantine(self, path: str, exc: Exception) -> None:
         """Move a corrupt blob aside (never delete); count + log it."""
@@ -210,20 +382,20 @@ class TenantStore:
                 "updated_at": now,
                 "instance": instance_doc,
             }
-            blob = _encode_envelope(envelope)
+            chunks, nbytes = _encode_blob(envelope)
             used = self.tenant_bytes(tenant) - (existing.nbytes if existing else 0)
             count = len(self._index.get(tenant, {})) - (1 if existing else 0)
             self.quotas.check_storage(
-                tenant, new_bytes=used + len(blob), new_instances=count + 1
+                tenant, new_bytes=used + nbytes, new_instances=count + 1
             )
             path = self._path(tenant, instance_id)
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            atomic_write_bytes(path, blob, site="tenantstore")
+            atomic_write_bytes(path, chunks, site="tenantstore")
             meta = StoredInstance(
                 tenant=tenant,
                 instance_id=instance_id,
                 version=envelope["version"],
-                nbytes=len(blob),
+                nbytes=nbytes,
                 created_at=envelope["created_at"],
                 updated_at=now,
             )

@@ -25,6 +25,83 @@ from repro.core.instance import (
 from repro.core.paper_example import figure1_instance
 
 
+#: A valid size-3 CSR similarity: row 0 -> {0, 1}, row 1 -> {0, 1, 2},
+#: row 2 -> {1, 2}.
+VALID_CSR = {
+    "kind": "sparse",
+    "size": 3,
+    "indptr": [0, 2, 5, 7],
+    "indices": [0, 1, 0, 1, 2, 1, 2],
+    "values": [1.0, 0.5, 0.5, 1.0, 0.4, 0.4, 1.0],
+}
+
+#: Overrides of VALID_CSR's fields that each make it invalid.
+MALFORMED_CSR = {
+    # Row 0 holds two diagonals and row 1 none: the totals still match.
+    "diagonal-twice-hides-missing": {
+        "indptr": [0, 2, 4, 6],
+        "indices": [0, 0, 0, 2, 1, 2],
+        "values": [1.0, 1.0, 0.5, 0.4, 0.4, 1.0],
+    },
+    "row-without-diagonal": {
+        "indptr": [0, 2, 4, 6],
+        "indices": [0, 1, 0, 2, 1, 2],
+        "values": [1.0, 0.5, 0.5, 0.4, 0.4, 1.0],
+    },
+    "duplicate-off-diagonal": {
+        "indptr": [0, 3, 6, 8],
+        "indices": [0, 1, 1, 0, 1, 2, 1, 2],
+        "values": [1.0, 0.5, 0.5, 0.5, 1.0, 0.4, 0.4, 1.0],
+    },
+    "duplicate-unsorted-row": {
+        "indptr": [0, 3, 6, 8],
+        "indices": [1, 0, 1, 0, 1, 2, 1, 2],
+        "values": [0.5, 1.0, 0.5, 0.5, 1.0, 0.4, 0.4, 1.0],
+    },
+    "index-out-of-range": {"indices": [0, 1, 0, 1, 3, 1, 2]},
+    "negative-index": {"indices": [0, -1, 0, 1, 2, 1, 2]},
+    "index-overflows-int64": {"indices": [0, 1, 0, 1, 10**19, 1, 2]},
+    "value-above-one": {"values": [1.0, 1.5, 0.5, 1.0, 0.4, 0.4, 1.0]},
+    "negative-value": {"values": [1.0, -0.5, 0.5, 1.0, 0.4, 0.4, 1.0]},
+    "diagonal-not-one": {"values": [0.9, 0.5, 0.5, 1.0, 0.4, 0.4, 1.0]},
+    "values-length-mismatch": {"values": [1.0, 0.5, 0.5, 1.0, 0.4, 0.4]},
+    "values-not-numbers": {"values": ["x"] * 7},
+    "values-nested": {"values": [[1.0]] * 7},
+    "indices-missing": {"indices": None},
+    "indptr-too-short": {"indptr": [0, 2, 7]},
+    "indptr-not-from-zero": {"indptr": [1, 2, 5, 7]},
+    "indptr-decreasing": {"indptr": [0, 5, 2, 7]},
+    "indptr-short-of-entries": {"indptr": [0, 2, 5, 6]},
+    "indptr-not-a-list": {"indptr": {"not": "a list"}},
+    "size-mismatch": {"size": 4},
+    "size-negative": {"size": -1},
+    "size-huge": {"size": 10**15},
+    "size-missing": {"size": None},
+    "dtype-unknown": {"dtype": "float16"},
+}
+
+
+def csr_instance_doc(**similarity) -> dict:
+    """A 3-photo instance document whose similarity is VALID_CSR with
+    ``similarity`` fields overridden."""
+    return {
+        "format": 1,
+        "budget": 2.0,
+        "retained": [],
+        "photos": [{"photo_id": i, "cost": 1.0} for i in range(3)],
+        "subsets": [
+            {
+                "subset_id": "q",
+                "weight": 1.0,
+                "members": [0, 1, 2],
+                "relevance": [0.2, 0.3, 0.5],
+                "similarity": {**VALID_CSR, **similarity},
+            }
+        ],
+        "embeddings": None,
+    }
+
+
 def random_instance(
     seed: int = 0,
     *,

@@ -17,6 +17,8 @@ Three contracts anchor the subsystem:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from repro.core.greedy import main_algorithm
 from repro.core.instance import PARInstance, Photo, PredefinedSubset, SparseSimilarity
 from repro.core.objective import score
 from repro.core.parallel import SharedInstance
-from repro.core.serialize import instance_from_dict, instance_to_dict
+from repro.core.serialize import instance_from_dict, instance_to_dict, json_default
 from repro.errors import ValidationError
 from repro.live import LiveArchive, cold_resolve, replay_solution, warm_resolve
 from repro.scale import build_streamed_instance, synthetic_archive
@@ -321,6 +323,39 @@ def test_replay_solution_recomputes_value_and_certificate():
     assert landed.selection == list(run.selection)
     assert landed.value == pytest.approx(run.value, abs=1e-9)
     assert landed.upper_bound >= landed.value - 1e-12
+
+
+def test_live_doc_array_form_and_its_json_load_identically():
+    costs, embeddings = synthetic_archive(200, dim=8, seed=6)
+    archive, _ = LiveArchive.create(
+        costs, embeddings, float(costs.sum()) * 0.3, tau=0.6, seed=6
+    )
+    doc = archive.to_doc()
+    assert isinstance(doc["live"]["band_keys"], np.ndarray)
+    as_json = json.loads(json.dumps(doc, default=json_default))
+    for loaded in (LiveArchive.from_doc(doc), LiveArchive.from_doc(as_json)):
+        assert _sim_equal(
+            loaded.instance.subsets[0].similarity,
+            archive.instance.subsets[0].similarity,
+        )
+        assert np.array_equal(loaded.band_keys, archive.band_keys)
+        assert np.array_equal(loaded.raw_relevance, archive.raw_relevance)
+        assert np.array_equal(loaded.instance.embeddings, archive.instance.embeddings)
+
+
+@pytest.mark.parametrize(
+    "raw_relevance",
+    [lambda r: r[:-1], lambda r: np.concatenate([r, [1.0]]), lambda r: r[None, :]],
+)
+def test_live_archive_rejects_raw_relevance_not_of_length_n(raw_relevance):
+    costs, embeddings = synthetic_archive(60, dim=8, seed=6)
+    archive, _ = LiveArchive.create(
+        costs, embeddings, float(costs.sum()) * 0.3, tau=0.6, seed=6
+    )
+    doc = archive.to_doc()
+    doc["live"]["raw_relevance"] = raw_relevance(doc["live"]["raw_relevance"])
+    with pytest.raises(ValidationError):
+        LiveArchive.from_doc(doc)
 
 
 def test_live_archive_rejects_dense_instance_docs():

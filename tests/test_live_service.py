@@ -12,16 +12,21 @@ from __future__ import annotations
 
 import json
 import time
+import urllib.request
 
 import numpy as np
 import pytest
 
+from repro.core import native
+from repro.core.objective import CoverageState
+from repro.core.solver import solve
 from repro.errors import ValidationError
 from repro.jobs import JobManager
-from repro.live import LiveManager, RecurationScheduler
+from repro.live import LiveArchive, LiveManager, RecurationScheduler
 from repro.scale import synthetic_archive
 from repro.system.service import PhocusService, handle_request
 from repro.tenants import Tenants
+from repro.tenants import store as store_mod
 
 
 @pytest.fixture
@@ -469,3 +474,86 @@ def test_cli_live_round_trip(tmp_path, capsys):
         assert '"n_photos": 206' in out
     finally:
         svc.stop()
+
+
+# ------------------------------------------------- stored live documents
+
+
+def _http(svc, method, path, payload=None):
+    req = urllib.request.Request(
+        f"http://{svc.address}{path}",
+        data=json.dumps(payload).encode() if payload is not None else None,
+        method=method,
+    )
+    with urllib.request.urlopen(req) as resp:
+        return resp.status, json.loads(resp.read())
+
+
+def test_live_instance_get_is_json_and_solves_when_put_back(tmp_path):
+    costs, emb = synthetic_archive(260, dim=8, seed=3)
+    with PhocusService(workers=0, metrics=False, tenants_root=str(tmp_path)) as svc:
+        base = "/tenants/acme/instances/a1"
+        _http(svc, "POST", base + "/live", {
+            "costs": costs[:250].tolist(), "embeddings": emb[:250].tolist(),
+            "budget": float(costs[:250].sum()) * 0.25, "tau": 0.6, "seed": 3,
+        })
+        _http(svc, "POST", base + "/photos", {
+            "costs": costs[250:].tolist(), "embeddings": emb[250:].tolist(),
+        })
+        status, envelope = _http(svc, "GET", base)
+        assert status == 200 and envelope["version"] == 2
+        doc = envelope["instance"]
+        sim = doc["subsets"][0]["similarity"]
+        assert sim["size"] == 260 and len(sim["indptr"]) == 261
+        assert len(sim["indices"]) == len(sim["values"]) == sim["indptr"][-1]
+        assert len(doc["live"]["band_keys"][0]) == 260
+
+        status, _ = _http(svc, "PUT", "/tenants/acme/instances/copy", {"instance": doc})
+        assert status == 201
+        _, live_solution = _http(svc, "POST", "/solve", {
+            "by_ref": {"tenant": "acme", "instance_id": "a1"},
+        })
+        _, copy_solution = _http(svc, "POST", "/solve", {
+            "by_ref": {"tenant": "acme", "instance_id": "copy"},
+        })
+    archive = LiveArchive.create(
+        costs[:250], emb[:250], float(costs[:250].sum()) * 0.25, tau=0.6, seed=3
+    )[0].ingest(costs[250:], emb[250:])[0]
+    expected = solve(archive.instance)
+    for got in (live_solution, copy_solution):
+        assert got["selection"] == [int(p) for p in expected.selection]
+        assert got["value"] == expected.value
+
+
+@pytest.mark.skipif(
+    native.kernel() is None, reason="the native kernel cannot load here"
+)
+def test_cold_by_ref_lease_of_a_format2_live_blob_solves_bit_for_bit(tmp_path):
+    costs, emb = synthetic_archive(330, dim=8, seed=4)
+    budget = float(costs[:300].sum()) * 0.2
+    archive, _ = LiveArchive.create(costs[:300], emb[:300], budget, tau=0.6, seed=4)
+    tenants = Tenants(str(tmp_path), sweep=False)
+    try:
+        manager = LiveManager(tenants)
+        manager.create("acme", "a1", costs[:300], emb[:300], budget, tau=0.6, seed=4)
+        for lo in (300, 310, 320):
+            manager.ingest("acme", "a1", costs[lo : lo + 10], emb[lo : lo + 10])
+            archive, _ = archive.ingest(costs[lo : lo + 10], emb[lo : lo + 10])
+    finally:
+        tenants.close()
+    assert (tmp_path / "acme" / "a1.inst").read_bytes()[:8] == store_mod._MAGIC
+
+    cold = Tenants(str(tmp_path), sweep=False)
+    try:
+        ref = {"tenant": "acme", "instance_id": "a1"}
+        with cold.lease_for_solve(ref) as (view, hit):
+            assert not hit and view.n == 330
+            assert CoverageState(view).backend == "kernel"
+            assert CoverageState(view)._native is not None
+            got = solve(view)
+    finally:
+        cold.close()
+    expected = solve(archive.instance)
+    assert got.selection == expected.selection
+    assert got.value == expected.value
+    assert got.cost == expected.cost

@@ -15,6 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.system.service import handle_request
+from repro.tenants import Tenants
+
+from tests.conftest import MALFORMED_CSR, csr_instance_doc
 
 json_values = st.recursive(
     st.none()
@@ -74,3 +77,46 @@ def test_instance_field_fuzzing(doc):
     assert status in (200, 400, 422)
     if status != 200:
         assert "error" in payload
+
+
+# ------------------------------------------------- CSR-form similarities
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSR))
+def test_malformed_csr_solve_is_422(case):
+    body = json.dumps({"instance": csr_instance_doc(**MALFORMED_CSR[case])})
+    status, payload = handle_request("POST", "/solve", body.encode("utf-8"))
+    assert status == 422, payload
+    assert "error" in payload
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSR))
+def test_malformed_csr_put_is_422_and_stores_nothing(tmp_path, case):
+    tenants = Tenants(str(tmp_path), sweep=False)
+    try:
+        body = json.dumps({"instance": csr_instance_doc(**MALFORMED_CSR[case])})
+        status, payload = handle_request(
+            "PUT", "/tenants/acme/instances/p", body.encode("utf-8"),
+            tenants=tenants,
+        )
+        assert status == 422, payload
+        assert tenants.list_instances("acme") == []
+    finally:
+        tenants.close()
+
+
+def test_valid_csr_instance_solves_inline():
+    body = json.dumps({"instance": csr_instance_doc()}).encode("utf-8")
+    status, payload = handle_request("POST", "/solve", body)
+    assert status == 200 and payload["selection"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(["size", "indptr", "indices", "values", "dtype"]),
+    value=json_values,
+)
+def test_csr_field_fuzzing(field, value):
+    body = json.dumps({"instance": csr_instance_doc(**{field: value})})
+    status, payload = handle_request("POST", "/solve", body.encode("utf-8"))
+    assert status in (200, 400, 422), f"unexpected status {status}: {payload}"

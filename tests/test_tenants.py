@@ -1,18 +1,26 @@
 """Tests for the multi-tenant archive store (repro.tenants).
 
-Covers the persistent store (CRUD, versioning, CRC quarantine, quotas),
-the token-bucket rate limiter, the shared-memory warm cache (hit/miss,
-leases vs eviction, leak-free unlinking, the startup sweep), and the
+Covers the persistent store (CRUD, versioning, CRC quarantine, quotas,
+the format-2 binary tail, hostile blobs, format-1 golden fixtures), the
+token-bucket rate limiter, the shared-memory warm cache (hit/miss, leases
+vs eviction, leak-free unlinking, the startup sweep), and the
 :class:`Tenants` facade the service wires in.
 """
 
 from __future__ import annotations
 
 import glob
+import json
 import os
+import shutil
 import threading
+import zlib
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.serialize import instance_from_dict, instance_to_dict
 from repro.core.solver import solve
@@ -22,12 +30,18 @@ from repro.errors import (
     RateLimited,
     ValidationError,
 )
+from repro.live import LiveArchive, LiveManager, warm_resolve
+from repro.scale import synthetic_archive
+from repro.system.service import handle_request
 from repro.tenants import Tenants, TenantQuota, parse_ref, validate_id
+from repro.tenants import store as store_mod
 from repro.tenants.cache import WarmCache, sweep_leaked_segments
 from repro.tenants.quota import QuotaPolicy, TokenBucket
 from repro.tenants.store import TenantStore
 
 from tests.conftest import random_instance
+
+FIXTURES = Path(__file__).parent / "data" / "tenants"
 
 
 def _doc(seed=0, **kw):
@@ -180,6 +194,351 @@ def test_store_instance_count_quota(tmp_path):
     store.put("acme", "a", _doc(4))  # overwrite is not a new instance
     store.delete("acme", "b")
     store.put("acme", "c", _doc(3))  # freed slot is reusable
+
+
+# ------------------------------------------------------------ format 2 blobs
+
+
+def _split(blob: bytes):
+    """``(table, body, tail)`` of a format-2 blob, the tail unpadded."""
+    _, _, head_len = store_mod._PREFIX.unpack_from(blob)
+    head = blob[store_mod._PREFIX.size : store_mod._PREFIX.size + head_len]
+    table, body = head.split(b"\n", 1)
+    tail_start = store_mod._aligned(store_mod._PREFIX.size + head_len)
+    return json.loads(table), body, blob[tail_start:]
+
+
+def _frame(head: bytes, tail: bytes) -> bytes:
+    """A format-2 blob with a valid CRC around raw head bytes and a tail."""
+    size = store_mod._PREFIX.size + len(head)
+    rest = head + bytes(store_mod._aligned(size) - size) + tail
+    prefix = store_mod._PREFIX.pack(store_mod._MAGIC, zlib.crc32(rest), len(head))
+    return prefix + rest
+
+
+def _reframe(table, body: bytes, tail: bytes) -> bytes:
+    """A format-2 blob with a valid CRC around an arbitrary table, body and
+    tail."""
+    return _frame(json.dumps(table, separators=(",", ":")).encode() + b"\n" + body, tail)
+
+
+def _live_doc(n=40):
+    """A small live archive's document: int64, uint64, float64 and float32
+    arrays."""
+    costs, emb = synthetic_archive(n, dim=8, seed=12)
+    archive, _ = LiveArchive.create(
+        costs, emb, float(costs.sum()) * 0.3, tau=0.6, seed=1, dtype=np.float32
+    )
+    return archive.to_doc()
+
+
+@pytest.fixture(scope="module")
+def live_blob(tmp_path_factory):
+    root = tmp_path_factory.mktemp("blob")
+    TenantStore(str(root)).put("acme", "p", _live_doc())
+    return (root / "acme" / "p.inst").read_bytes()
+
+
+def test_store_round_trips_every_array_exactly(tmp_path):
+    doc = _live_doc()
+    store = TenantStore(str(tmp_path))
+    store.put("acme", "p", doc)
+    blob = (tmp_path / "acme" / "p.inst").read_bytes()
+    assert blob[:8] == store_mod._MAGIC
+    table, body, _ = _split(blob)
+    assert {name for name, _, _ in table} == {"int64", "uint64", "float64", "float32"}
+    assert all(offset % 8 == 0 for _, _, offset in table)
+
+    got = TenantStore(str(tmp_path)).get("acme", "p")["instance"]
+    sim, got_sim = doc["subsets"][0]["similarity"], got["subsets"][0]["similarity"]
+    pairs = [(sim[k], got_sim[k]) for k in ("indptr", "indices", "values")]
+    pairs += [(doc["embeddings"], got["embeddings"])]
+    pairs += [(doc["live"][k], got["live"][k]) for k in ("raw_relevance", "band_keys")]
+    for sent, back in pairs:
+        assert back.dtype == sent.dtype and back.shape == sent.shape
+        assert np.array_equal(back, sent)
+        assert back.flags.writeable
+    assert got["photos"] == doc["photos"]
+
+
+def test_store_tail_takes_odd_arrays(tmp_path):
+    store = TenantStore(str(tmp_path))
+    store.put(
+        "acme",
+        "p",
+        {
+            "odd_float32": np.arange(3, dtype=np.float32),  # pads the next
+            "strided": np.arange(10.0)[::3],
+            "empty": np.zeros((0, 3)),
+            "scalar": np.array(7, dtype=np.uint64),
+            "big_endian": np.arange(3, dtype=">i8"),
+            "int32": np.arange(3, dtype=np.int32),  # not a tail dtype
+            "np_int": np.int64(4),
+        },
+    )
+    table, _, _ = _split((tmp_path / "acme" / "p.inst").read_bytes())
+    assert [offset for _, _, offset in table[:2]] == [0, 16]
+    got = TenantStore(str(tmp_path)).get("acme", "p")["instance"]
+    assert got["odd_float32"].dtype == np.float32
+    assert got["odd_float32"].tolist() == [0.0, 1.0, 2.0]
+    assert got["strided"].tolist() == [0.0, 3.0, 6.0, 9.0]
+    assert got["empty"].shape == (0, 3)
+    assert got["scalar"].shape == () and int(got["scalar"]) == 7
+    assert got["big_endian"].tolist() == [0, 1, 2]
+    assert got["int32"] == [0, 1, 2] and got["np_int"] == 4
+
+
+def test_store_writes_plain_documents_as_sent(tmp_path):
+    doc = _doc(3)
+    store = TenantStore(str(tmp_path))
+    store.put("acme", "p", doc)
+    table, body, tail = _split((tmp_path / "acme" / "p.inst").read_bytes())
+    assert (table, tail) == ([], b"")
+    assert json.loads(body)["instance"] == doc
+
+
+def _flip(pos, bit=0x01):
+    def mutate(blob):
+        out = bytearray(blob)
+        out[pos] ^= bit
+        return bytes(out)
+
+    return mutate
+
+
+def _rewrite(table=None, body=None, tail=None):
+    """Edit a blob's table, body or tail, then reframe it with a valid CRC."""
+
+    def mutate(blob):
+        tbl, bdy, tl = _split(blob)
+        if table:
+            table(tbl)
+        return _reframe(tbl, body(bdy) if body else bdy, tail(tl) if tail else tl)
+
+    return mutate
+
+
+def _set_dtype(name):
+    def edit(table):
+        table[0][0] = name
+
+    return edit
+
+
+def _grow_last(table):
+    table[-1][1][0] += 1
+
+
+def _overlap(table):
+    table[1][2] = table[0][2]
+
+
+def _misalign(table):
+    table[1][2] += 4
+
+
+_REF0 = json.dumps({store_mod._REF_KEY: 0}, separators=(",", ":")).encode()
+_REF1 = json.dumps({store_mod._REF_KEY: 1}, separators=(",", ":")).encode()
+_REF99 = json.dumps({store_mod._REF_KEY: 99}, separators=(",", ":")).encode()
+
+HOSTILE = {
+    # flipped bits: prefix (magic, CRC, head length), head, tail
+    "prefix-magic": _flip(1),
+    "prefix-crc": _flip(9),
+    "prefix-head-length-low": _flip(12),
+    "prefix-head-length-high": _flip(15, 0xFF),
+    "head": _flip(store_mod._PREFIX.size + 40),
+    "tail": _flip(-1),
+    # wrong length, with the CRC left stale and with it recomputed
+    "one-byte-short": lambda blob: blob[:-1],
+    "trailing-bytes": lambda blob: blob + b"\x00",
+    "one-byte-short-crc-ok": _rewrite(tail=lambda tail: tail[:-1]),
+    "trailing-bytes-crc-ok": _rewrite(tail=lambda tail: tail + bytes(8)),
+    # array references (CRC recomputed: the decoder's own checks)
+    "runs-past-tail": _rewrite(table=_grow_last),
+    "overlaps-another": _rewrite(table=_overlap),
+    "misaligned": _rewrite(table=_misalign),
+    "reference-twice": _rewrite(body=lambda body: body.replace(_REF1, _REF0)),
+    "reference-out-of-range": _rewrite(
+        body=lambda body: body.replace(_REF0, _REF99)
+    ),
+    "dtype-int32": _rewrite(table=_set_dtype("int32")),
+    "dtype-object": _rewrite(table=_set_dtype("object")),
+    "dtype-O": _rewrite(table=_set_dtype("O")),
+    "dtype-bool": _rewrite(table=_set_dtype("bool")),
+    "dtype-not-a-string": _rewrite(table=_set_dtype(8)),
+    # a head JSON nests deeper than the parser's recursion limit
+    "nested-head": _rewrite(body=lambda body: b"[" * 100_000 + b"]" * 100_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_blob_is_quarantined_at_scan_and_get(tmp_path, live_blob, case):
+    bad = HOSTILE[case](live_blob)
+    assert bad != live_blob
+
+    # At scan: a store opened over the blob never indexes it.
+    scan_root = tmp_path / "scan"
+    (scan_root / "acme").mkdir(parents=True)
+    (scan_root / "acme" / "p.inst").write_bytes(bad)
+    store = TenantStore(str(scan_root))
+    assert store.quarantined_count == 1
+    assert store.list_instances("acme") == []
+    assert (scan_root / "acme" / "p.inst.quarantine").read_bytes() == bad
+    with pytest.raises(InstanceNotFound):
+        store.get("acme", "p")
+
+    # At get, over HTTP: an indexed blob that went bad answers 404.
+    tenants = Tenants(str(tmp_path / "get"), sweep=False)
+    try:
+        tenants.store.put("acme", "p", {"format": 1})
+        (tmp_path / "get" / "acme" / "p.inst").write_bytes(bad)
+        status, payload = handle_request(
+            "GET", "/tenants/acme/instances/p", None, tenants=tenants
+        )
+        assert status == 404 and "error" in payload
+        assert tenants.store.quarantined_count == 1
+        assert (tmp_path / "get" / "acme" / "p.inst.quarantine").exists()
+        status, _ = handle_request(
+            "GET", "/tenants/acme/instances/p", None, tenants=tenants
+        )
+        assert status == 404
+    finally:
+        tenants.close()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 255)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_any_head_with_a_valid_crc_decodes_or_is_rejected(live_blob, edits):
+    """Arbitrary head bytes behind a recomputed CRC never raise anything
+    but the ``ValueError`` the store turns into a quarantine."""
+    _, _, head_len = store_mod._PREFIX.unpack_from(live_blob)
+    head = bytearray(live_blob[store_mod._PREFIX.size :][:head_len])
+    for where, value in edits:
+        head[int(where * len(head))] = value
+    tail = _split(live_blob)[2]
+    try:
+        store_mod._decode_blob(bytearray(_frame(bytes(head), tail)))
+    except ValueError:
+        pass
+
+
+def test_document_content_cannot_forge_an_array_reference(tmp_path):
+    tenants = Tenants(str(tmp_path), sweep=False)
+    try:
+        doc = _doc(1)
+        ref = {store_mod._REF_KEY: 0}
+        doc["photos"][0]["metadata"] = ref
+        doc["photos"][1]["metadata"] = {"nested": [ref, {store_mod._REF_KEY: 1}]}
+        body = json.dumps({"instance": doc}).encode()
+        status, _ = handle_request(
+            "PUT", "/tenants/acme/instances/p", body, tenants=tenants
+        )
+        assert status == 201
+        status, got = handle_request(
+            "GET", "/tenants/acme/instances/p", None, tenants=tenants
+        )
+        assert status == 200 and got["instance"] == doc
+
+        # Beside real arrays, content holding the reference key stays
+        # content, and the arrays still round-trip.
+        tenants.store.put("acme", "m", {"a": np.arange(4.0), "meta": ref})
+        back = TenantStore(str(tmp_path)).get("acme", "m")["instance"]
+        assert back["meta"] == ref
+        assert np.asarray(back["a"]).tolist() == [0.0, 1.0, 2.0, 3.0]
+    finally:
+        tenants.close()
+
+
+# --------------------------------------------------------- format-1 fixtures
+#
+# tests/data/tenants/acme/{plain,live}.inst were written by the format-1
+# store (CRC-hex-framed JSON, before the binary tail existed) with:
+#
+#   tenants.put_instance("acme", "plain", instance_to_dict(
+#       random_instance(11, n_photos=40, retained=2)))
+#   costs, emb = synthetic_archive(166, dim=8, clusters=6, seed=5)
+#   LiveManager(tenants).create("acme", "live", costs[:150], emb[:150],
+#       float(costs[:150].sum()) * 0.2, tau=0.8, seed=3)
+#
+# Photos 150..165 of the same draw are the delta ingested below.
+
+
+def _fixture_root(tmp_path) -> Path:
+    root = tmp_path / "tenants"
+    shutil.copytree(FIXTURES, root)
+    return root
+
+
+def _format1_envelope(instance_id):
+    """The envelope a format-1 fixture holds, parsed without the store."""
+    raw = (FIXTURES / "acme" / f"{instance_id}.inst").read_bytes()
+    assert int(raw[:8], 16) == zlib.crc32(raw[9:].rstrip(b"\n"))
+    return json.loads(raw[9:])
+
+
+def test_format1_fixtures_are_indexed_and_read_unchanged(tmp_path):
+    store = TenantStore(str(_fixture_root(tmp_path)))
+    assert store.quarantined_count == 0
+    assert [m.instance_id for m in store.list_instances("acme")] == ["live", "plain"]
+    for instance_id in ("plain", "live"):
+        assert store.get("acme", instance_id) == _format1_envelope(instance_id)
+    assert store.get("acme", "plain")["instance"] == instance_to_dict(
+        random_instance(11, n_photos=40, retained=2)
+    )
+
+
+@pytest.mark.parametrize("instance_id", ["plain", "live"])
+def test_format1_fixture_by_ref_solve_matches_its_document(tmp_path, instance_id):
+    tenants = Tenants(str(_fixture_root(tmp_path)), sweep=False)
+    try:
+        doc = _format1_envelope(instance_id)["instance"]
+        expected = solve(instance_from_dict(doc))
+        ref = {"tenant": "acme", "instance_id": instance_id}
+        with tenants.lease_for_solve(ref) as (view, hit):
+            got = solve(view)
+        assert not hit
+        assert got.selection == expected.selection
+        assert got.value == expected.value
+    finally:
+        tenants.close()
+
+
+def test_format1_live_fixture_ingests_like_the_library_chain(tmp_path):
+    root = _fixture_root(tmp_path)
+    costs, emb = synthetic_archive(166, dim=8, clusters=6, seed=5)
+    delta = (costs[150:], emb[150:])
+    parent = _format1_envelope("live")
+
+    tenants = Tenants(str(root), sweep=False)
+    try:
+        out = LiveManager(tenants).ingest("acme", "live", *delta)
+    finally:
+        tenants.close()
+    grown, _ = LiveArchive.from_doc(parent["instance"]).ingest(*delta)
+    previous = parent["instance"]["live"]["curation"]["solution"]["selection"]
+    expected = warm_resolve(grown.instance, previous)
+    assert out["solution"]["selection"] == [int(p) for p in expected.selection]
+    assert out["solution"]["value"] == expected.value
+    assert out["regret_bound"] == expected.regret_bound
+
+    # The commit is a format-2 blob at version + 1 holding the same arrays.
+    assert out["version"] == parent["version"] + 1
+    assert (root / "acme" / "live.inst").read_bytes()[:8] == store_mod._MAGIC
+    envelope = TenantStore(str(root)).get("acme", "live")
+    assert envelope["version"] == parent["version"] + 1
+    stored = LiveArchive.from_doc(envelope["instance"])
+    got_csr = stored.instance.subsets[0].similarity.csr()
+    for got, want in zip(got_csr, grown.instance.subsets[0].similarity.csr()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(stored.band_keys, grown.band_keys)
+    assert np.array_equal(stored.instance.embeddings, grown.instance.embeddings)
 
 
 # ------------------------------------------------------------------ rate limit
