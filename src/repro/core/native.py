@@ -1,25 +1,32 @@
-"""Native coverage kernel: ``CoverageState.gain``/``add`` compiled to C.
+"""Native kernels: the coverage kernel and the JSON float-array scanner.
 
-:class:`~repro.core.objective.CoverageState` with ``backend="kernel"``
-runs its per-evaluation work here whenever this module can serve it, and
-on its numpy kernel otherwise.  The C source (``native_coverage.c``) is
-compiled once per machine with the system ``gcc`` into a per-user cache
-and loaded through cffi's out-of-line ABI mode, lazily, on the first
-kernel-backed state — ``import repro`` never pays for it.
+Two C sources build into one shared library, compiled once per machine
+with the system ``gcc`` into a per-user cache and loaded through cffi's
+out-of-line ABI mode, lazily, on first use — ``import repro`` never pays
+for it.
 
-Answers are bit-identical to the numpy kernel.  Its masked dot products
-are numpy's ``a @ b``, which calls the ``cblas_ddot`` of the BLAS numpy
-links; a hand-written loop would sum in a different order, so the C
-kernel borrows that very function, found among the shared objects the
-process has mapped, and checks it bitwise against ``np.dot`` before use.
+* ``native_coverage.c`` runs :class:`~repro.core.objective.CoverageState`'s
+  per-evaluation work (``backend="kernel"``) whenever this module can
+  serve it, and the numpy kernel serves otherwise.  Answers are
+  bit-identical to the numpy kernel.  Its masked dot products are
+  numpy's ``a @ b``, which calls the ``cblas_ddot`` of the BLAS numpy
+  links; a hand-written loop would sum in a different order, so the C
+  kernel borrows that very function, found among the shared objects the
+  process has mapped, and checks it bitwise against ``np.dot`` before
+  use.
+* ``native_json.c`` finds and converts the flat float arrays of a JSON
+  text for :func:`repro.core.serialize.loads` (:func:`scan_json`), which
+  parses with ``json.loads`` alone when the library is unavailable.
 
-The loader falls back to the numpy kernel, with one logged warning per
-process, when cffi is missing, ``gcc`` is missing or fails, the cache
-cannot be written, no BLAS ddot is found, or the ddot self-check fails.
-Cache rules: the directory is created with mode 0700, builds go to a
-temporary file that is ``os.replace``-d into place (concurrent builders
-never expose a partial library), and a file the current user does not
-own is never loaded.
+The library is unavailable, with one logged warning per process, when
+cffi is missing, ``gcc`` is missing or fails, or the cache cannot be
+written or is not this user's.  The coverage kernel alone also falls
+back, with its own warning, when no BLAS ddot is found or the ddot
+self-check fails; the scanner does not need ddot.  Cache rules: the
+directory is created with mode 0700, builds go to a temporary file that
+is ``os.replace``-d into place (concurrent builders never expose a
+partial library), and a file the current user does not own is never
+loaded.
 """
 
 from __future__ import annotations
@@ -41,11 +48,13 @@ import numpy as np
 
 from repro.core.instance import IncidenceCSR
 
-__all__ = ["NativeCoverage", "bind", "kernel"]
+__all__ = ["NativeCoverage", "bind", "kernel", "scan_json"]
 
 _log = logging.getLogger(__name__)
 
-_SOURCE = Path(__file__).with_name("native_coverage.c")
+_SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("native_coverage.c", "native_json.c")
+)
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # cblas_ddot spellings, most specific first; a ``64_`` suffix marks the
 # ILP64 (int64 lengths and strides) interface.
@@ -54,7 +63,7 @@ _SELF_CHECK_LENGTHS = range(1, 258)
 
 
 class KernelUnavailable(RuntimeError):
-    """The native kernel cannot be used in this process (reason attached)."""
+    """The native library or kernel cannot be used here (reason attached)."""
 
 
 class _Kernel:
@@ -75,12 +84,59 @@ _loaded: object = _UNSET
 _load_lock = threading.Lock()
 
 
-def kernel() -> Optional[_Kernel]:
-    """The process-wide native kernel, or ``None`` when it is unavailable.
+class _Library:
+    """The loaded shared library and what its two users need from it.
 
-    The first call builds or loads the library and runs the self-check;
-    a failure is logged once and remembered, so every later state goes
-    straight to the numpy kernel.
+    Each user's own set-up runs on its first call, so a process that
+    only solves never builds the scanner's table, and one that only
+    parses never looks for a BLAS ddot.
+    """
+
+    __slots__ = ("ffi", "lib", "_coverage", "_scanner")
+
+    def __init__(self, ffi, lib) -> None:
+        self.ffi = ffi
+        self.lib = lib
+        self._coverage: object = _UNSET
+        self._scanner: Optional[Tuple[object, object]] = None
+
+    def coverage(self) -> Optional[_Kernel]:
+        """The coverage kernel: the borrowed ddot, self-checked."""
+        if self._coverage is _UNSET:
+            with _load_lock:
+                if self._coverage is _UNSET:
+                    try:
+                        blas, symbol = _find_ddot(self.ffi)
+                        loaded = _Kernel(self.ffi, self.lib, blas, symbol)
+                        _self_check(loaded, symbol)
+                        self._coverage = loaded
+                    except KernelUnavailable as exc:
+                        _log.warning(
+                            "native coverage kernel unavailable (%s); "
+                            "using the numpy kernel", exc,
+                        )
+                        self._coverage = None
+        return self._coverage  # type: ignore[return-value]
+
+    def scanner(self) -> Tuple[object, object]:
+        """The scan's read-only inputs: the powers-of-ten table and a C
+        locale for strtod_l."""
+        if self._scanner is None:
+            with _load_lock:
+                if self._scanner is None:
+                    locale = self.lib.phocus_json_c_locale()
+                    if locale == self.ffi.NULL:  # newlocale fails only on ENOMEM
+                        raise MemoryError("cannot allocate a C locale")
+                    powers = self.ffi.from_buffer("uint64_t[]", _powers_of_ten())
+                    self._scanner = (powers, locale)
+        return self._scanner
+
+
+def library() -> Optional[_Library]:
+    """The process-wide native library, or ``None`` when it is unavailable.
+
+    The first call builds or loads it; a failure is logged once and
+    remembered, so every later caller goes straight to its fallback.
     """
     global _loaded
     if _loaded is _UNSET:
@@ -90,11 +146,17 @@ def kernel() -> Optional[_Kernel]:
                     _loaded = _load(_cache_dir())
                 except KernelUnavailable as exc:
                     _log.warning(
-                        "native coverage kernel unavailable (%s); "
-                        "using the numpy kernel", exc,
+                        "native library unavailable (%s); "
+                        "using the numpy kernel and json.loads", exc,
                     )
                     _loaded = None
     return _loaded  # type: ignore[return-value]
+
+
+def kernel() -> Optional[_Kernel]:
+    """The native coverage kernel, or ``None`` when numpy must serve."""
+    loaded = library()
+    return loaded.coverage() if loaded is not None else None
 
 
 def _cache_dir() -> Path:
@@ -106,21 +168,19 @@ def _cache_dir() -> Path:
     return base / "phocus"
 
 
-def _load(cache_dir: Path) -> _Kernel:
-    ffi, lib = _load_library(cache_dir)
-    blas, symbol = _find_ddot(ffi)
-    loaded = _Kernel(ffi, lib, blas, symbol)
-    _self_check(loaded, symbol)
-    return loaded
+def _load(cache_dir: Path) -> _Library:
+    return _Library(*_load_library(cache_dir))
 
 
 # ---------------------------------------------------------------- build
 
 
-def _cdef(source: str) -> str:
-    """The C declarations cffi needs: the source's marked header block
+def _cdef(sources: List[str]) -> str:
+    """The C declarations cffi needs: each source's marked header block
     plus every ddot spelling the loader may look up."""
-    header = source.split("/* cdef-begin */", 1)[1].split("/* cdef-end */", 1)[0]
+    header = "".join(
+        s.split("/* cdef-begin */", 1)[1].split("/* cdef-end */", 1)[0] for s in sources
+    )
     for name in _DDOT_SYMBOLS:
         n = "int64_t" if name.endswith("64_") else "int"
         header += f"double {name}({n}, const double *, {n}, const double *, {n});\n"
@@ -132,19 +192,19 @@ def _load_library(cache_dir: Path):
         import _cffi_backend
     except ImportError as exc:
         raise KernelUnavailable(f"cffi is not importable: {exc}") from None
-    source = _SOURCE.read_text()
-    cdef = _cdef(source)
+    sources = [path.read_text() for path in _SOURCES]
+    cdef = _cdef(sources)
     key = hashlib.sha256(
-        "\0".join((source, cdef, " ".join(_CFLAGS), _cffi_backend.__version__)).encode()
+        "\0".join((*sources, cdef, " ".join(_CFLAGS), _cffi_backend.__version__)).encode()
     ).hexdigest()[:16]
-    so_path = cache_dir / f"coverage-{key}.so"
-    ffi_path = cache_dir / f"coverage-{key}_ffi.py"
+    so_path = cache_dir / f"native-{key}.so"
+    ffi_path = cache_dir / f"native-{key}_ffi.py"
     _prepare_cache(cache_dir)
     if not (so_path.exists() and ffi_path.exists()):
         _build(cache_dir, cdef, so_path, ffi_path)
     for path in (so_path, ffi_path):
         _check_owner(path)
-    spec = importlib.util.spec_from_file_location("_phocus_coverage_ffi", ffi_path)
+    spec = importlib.util.spec_from_file_location("_phocus_native_ffi", ffi_path)
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
@@ -189,7 +249,7 @@ def _build(cache_dir: Path, cdef: str, so_path: Path, ffi_path: Path) -> None:
             temps.append(tmp)
         tmp_so, tmp_py = temps
         done = subprocess.run(
-            [gcc, *_CFLAGS, "-o", tmp_so, str(_SOURCE)],
+            [gcc, *_CFLAGS, "-o", tmp_so, *map(str, _SOURCES)],
             capture_output=True,
             text=True,
         )
@@ -197,7 +257,7 @@ def _build(cache_dir: Path, cdef: str, so_path: Path, ffi_path: Path) -> None:
             raise KernelUnavailable(f"gcc failed: {done.stderr.strip()[-500:]}")
         builder = cffi.FFI()
         builder.cdef(cdef)
-        make_py_source(builder, "_phocus_coverage_ffi", tmp_py)  # quiet
+        make_py_source(builder, "_phocus_native_ffi", tmp_py)  # quiet
         # The library first: a reader that finds the ffi module also
         # finds a complete library beside it.
         os.replace(tmp_so, so_path)
@@ -208,6 +268,82 @@ def _build(cache_dir: Path, cdef: str, so_path: Path, ffi_path: Path) -> None:
         for tmp in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+
+
+# ---------------------------------------------------------- JSON scanner
+
+# The exponent range of the Eisel-Lemire table; literals outside it go
+# to strtod_l.
+_MIN_EXP10, _MAX_EXP10 = -348, 347
+# native_json.c's return codes and constant-token tags; a positive tag
+# is a float array's value count.
+_SCAN_TOO_DEEP, _SCAN_FULL = 1, 2
+CONSTANT_TOKENS = {0: "NaN", -1: "Infinity", -2: "-Infinity"}
+
+
+def _powers_of_ten() -> np.ndarray:
+    """10^e for e in the table's range as (hi, lo) uint64 pairs: the
+    128 leading bits of its binary expansion, truncated, top bit set.
+
+    Exact integers throughout: 10^e = 5^e · 2^e, and the factor 2^e
+    only moves the binary point, which the C side recomputes.
+    """
+    words = []
+    for e in range(_MIN_EXP10, _MAX_EXP10 + 1):
+        if e >= 0:
+            five = 5**e
+            shift = five.bit_length() - 128
+            m = five >> shift if shift > 0 else five << -shift
+        else:
+            five = 5**-e
+            m = (1 << (five.bit_length() + 127)) // five
+        words += (m >> 64, m & 0xFFFF_FFFF_FFFF_FFFF)
+    return np.array(words, dtype=np.uint64)
+
+
+def scan_json(raw: bytes) -> Optional[Tuple[memoryview, List[int], List[float]]]:
+    """The skeleton of the JSON text ``raw`` and what its ``NaN`` tokens hide.
+
+    Returns ``(skeleton, tags, values)``.  ``skeleton`` is ``raw`` with
+    each flat array of float literals replaced by ``NaN``.  ``tags``
+    holds one tag per such array or constant token of ``raw``, in
+    document order: the array's value count (> 0), or a key of
+    :data:`CONSTANT_TOKENS`.  ``values`` holds every array's floats in
+    the same order.  ``None`` when ``raw`` has no such array, the library
+    is unavailable, or ``raw`` nests too deep to scan.  Nothing here says
+    ``raw`` is valid JSON.
+    """
+    loaded = library()
+    if loaded is None:
+        return None
+    ffi = loaded.ffi
+    powers, locale = loaded.scanner()
+    n = len(raw)
+    text = ffi.from_buffer("char[]", raw)
+    skeleton = np.empty(n, dtype=np.uint8)
+    scan = ffi.new("phocus_json_scan *")
+    scan.text, scan.size, scan.locale = text, n, locale
+    scan.powers, scan.min_exp10, scan.max_exp10 = powers, _MIN_EXP10, _MAX_EXP10
+    scan.skeleton = ffi.from_buffer("char[]", skeleton, require_writable=True)
+    # Buffers sized for ordinary documents (a float per 8 bytes, a tag per
+    # 24), then, if one fills, for the densest text possible: a float per
+    # four bytes ("0e0,"), a tag per three ("NaN").
+    for max_tags, max_values in ((n // 24 + 1, n // 8 + 1), (n // 3 + 1, n // 4 + 1)):
+        tags = np.empty(max_tags, dtype=np.int64)
+        values = np.empty(max_values, dtype=np.float64)
+        scan.tags = ffi.from_buffer("int64_t[]", tags, require_writable=True)
+        scan.values = ffi.from_buffer("double[]", values, require_writable=True)
+        scan.max_tags, scan.max_values = max_tags, max_values
+        status = loaded.lib.phocus_json_scan_text(scan)
+        if status != _SCAN_FULL:
+            break
+    if status == _SCAN_TOO_DEEP or scan.skeleton_size == n:
+        return None  # too deep, or nothing replaced: raw is its own skeleton
+    return (
+        memoryview(skeleton[: scan.skeleton_size]),
+        tags[: scan.n_tags].tolist(),
+        values[: scan.n_values].tolist(),
+    )
 
 
 # ----------------------------------------------------------- borrowed ddot

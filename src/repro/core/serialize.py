@@ -19,15 +19,21 @@ arrays, neighbour rows or CSR.
 
 Round-tripping is exact up to float representation: tests assert that a
 round-tripped instance produces identical solver output.
+
+:func:`loads` parses request bodies.  It returns exactly what
+``json.loads`` returns, and raises what it raises, but converts the flat
+float arrays that dominate instance documents natively (see
+:func:`repro.core.native.scan_json`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Union
 
 import numpy as np
 
+from repro.core import native
 from repro.core.instance import (
     DenseSimilarity,
     PARInstance,
@@ -44,6 +50,7 @@ __all__ = [
     "instance_to_json",
     "instance_from_json",
     "json_default",
+    "loads",
     "solution_to_dict",
 ]
 
@@ -224,12 +231,67 @@ def instance_to_json(instance: PARInstance) -> str:
 def instance_from_json(text: str) -> PARInstance:
     """Parse an instance from a JSON string."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"invalid instance JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("instance JSON must be an object")
     return instance_from_dict(doc)
+
+
+# json's own answers to parse_constant (the very objects json.loads uses).
+_CONSTANT = json.JSONDecoder().parse_constant
+
+
+class _Mismatch(Exception):
+    """The skeleton's parse_constant calls disagree with the scan."""
+
+
+def loads(data: Union[bytes, str]) -> Any:
+    """``json.loads(data.decode("utf-8"))`` for bytes, ``json.loads(data)``
+    for a string: the same values, types, float bits and key order, or
+    the same exception with the same message.
+
+    The native scan converts every flat array of float literals, and each
+    becomes the token ``NaN`` in a *skeleton* of the text.  ``json.loads``
+    parses the skeleton with a ``parse_constant`` hook that answers, in
+    document order, each array's list of floats or the text's own
+    ``NaN``/``Infinity``/``-Infinity``.  The original text is parsed
+    instead when it has no float array (it is its own skeleton), when the
+    library is unavailable or the text nests too deep, and when the
+    skeleton does not parse with every hook call matching the scan, so
+    errors read exactly as ``json.loads``'s.
+    """
+    is_str = isinstance(data, str)
+    errors = "surrogatepass" if is_str else "strict"
+    scanned = native.scan_json(data.encode("utf-8", errors) if is_str else data)
+    if scanned is not None:
+        skeleton, tags, values = scanned
+        try:
+            return _parse_skeleton(str(skeleton, "utf-8", errors), tags, values)
+        except (ValueError, RecursionError, _Mismatch):
+            pass  # parse the original, for its exact error
+    return json.loads(data if is_str else data.decode("utf-8"))
+
+
+def _parse_skeleton(skeleton: str, tags: List[int], values: List[float]) -> Any:
+    calls = iter(tags)
+    offset = 0
+
+    def hook(token: str) -> Any:
+        nonlocal offset
+        tag = next(calls, None)
+        if tag is not None and tag > 0 and token == "NaN":
+            offset += tag
+            return values[offset - tag : offset]
+        if tag is None or tag > 0 or token != native.CONSTANT_TOKENS[tag]:
+            raise _Mismatch(token)
+        return _CONSTANT(token)
+
+    doc = json.loads(skeleton, parse_constant=hook)
+    if next(calls, None) is not None:
+        raise _Mismatch("unanswered")
+    return doc
 
 
 def solution_to_dict(solution: Solution) -> Dict[str, Any]:

@@ -122,7 +122,7 @@ from urllib.parse import parse_qs, urlsplit
 from contextlib import ExitStack, contextmanager
 
 from repro.core.objective import score, score_breakdown
-from repro.core.serialize import instance_from_dict, json_default
+from repro.core.serialize import instance_from_dict, json_default, loads
 from repro.core.solver import available_algorithms
 from repro.errors import (
     DeadlineExceeded,
@@ -365,8 +365,10 @@ def _parse_body(body: Optional[bytes]) -> Tuple[Optional[Dict[str, Any]], Option
     if not body:
         return None, (400, {"error": "empty request body"})
     try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = loads(body)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers longer than
+        # int()'s digit limit; RecursionError, nesting deeper than json's.
         return None, (400, {"error": f"invalid JSON: {exc}"})
     if not isinstance(payload, dict):
         return None, (400, {"error": "request body must be a JSON object"})

@@ -1,16 +1,18 @@
-"""The native coverage kernel's loader, cache and C-boundary safety.
+"""The native library's loader, cache and C-boundary safety.
 
 Bit-identity with the numpy kernel and the reference loop is proved in
-``test_objective_kernels.py``; this file covers what surrounds it: every
-way the loader can fail falls back to the numpy kernel with identical
-answers and one warning, the build cache is safe to share, and nothing
-unchecked or unowned reaches C.
+``test_objective_kernels.py``, and the JSON scanner's agreement with
+``json.loads`` in ``test_serialize_loads.py``; this file covers what
+surrounds them: every way the loader can fail falls back to the numpy
+kernel and ``json.loads`` with identical answers and one warning, the
+build cache is safe to share, and nothing unchecked or unowned reaches C.
 """
 
 from __future__ import annotations
 
 import gc
 import importlib.util
+import json
 import logging
 import os
 import pickle
@@ -31,6 +33,7 @@ from repro.core.greedy import UC, lazy_greedy, main_algorithm
 from repro.core.instance import IncidenceCSR, PARInstance
 from repro.core.objective import REFERENCE, CoverageState
 from repro.core.parallel import SharedInstance
+from repro.core.serialize import loads
 from repro.sparsify.threshold import threshold_sparsify
 from tests.conftest import random_instance
 
@@ -55,12 +58,20 @@ def fresh_loader(monkeypatch, tmp_path):
     return cache
 
 
-def _falls_back(caplog) -> str:
-    """Two kernel states run on numpy with the reference's answers, and
-    the loader warned exactly once; returns the warning."""
+BODY = json.dumps(
+    {"a": [1.5, -2.5e-3], "b": [[0.1, 0.2], [3]], "c": float("nan"), "d": "[4.5]"}
+).encode()
+
+
+def _falls_back(caplog, scanner: bool = False) -> str:
+    """Two kernel states run on numpy with the reference's answers,
+    ``loads`` parses as ``json.loads`` does (natively only if ``scanner``),
+    and the loader warned exactly once; returns the warning."""
     inst = random_instance(3, n_photos=20, n_subsets=5)
     with caplog.at_level(logging.WARNING, logger=native.__name__):
         states = [CoverageState(inst), CoverageState(inst)]
+        assert (native.scan_json(BODY) is not None) == scanner
+        assert repr(loads(BODY)) == repr(json.loads(BODY.decode()))
     warnings = [r for r in caplog.records if r.name == native.__name__]
     assert len(warnings) == 1
     assert all(s._native is None for s in states)
@@ -100,7 +111,7 @@ class TestLoaderFallback:
     def test_no_blas_ddot(self, fresh_loader, monkeypatch, caplog):
         pytest.importorskip("cffi")
         monkeypatch.setattr(native, "_blas_candidates", lambda: [])
-        assert "no BLAS ddot" in _falls_back(caplog)
+        assert "no BLAS ddot" in _falls_back(caplog, scanner=True)
 
     @needs_toolchain
     def test_ddot_self_check_fails(self, fresh_loader, monkeypatch, caplog):
@@ -109,7 +120,7 @@ class TestLoaderFallback:
         monkeypatch.setattr(
             native, "_numpy_dot", lambda a, b: float(sum(x * y for x, y in zip(a, b)))
         )
-        assert "disagrees with np.dot" in _falls_back(caplog)
+        assert "disagrees with np.dot" in _falls_back(caplog, scanner=True)
 
     @needs_toolchain
     def test_cache_not_owned_by_this_user(self, fresh_loader, monkeypatch, caplog):
@@ -130,6 +141,26 @@ class TestLoaderFallback:
 
 
 class TestBuildCache:
+    @needs_toolchain
+    def test_one_library_serves_the_kernel_and_the_scanner(self, fresh_loader):
+        pytest.importorskip("cffi")
+        assert native.kernel().lib is native.library().lib
+        assert native.scan_json(BODY) is not None
+        (library,) = fresh_loader.glob("*.so")
+        assert library.name.startswith("native-")
+
+    @needs_toolchain
+    def test_cache_key_covers_both_sources(self, fresh_loader, monkeypatch, tmp_path):
+        pytest.importorskip("cffi")
+        assert native.library() is not None
+        coverage, scanner = native._SOURCES
+        edited = tmp_path / scanner.name
+        edited.write_text(scanner.read_text() + "\n/* edited */\n")
+        monkeypatch.setattr(native, "_SOURCES", (coverage, edited))
+        monkeypatch.setattr(native, "_loaded", native._UNSET)
+        assert native.library() is not None
+        assert len(list(fresh_loader.glob("*.so"))) == 2
+
     @needs_toolchain
     def test_fresh_cache_is_private_and_holds_only_finished_files(self, fresh_loader):
         pytest.importorskip("cffi")

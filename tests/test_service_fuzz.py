@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.system.service import handle_request
+from repro.jobs import JobManager
+from repro.live import LiveManager
+from repro.system.service import _ALLOWED_METHODS, handle_request
 from repro.tenants import Tenants
 
 from tests.conftest import MALFORMED_CSR, csr_instance_doc
@@ -120,3 +122,43 @@ def test_csr_field_fuzzing(field, value):
     body = json.dumps({"instance": csr_instance_doc(**{field: value})})
     status, payload = handle_request("POST", "/solve", body.encode("utf-8"))
     assert status in (200, 400, 422), f"unexpected status {status}: {payload}"
+
+
+# ------------------------------------------ bodies json rejects otherwise
+
+#: Bodies ``json.loads`` rejects with something other than a
+#: JSONDecodeError: nesting past the recursion limit (RecursionError) and
+#: an integer past ``int()``'s digit limit (ValueError).
+UNPARSABLE_BODIES = {
+    "nested-100000-deep": b"[" * 100000,
+    "5000-digit-integer": b'{"instance": ' + b"9" * 5000 + b"}",
+}
+
+#: Every route that reads a body, from the dispatcher's own table.
+BODY_ROUTES = sorted(
+    (method, key.replace("<id>", "acme").replace("<iid>", "p"))
+    for key, methods in _ALLOWED_METHODS.items()
+    for method in methods
+    if method in ("POST", "PUT")
+)
+
+
+@pytest.fixture(scope="module")
+def collaborators(tmp_path_factory):
+    tenants = Tenants(str(tmp_path_factory.mktemp("tenants")), sweep=False)
+    jobs = JobManager(workers=0)
+    try:
+        yield {"jobs": jobs, "tenants": tenants, "live": LiveManager(tenants)}
+    finally:
+        jobs.shutdown()
+        tenants.close()
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSABLE_BODIES))
+@pytest.mark.parametrize("method,path", BODY_ROUTES)
+def test_unparsable_body_is_400_on_every_body_route(collaborators, method, path, case):
+    status, payload = handle_request(
+        method, path, UNPARSABLE_BODIES[case], **collaborators
+    )
+    assert status == 400, payload
+    assert payload["error"].startswith("invalid JSON: ")
