@@ -90,7 +90,7 @@ def _build_plain_instance(costs, sparse, budget):
         normalize=False,
     )
     photos = [Photo(photo_id=i, cost=float(c)) for i, c in enumerate(costs)]
-    return PARInstance(photos, [subset], budget)
+    return PARInstance.from_photos(photos, [subset], budget)
 
 
 def run_worker(mode: str, photos: int, n_bits: Optional[int]) -> Dict[str, object]:

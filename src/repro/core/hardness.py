@@ -27,7 +27,6 @@ import numpy as np
 from repro.core.instance import (
     DenseSimilarity,
     PARInstance,
-    Photo,
     PredefinedSubset,
 )
 from repro.errors import ValidationError
@@ -118,7 +117,6 @@ def mc_to_par(mc: MaxCoverageInstance) -> PARInstance:
     sets (elements covered by no set contribute no subset and are ignored
     on both sides).
     """
-    photos = [Photo(photo_id=si, cost=1.0, label=f"set-{si}") for si in range(len(mc.sets))]
     subsets: List[PredefinedSubset] = []
     for e in range(mc.n_elements):
         members = [si for si, s in enumerate(mc.sets) if e in s]
@@ -135,7 +133,12 @@ def mc_to_par(mc: MaxCoverageInstance) -> PARInstance:
                 similarity=DenseSimilarity(sim),
             )
         )
-    return PARInstance(photos, subsets, budget=float(mc.k))
+    return PARInstance(
+        np.ones(len(mc.sets)),
+        subsets,
+        budget=float(mc.k),
+        labels=[f"set-{si}" for si in range(len(mc.sets))],
+    )
 
 
 def par_selection_to_mc(selection: Sequence[int]) -> List[int]:

@@ -1,18 +1,24 @@
 """The PAR problem model: photos, pre-defined subsets, and instances.
 
 This module implements the formal model of Section 3.1 of the paper.  A
-:class:`PARInstance` is the validated tuple ``⟨P, S0, Q, C, W, R, SIM, B⟩``:
+:class:`PARInstance` is the validated tuple ``⟨P, S0, Q, C, W, R, SIM, B⟩``,
+held as arrays:
 
-* ``P`` — the photo archive, held as a list of :class:`Photo` records whose
-  position in the list is the photo id (``0 .. n-1``),
+* ``P`` and ``C`` — the photo archive as a cost column ``costs`` (photo
+  ``p`` is row ``p``, ids ``0 .. n-1``), with optional ``labels`` and
+  ``metadata`` columns,
 * ``S0`` — the retention set (photos that must be kept, e.g. for legal or
   policy reasons),
 * ``Q`` — the pre-defined subsets (landing pages, albums, query results),
-  each a :class:`PredefinedSubset` carrying its importance weight ``W(q)``,
-  normalised relevance scores ``R(q, ·)`` and contextualised similarity
-  ``SIM(q, ·, ·)``,
-* ``C`` — per-photo byte costs,
+  each a :class:`PredefinedSubset` holding its ``members`` array, its
+  importance weight ``W(q)``, normalised relevance scores ``R(q, ·)`` and
+  contextualised similarity ``SIM(q, ·, ·)``,
 * ``B`` — the storage budget in bytes.
+
+Every check runs as a vector operation over those arrays.  Per-photo
+:class:`Photo` records, the ``membership`` lists and a subset's
+photo-to-local map are views built on first use, for the few callers
+that read them; no solver does.
 
 Similarities are stored *per subset* because the paper's SIM function is
 contextual: the same pair of photos may have different similarity in
@@ -28,7 +34,7 @@ different subsets.  Two interchangeable backends are provided:
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -45,24 +51,68 @@ __all__ = [
     "SubsetSpec",
     "PARInstance",
     "IncidenceCSR",
+    "as_ids",
     "build_incidence",
     "normalize_relevance",
 ]
 
 _SIM_ATOL = 1e-9
+_INT64_LIMIT = 2.0**63
+
+
+def as_ids(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array of photo or entry ids.
+
+    Integers pass through, as do floats with integral values.  A
+    fractional, non-finite, non-numeric or out-of-int64 entry raises
+    :class:`ValidationError` instead of being truncated.  An int64 array
+    is returned as is; anything else is a new array.
+    """
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be integers") from exc
+    kind = arr.dtype.kind
+    if kind == "f":
+        if not np.all(np.isfinite(arr)) or np.any(arr != np.trunc(arr)):
+            raise ValidationError(f"{what} must be integers")
+        if arr.size and np.abs(arr).max() >= _INT64_LIMIT:
+            raise ValidationError(f"{what} overflow int64")
+    elif kind == "u":
+        if arr.size and int(arr.max()) >= _INT64_LIMIT:
+            raise ValidationError(f"{what} overflow int64")
+    elif kind not in "ib":
+        raise ValidationError(f"{what} must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
+def _in_unit_interval(values: np.ndarray) -> bool:
+    """Every value lies in ``[0, 1]`` within tolerance (NaN never does)."""
+    return bool(np.all((values >= -_SIM_ATOL) & (values <= 1.0 + _SIM_ATOL)))
+
+
+def _has_duplicates(ids: np.ndarray) -> bool:
+    """True when some id occurs twice; ascending ids need no sort."""
+    if ids.size < 2 or np.all(ids[1:] > ids[:-1]):
+        return False
+    ordered = np.sort(ids)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
 def normalize_relevance(raw: Sequence[float]) -> np.ndarray:
     """Normalise raw relevance scores so they sum to 1 (Section 3.1).
 
-    Raises :class:`ValidationError` if any score is negative or the total is
-    zero — a subset in which no photo is relevant cannot be scored.
+    Raises :class:`ValidationError` if any score is negative or not
+    finite, or the total is zero — a subset in which no photo is relevant
+    cannot be scored.
     """
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError("relevance must be a 1-D sequence")
     if arr.size == 0:
         raise ValidationError("relevance must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("relevance scores must be finite")
     if np.any(arr < 0):
         raise ValidationError("relevance scores must be nonnegative")
     total = float(arr.sum())
@@ -73,12 +123,17 @@ def normalize_relevance(raw: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Photo:
-    """A single photo in the archive.
+    """A single photo in the archive, as one record.
+
+    Instances hold photos as columns; this record is what dataset
+    generators produce (:meth:`PARInstance.from_photos` turns a list of
+    them into columns) and what the lazy :attr:`PARInstance.photos` view
+    hands out.
 
     Parameters
     ----------
     photo_id:
-        Integer identifier; equals the photo's index in ``PARInstance.photos``.
+        Integer identifier; equals the photo's row in ``PARInstance.costs``.
     cost:
         Storage cost in bytes (the paper's ``C(p)``); must be positive.
     label:
@@ -116,17 +171,30 @@ class DenseSimilarity:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError("similarity matrix must be square")
         if validate:
-            if np.any(matrix < -_SIM_ATOL) or np.any(matrix > 1.0 + _SIM_ATOL):
+            if not _in_unit_interval(matrix):
                 raise ValidationError("similarities must lie in [0, 1]")
-            if not np.allclose(np.diag(matrix), 1.0, atol=1e-6):
+            # np.allclose(a, b, atol=1e-6) on values already known finite:
+            # |a - b| <= 1e-6 + 1e-5 * |b|.
+            if not np.all(np.abs(np.diagonal(matrix) - 1.0) <= 1e-6 + 1e-5):
                 raise ValidationError("self-similarity must be 1")
-            if not np.allclose(matrix, matrix.T, atol=1e-6):
+            if not np.all(np.abs(matrix - matrix.T) <= 1e-6 + 1e-5 * np.abs(matrix.T)):
                 # SIM is a normalised measure of how alike two photos are;
                 # the incremental evaluators rely on symmetry.
                 raise ValidationError("similarity matrix must be symmetric")
             matrix = (matrix + matrix.T) / 2.0
         self.matrix = np.clip(matrix, 0.0, 1.0)
         np.fill_diagonal(self.matrix, 1.0)
+
+    @classmethod
+    def adopt(cls, matrix: np.ndarray) -> "DenseSimilarity":
+        """Wrap a matrix that already holds the invariants, without a copy.
+
+        The trusted path for a packed copy of a checked backend (see
+        :func:`repro.core.parallel.build_view_instance`).
+        """
+        obj = cls.__new__(cls)
+        obj.matrix = matrix
+        return obj
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -243,14 +311,17 @@ class SparseSimilarity:
         row_idx: List[np.ndarray] = []
         row_val: List[np.ndarray] = []
         for i in range(size):
-            idx = np.asarray(indices[i], dtype=np.int64)
+            if validate:
+                idx = as_ids(indices[i], f"row {i}: neighbour indices")
+            else:
+                idx = np.asarray(indices[i], dtype=np.int64)
             val = np.asarray(values[i], dtype=np.float64)
             if idx.shape != val.shape:
                 raise ValidationError(f"row {i}: index/value length mismatch")
             if validate:
                 if idx.size and (idx.min() < 0 or idx.max() >= size):
                     raise ValidationError(f"row {i}: neighbour index out of range")
-                if np.any(val < -_SIM_ATOL) or np.any(val > 1.0 + _SIM_ATOL):
+                if not _in_unit_interval(val):
                     raise ValidationError(f"row {i}: similarity outside [0, 1]")
                 if idx.size != np.unique(idx).size:
                     raise ValidationError(f"row {i}: duplicate neighbour index")
@@ -295,11 +366,15 @@ class SparseSimilarity:
         Rows must already contain their diagonal entry with value 1 — this
         is the trusted fast path for builders that guarantee the invariant.
         ``validate=True`` checks the CSR as strictly as the per-row
-        constructor checks its lists, vectorised: indices in range, values
-        in ``[0, 1]`` (clipped within tolerance), exactly one diagonal
+        constructor checks its lists, vectorised: integral indices in
+        range, values in ``[0, 1]`` (clipped within tolerance; NaN is not
+        in range), exactly one diagonal
         entry per row with value 1, and no duplicate ``(row, col)`` entry.
         """
         dt = _check_sparse_dtype(dtype if dtype is not None else vals.dtype)
+        if validate:
+            indptr = as_ids(indptr, "CSR indptr")
+            cols = as_ids(cols, "CSR indices")
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         cols = np.ascontiguousarray(cols, dtype=np.int64)
         vals = np.ascontiguousarray(vals, dtype=dt)
@@ -312,7 +387,7 @@ class SparseSimilarity:
         if validate:
             if cols.size and (cols.min() < 0 or cols.max() >= size):
                 raise ValidationError("CSR neighbour index out of range")
-            if np.any(vals < -_SIM_ATOL) or np.any(vals > 1.0 + _SIM_ATOL):
+            if not _in_unit_interval(vals):
                 raise ValidationError("CSR similarity outside [0, 1]")
             if vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
                 vals = np.clip(vals, 0.0, 1.0)
@@ -364,7 +439,7 @@ class SparseSimilarity:
                 raise ValidationError("pair index out of range")
             if np.any(ii == jj):
                 raise ValidationError("pairs must be off-diagonal")
-            if np.any(vv < -_SIM_ATOL) or np.any(vv > 1.0 + _SIM_ATOL):
+            if not _in_unit_interval(vv):
                 raise ValidationError("pair similarity outside [0, 1]")
         vv = np.clip(vv, 0.0, 1.0)
         diag = np.arange(size, dtype=np.int64)
@@ -435,7 +510,7 @@ class SparseSimilarity:
                     "append_rows pairs must touch the appended range; "
                     "old-old pairs require a from_pairs rebuild"
                 )
-            if np.any(vv < -_SIM_ATOL) or np.any(vv > 1.0 + _SIM_ATOL):
+            if not _in_unit_interval(vv):
                 raise ValidationError("pair similarity outside [0, 1]")
         vv = np.clip(vv, 0.0, 1.0).astype(dt, copy=False)
         # Directed entries: each undirected pair contributes both (i, j)
@@ -742,9 +817,10 @@ class PredefinedSubset:
     subset_id:
         Stable identifier, e.g. the landing-page title or the query string.
     weight:
-        Importance ``W(q) > 0``.
+        Importance ``W(q)``, positive and finite.
     members:
-        Photo ids belonging to the subset, in local-index order.
+        Photo ids belonging to the subset, in local-index order (an int64
+        array; integral floats are accepted, fractional ones rejected).
     relevance:
         ``R(q, p)`` per member.  Normalised to sum to 1 on construction
         unless ``normalize=False`` is passed (in which case the values must
@@ -752,6 +828,13 @@ class PredefinedSubset:
     similarity:
         A :class:`DenseSimilarity` or :class:`SparseSimilarity` over the
         members, indexed by local position.
+    validate:
+        ``False`` adopts ``members`` and ``relevance`` as they are, with no
+        check and no copy: the trusted path for a packed copy of a checked
+        subset.
+
+    The photo-id-to-local-index map behind ``in``, :meth:`local_index` and
+    :meth:`sim` is built on first use; solvers never need it.
     """
 
     __slots__ = ("subset_id", "weight", "members", "relevance", "similarity", "_local")
@@ -765,18 +848,34 @@ class PredefinedSubset:
         similarity: SimilarityBackend,
         *,
         normalize: bool = True,
+        validate: bool = True,
     ) -> None:
-        if not (weight > 0):
-            raise ValidationError(f"subset {subset_id!r}: weight must be positive")
-        member_arr = np.asarray(members, dtype=np.int64)
+        self.subset_id = subset_id
+        self.weight = float(weight)
+        self.similarity = similarity
+        self._local: Optional[Dict[int, int]] = None
+        if not validate:
+            self.members = np.asarray(members, dtype=np.int64)
+            self.relevance = np.asarray(relevance, dtype=np.float64)
+            return
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValidationError(
+                f"subset {subset_id!r}: weight must be positive and finite, "
+                f"got {weight!r}"
+            )
+        member_arr = as_ids(members, f"subset {subset_id!r}: members")
         if member_arr.ndim != 1 or member_arr.size == 0:
             raise ValidationError(f"subset {subset_id!r}: members must be non-empty")
-        if np.unique(member_arr).size != member_arr.size:
+        if _has_duplicates(member_arr):
             raise ValidationError(f"subset {subset_id!r}: duplicate member")
         if normalize:
             rel = normalize_relevance(relevance)
         else:
             rel = np.asarray(relevance, dtype=np.float64)
+            if rel.ndim != 1:
+                raise ValidationError(f"subset {subset_id!r}: relevance must be 1-D")
+            if not np.all(np.isfinite(rel)):
+                raise ValidationError(f"subset {subset_id!r}: relevance must be finite")
             if np.any(rel < 0):
                 raise ValidationError(f"subset {subset_id!r}: negative relevance")
             if abs(float(rel.sum()) - 1.0) > 1e-6:
@@ -794,23 +893,24 @@ class PredefinedSubset:
                 f"subset {subset_id!r}: similarity size {len(similarity)} != "
                 f"member count {member_arr.size}"
             )
-        self.subset_id = subset_id
-        self.weight = float(weight)
         self.members = member_arr
         self.relevance = rel
-        self.similarity = similarity
-        self._local: Dict[int, int] = {int(p): i for i, p in enumerate(member_arr)}
 
     def __len__(self) -> int:
         return self.members.size
 
+    def _local_map(self) -> Dict[int, int]:
+        if self._local is None:
+            self._local = {p: i for i, p in enumerate(self.members.tolist())}
+        return self._local
+
     def __contains__(self, photo_id: int) -> bool:
-        return int(photo_id) in self._local
+        return int(photo_id) in self._local_map()
 
     def local_index(self, photo_id: int) -> int:
         """Local position of ``photo_id`` inside this subset."""
         try:
-            return self._local[int(photo_id)]
+            return self._local_map()[int(photo_id)]
         except KeyError:
             raise ValidationError(
                 f"photo {photo_id} is not a member of subset {self.subset_id!r}"
@@ -818,8 +918,9 @@ class PredefinedSubset:
 
     def sim(self, p1: int, p2: int) -> float:
         """``SIM(q, p1, p2)`` by *photo id* (0 if either is not a member)."""
-        i = self._local.get(int(p1))
-        j = self._local.get(int(p2))
+        local = self._local_map()
+        i = local.get(int(p1))
+        j = local.get(int(p2))
         if i is None or j is None:
             return 0.0
         return self.similarity.pair(i, j)
@@ -852,55 +953,105 @@ class SubsetSpec:
 
 
 class PARInstance:
-    """A fully validated Photo Archive Reduction instance.
+    """A fully validated Photo Archive Reduction instance, held as columns.
 
-    Provides the inputs of Section 3.1 plus the derived *membership index*
-    (for each photo, the subsets containing it and its local index there),
-    which every solver uses to evaluate marginal gains efficiently.
+    Parameters
+    ----------
+    costs:
+        ``C(p)`` per photo: a flat array of positive, finite byte costs.
+        Photo ``p`` is row ``p``; the length is ``n``.
+    subsets:
+        The pre-defined subsets ``Q``; their members index ``costs``.
+    budget:
+        The storage budget ``B`` (positive; ``+inf`` is allowed).
+    retained:
+        The retention set ``S0`` (integral photo ids).
+    embeddings:
+        Optional ``(n, dim)`` photo embeddings.
+    labels, metadata:
+        Optional per-photo columns (one label string / one mapping per
+        photo); they ride along into :attr:`photos` and the wire document.
+    incidence:
+        A ready :class:`IncidenceCSR` for these subsets and ``n`` (copies
+        that keep the subsets, such as :meth:`with_budget`, reuse it).
+    variants:
+        Optional per-photo variant menus (a ``repro.fidelity``
+        ``VariantCatalog``).
+    validate:
+        ``False`` is the trusted path for arrays that were checked when
+        first built (a packed copy, a budget change): they are adopted
+        without checks or copies.  The budget and the retention set's
+        feasibility are checked either way.
+
+    Solvers read the flat ``costs`` and :attr:`incidence` arrays.  The
+    per-photo :attr:`photos` records and the :attr:`membership` lists are
+    views built on first use.  Callers holding :class:`Photo` records
+    construct through :meth:`from_photos`.
     """
 
     def __init__(
         self,
-        photos: Sequence[Photo],
+        costs: Union[np.ndarray, Sequence[float]],
         subsets: Sequence[PredefinedSubset],
         budget: float,
         retained: Iterable[int] = (),
         embeddings: Optional[np.ndarray] = None,
         *,
+        labels: Optional[Sequence[str]] = None,
+        metadata: Optional[Sequence[Mapping[str, object]]] = None,
         incidence: Optional[IncidenceCSR] = None,
         variants: Optional[object] = None,
+        validate: bool = True,
     ) -> None:
-        self.photos: List[Photo] = list(photos)
-        self.n = len(self.photos)
-        if self.n == 0:
+        try:
+            costs = (np.array if validate else np.asarray)(costs, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                "costs must be a flat array of numbers (lists of Photo "
+                "records go through PARInstance.from_photos)"
+            ) from exc
+        if costs.ndim != 1:
+            raise ValidationError("costs must be a flat array of numbers")
+        self.n = n = costs.size
+        if n == 0:
             raise ValidationError("instance must contain at least one photo")
-        for idx, photo in enumerate(self.photos):
-            if photo.photo_id != idx:
+        if validate:
+            bad = np.flatnonzero(~(np.isfinite(costs) & (costs > 0)))
+            if bad.size:
+                p = int(bad[0])
                 raise ValidationError(
-                    f"photo at position {idx} has photo_id {photo.photo_id}; "
-                    "photo_id must equal list position"
+                    f"photo {p}: cost must be positive and finite, "
+                    f"got {float(costs[p])!r}"
                 )
-        self.costs = np.array([p.cost for p in self.photos], dtype=np.float64)
+        self.costs = costs
         if not (budget > 0):
             raise ValidationError(f"budget must be positive, got {budget!r}")
         self.budget = float(budget)
 
         self.subsets: List[PredefinedSubset] = list(subsets)
-        seen_ids = set()
-        for q in self.subsets:
-            if q.subset_id in seen_ids:
-                raise ValidationError(f"duplicate subset id {q.subset_id!r}")
-            seen_ids.add(q.subset_id)
-            if q.members.size and (q.members.min() < 0 or q.members.max() >= self.n):
-                raise ValidationError(
-                    f"subset {q.subset_id!r} references a photo outside 0..{self.n - 1}"
-                )
+        if validate:
+            seen_ids = set()
+            for q in self.subsets:
+                if q.subset_id in seen_ids:
+                    raise ValidationError(f"duplicate subset id {q.subset_id!r}")
+                seen_ids.add(q.subset_id)
+                if q.members.min() < 0 or q.members.max() >= n:
+                    raise ValidationError(
+                        f"subset {q.subset_id!r} references a photo outside 0..{n - 1}"
+                    )
 
-        self.retained = frozenset(int(p) for p in retained)
-        for p in self.retained:
-            if p < 0 or p >= self.n:
-                raise ValidationError(f"retained photo {p} outside 0..{self.n - 1}")
-        retained_cost = float(self.costs[list(self.retained)].sum()) if self.retained else 0.0
+        if not isinstance(retained, (list, tuple, np.ndarray)):
+            retained = list(retained)
+        retained_ids = as_ids(retained, "retained photo ids")
+        if retained_ids.ndim != 1:
+            raise ValidationError("retained photo ids must be a flat list")
+        if validate and retained_ids.size:
+            outside = (retained_ids < 0) | (retained_ids >= n)
+            if outside.any():
+                p = int(retained_ids[np.argmax(outside)])
+                raise ValidationError(f"retained photo {p} outside 0..{n - 1}")
+        self.retained = frozenset(retained_ids.tolist())
+        retained_cost = self.cost_of(self.retained)
         if retained_cost > self.budget * (1 + 1e-12):
             raise InfeasibleError(
                 f"retention set costs {retained_cost:.1f} bytes, which exceeds "
@@ -909,37 +1060,106 @@ class PARInstance:
 
         if embeddings is not None:
             embeddings = np.asarray(embeddings, dtype=np.float64)
-            if embeddings.ndim != 2 or embeddings.shape[0] != self.n:
+            if embeddings.ndim != 2 or embeddings.shape[0] != n:
                 raise ValidationError(
                     "embeddings must be an (n_photos, dim) array when provided"
                 )
         self.embeddings = embeddings
+
+        for name, column in (("labels", labels), ("metadata", metadata)):
+            if column is not None and len(column) != n:
+                raise ValidationError(
+                    f"{name} column has {len(column)} entries for {n} photos"
+                )
+        self.labels = labels
+        self.metadata = metadata
 
         # Optional per-photo variant menus (a repro.fidelity VariantCatalog,
         # held duck-typed so core carries no fidelity import).  Archives
         # uploaded with a catalog solve multi-fidelity by default.
         if variants is not None:
             n_photos = getattr(variants, "n_photos", None)
-            if n_photos != self.n:
+            if n_photos != n:
                 raise ValidationError(
                     f"variant catalog covers {n_photos} photos, "
-                    f"instance has {self.n}"
+                    f"instance has {n}"
                 )
         self.variants = variants
 
-        # Membership index: photo id -> [(subset index, local index), ...].
-        self.membership: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
-        for qi, q in enumerate(self.subsets):
-            for local, photo_id in enumerate(q.members):
-                self.membership[int(photo_id)].append((qi, local))
-
         # Flat incidence CSR: the hot-path layout every gain/add/all_gains
-        # kernel runs on.  ``incidence`` is an internal fast path for
-        # callers that copy an instance without changing subsets (e.g.
-        # with_budget) — the arrays only depend on subsets and n.
+        # kernel runs on.  The arrays only depend on subsets and n.
         self.incidence: IncidenceCSR = (
-            incidence if incidence is not None else build_incidence(self.subsets, self.n)
+            incidence if incidence is not None else build_incidence(self.subsets, n)
         )
+        self._photos: Optional[List[Photo]] = None
+        self._membership: Optional[List[List[Tuple[int, int]]]] = None
+
+    @classmethod
+    def from_photos(
+        cls,
+        photos: Sequence[Photo],
+        subsets: Sequence[PredefinedSubset],
+        budget: float,
+        retained: Iterable[int] = (),
+        embeddings: Optional[np.ndarray] = None,
+        **kwargs,
+    ) -> "PARInstance":
+        """Build from :class:`Photo` records (dataset generators, tests).
+
+        The records become the ``costs``/``labels``/``metadata`` columns,
+        checked like any other; each record's ``photo_id`` must equal its
+        position.  Keyword arguments pass through to the constructor.
+        """
+        photos = list(photos)
+        ids = np.fromiter((p.photo_id for p in photos), dtype=np.int64, count=len(photos))
+        wrong = np.flatnonzero(ids != np.arange(len(photos)))
+        if wrong.size:
+            idx = int(wrong[0])
+            raise ValidationError(
+                f"photo at position {idx} has photo_id {photos[idx].photo_id}; "
+                "photo_id must equal list position"
+            )
+        instance = cls(
+            np.fromiter((p.cost for p in photos), dtype=np.float64, count=len(photos)),
+            subsets,
+            budget,
+            retained,
+            embeddings,
+            labels=[p.label for p in photos],
+            metadata=[p.metadata for p in photos],
+            **kwargs,
+        )
+        instance._photos = photos
+        return instance
+
+    # ------------------------------------------------------------------
+    # Lazy per-photo views
+    # ------------------------------------------------------------------
+
+    @property
+    def photos(self) -> List[Photo]:
+        """One :class:`Photo` record per row of the columns (built on first use)."""
+        if self._photos is None:
+            labels = self.labels if self.labels is not None else [""] * self.n
+            metadata = self.metadata
+            self._photos = [
+                Photo(p, cost, labels[p], {} if metadata is None else metadata[p])
+                for p, cost in enumerate(self.costs.tolist())
+            ]
+        return self._photos
+
+    @property
+    def membership(self) -> List[List[Tuple[int, int]]]:
+        """Per photo id, its ``(subset index, local index)`` pairs in
+        ascending subset order (built on first use; the kernels read the
+        same order from :attr:`incidence`)."""
+        if self._membership is None:
+            membership: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
+            for qi, q in enumerate(self.subsets):
+                for local, photo_id in enumerate(q.members.tolist()):
+                    membership[photo_id].append((qi, local))
+            self._membership = membership
+        return self._membership
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -972,24 +1192,29 @@ class PARInstance:
     def with_subsets(self, subsets: Sequence[PredefinedSubset]) -> "PARInstance":
         """Copy of this instance with the subset list replaced."""
         return PARInstance(
-            self.photos,
+            self.costs,
             subsets,
             self.budget,
             self.retained,
             embeddings=self.embeddings,
+            labels=self.labels,
+            metadata=self.metadata,
             variants=self.variants,
         )
 
     def with_budget(self, budget: float) -> "PARInstance":
-        """Copy of this instance with a different budget."""
+        """Copy of this instance with a different budget (arrays shared)."""
         return PARInstance(
-            self.photos,
+            self.costs,
             self.subsets,
             budget,
             self.retained,
             embeddings=self.embeddings,
+            labels=self.labels,
+            metadata=self.metadata,
             incidence=self.incidence,
             variants=self.variants,
+            validate=False,
         )
 
     def with_adjusted_weights(
@@ -1048,10 +1273,6 @@ class PARInstance:
         if len(set(ids)) != len(ids):
             raise ValidationError("restricted(): duplicate photo ids")
         remap = {old: new for new, old in enumerate(ids)}
-        photos = [
-            dataclasses.replace(self.photos[old], photo_id=new)
-            for new, old in enumerate(ids)
-        ]
         subsets: List[PredefinedSubset] = []
         for q in self.subsets:
             kept_locals = [j for j, p in enumerate(q.members) if int(p) in remap]
@@ -1085,11 +1306,13 @@ class PARInstance:
         retained = [remap[p] for p in self.retained if p in remap]
         embeddings = self.embeddings[ids] if self.embeddings is not None else None
         return PARInstance(
-            photos,
+            self.costs[ids],
             subsets,
             self.budget if budget is None else budget,
             retained,
             embeddings=embeddings,
+            labels=None if self.labels is None else [self.labels[p] for p in ids],
+            metadata=None if self.metadata is None else [self.metadata[p] for p in ids],
         )
 
     # ------------------------------------------------------------------
@@ -1141,7 +1364,7 @@ class PARInstance:
                     backend,
                 )
             )
-        return cls(photos, subsets, budget, retained, embeddings=embeddings)
+        return cls.from_photos(photos, subsets, budget, retained, embeddings=embeddings)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -301,17 +301,17 @@ def _powers_of_ten() -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
-def scan_json(raw: bytes) -> Optional[Tuple[memoryview, List[int], List[float]]]:
+def scan_json(raw: bytes) -> Optional[Tuple[memoryview, List[int], np.ndarray]]:
     """The skeleton of the JSON text ``raw`` and what its ``NaN`` tokens hide.
 
     Returns ``(skeleton, tags, values)``.  ``skeleton`` is ``raw`` with
     each flat array of float literals replaced by ``NaN``.  ``tags``
     holds one tag per such array or constant token of ``raw``, in
     document order: the array's value count (> 0), or a key of
-    :data:`CONSTANT_TOKENS`.  ``values`` holds every array's floats in
-    the same order.  ``None`` when ``raw`` has no such array, the library
-    is unavailable, or ``raw`` nests too deep to scan.  Nothing here says
-    ``raw`` is valid JSON.
+    :data:`CONSTANT_TOKENS`.  ``values`` is one float64 array holding
+    every array's floats in the same order.  ``None`` when ``raw`` has no
+    such array, the library is unavailable, or ``raw`` nests too deep to
+    scan.  Nothing here says ``raw`` is valid JSON.
     """
     loaded = library()
     if loaded is None:
@@ -342,7 +342,7 @@ def scan_json(raw: bytes) -> Optional[Tuple[memoryview, List[int], List[float]]]
     return (
         memoryview(skeleton[: scan.skeleton_size]),
         tags[: scan.n_tags].tolist(),
-        values[: scan.n_values].tolist(),
+        values[: scan.n_values],
     )
 
 

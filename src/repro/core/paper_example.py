@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.instance import (
     DenseSimilarity,
     PARInstance,
-    Photo,
     PredefinedSubset,
 )
 
@@ -43,10 +42,6 @@ def figure1_instance(budget_mb: float = 4.0) -> PARInstance:
     shown in Figure 3 (p1: 1.2 Mb, p6: 1.1 Mb, p2: 0.7 Mb).
     """
     sizes_mb = [1.2, 0.7, 2.1, 0.9, 0.8, 1.1, 1.3]
-    photos = [
-        Photo(photo_id=i, cost=mb * MB, label=f"p{i + 1}")
-        for i, mb in enumerate(sizes_mb)
-    ]
 
     q1 = PredefinedSubset(
         subset_id="Bikes",
@@ -81,4 +76,9 @@ def figure1_instance(budget_mb: float = 4.0) -> PARInstance:
         similarity=DenseSimilarity(_sim_matrix(2, {(0, 1): 0.7})),
     )
 
-    return PARInstance(photos, [q1, q2, q3, q4], budget=budget_mb * MB)
+    return PARInstance(
+        [mb * MB for mb in sizes_mb],
+        [q1, q2, q3, q4],
+        budget=budget_mb * MB,
+        labels=[f"p{i + 1}" for i in range(len(sizes_mb))],
+    )

@@ -42,13 +42,12 @@ from repro.core.instance import (
     DenseSimilarity,
     IncidenceCSR,
     PARInstance,
-    Photo,
     PredefinedSubset,
     SimilarityBackend,
     SparseSimilarity,
 )
 from repro.core.solver import Solution, available_algorithms, solve
-from repro.errors import ConfigurationError, InfeasibleError
+from repro.errors import ConfigurationError
 from repro.resilience import deadline as _deadline
 
 __all__ = [
@@ -190,7 +189,6 @@ class SharedInstance:
             )
         inc = instance.incidence
         self.spec: Dict[str, object] = {
-            "n": instance.n,
             "budget": instance.budget,
             "retained": sorted(instance.retained),
             "costs": packer.add(instance.costs),
@@ -288,70 +286,54 @@ def build_view_instance(
 ) -> PARInstance:
     """Rebuild a packed instance as zero-copy views over ``shm``.
 
-    Bypasses :class:`PARInstance` validation — the packer validated the
-    instance before packing, and re-validating would force copies.  Photo
-    labels/metadata and embeddings are not shipped (no solver reads them);
-    the budget override re-checks retention-set feasibility so a sweep
-    budget below ``C(S0)`` fails exactly like a normal construction.
+    Goes through the constructors' trusted paths: the packer took its
+    arrays from a validated instance, and re-validating would force
+    copies.  Photo labels/metadata and embeddings are not shipped (no
+    solver reads them); the budget override is still checked, as is
+    retention-set feasibility, so a sweep budget below ``C(S0)`` fails
+    exactly like a normal construction.
     """
-    n = int(spec["n"])
-    costs = _view(shm, spec["costs"])
-
     subsets: List[PredefinedSubset] = []
     for s in spec["subsets"]:
         sim_spec = s["similarity"]
         if sim_spec["kind"] == "sparse":
-            indptr = _view(shm, sim_spec["indptr"])
-            cols = _view(shm, sim_spec["cols"])
-            vals = _view(shm, sim_spec["vals"])
-            size = int(sim_spec["size"])
-            backend: SimilarityBackend = SparseSimilarity.__new__(SparseSimilarity)
-            backend._size = size
-            backend._indptr = indptr
-            backend._cols = cols
-            backend._vals = vals
+            backend: SimilarityBackend = SparseSimilarity.from_csr(
+                int(sim_spec["size"]),
+                _view(shm, sim_spec["indptr"]),
+                _view(shm, sim_spec["cols"]),
+                _view(shm, sim_spec["vals"]),
+                validate=False,
+            )
         else:
-            backend = DenseSimilarity.__new__(DenseSimilarity)
-            backend.matrix = _view(shm, sim_spec["matrix"])
-        subset = PredefinedSubset.__new__(PredefinedSubset)
-        subset.subset_id = s["subset_id"]
-        subset.weight = float(s["weight"])
-        subset.members = _view(shm, s["members"])
-        subset.relevance = _view(shm, s["relevance"])
-        subset.similarity = backend
-        subset._local = {int(p): i for i, p in enumerate(subset.members)}
-        subsets.append(subset)
-
-    inst = PARInstance.__new__(PARInstance)
-    inst.photos = [Photo(photo_id=i, cost=float(costs[i])) for i in range(n)]
-    inst.n = n
-    inst.costs = costs
-    inst.budget = float(spec["budget"] if budget is None else budget)
-    inst.subsets = subsets
-    inst.retained = frozenset(int(p) for p in spec["retained"])
-    inst.embeddings = None
-    inst.variants = None  # variant catalogs do not ride the shm pack
-    inst.membership = [[] for _ in range(n)]
-    for qi, q in enumerate(subsets):
-        for local, photo_id in enumerate(q.members):
-            inst.membership[int(photo_id)].append((qi, local))
-    inc = spec["incidence"]
-    inst.incidence = IncidenceCSR(
-        _view(shm, inc["subset_offsets"]),
-        _view(shm, inc["photo_member_indptr"]),
-        _view(shm, inc["member_entry_indptr"]),
-        _view(shm, inc["entry_indptr"]),
-        _view(shm, inc["slots"]),
-        _view(shm, inc["sims"]),
-        _view(shm, inc["wrel"]),
-    )
-    retained_cost = inst.cost_of(inst.retained)
-    if retained_cost > inst.budget * (1 + 1e-12):
-        raise InfeasibleError(
-            f"retention set costs {retained_cost:.1f} bytes, which exceeds "
-            f"the budget of {inst.budget:.1f} bytes"
+            backend = DenseSimilarity.adopt(_view(shm, sim_spec["matrix"]))
+        subsets.append(
+            PredefinedSubset(
+                s["subset_id"],
+                s["weight"],
+                _view(shm, s["members"]),
+                _view(shm, s["relevance"]),
+                backend,
+                validate=False,
+            )
         )
-    return inst
+    inc = spec["incidence"]
+    # Variant catalogs do not ride the shm pack.
+    return PARInstance(
+        _view(shm, spec["costs"]),
+        subsets,
+        spec["budget"] if budget is None else budget,
+        spec["retained"],
+        incidence=IncidenceCSR(
+            _view(shm, inc["subset_offsets"]),
+            _view(shm, inc["photo_member_indptr"]),
+            _view(shm, inc["member_entry_indptr"]),
+            _view(shm, inc["entry_indptr"]),
+            _view(shm, inc["slots"]),
+            _view(shm, inc["sims"]),
+            _view(shm, inc["wrel"]),
+        ),
+        validate=False,
+    )
 
 
 def _run_task(instance: PARInstance, task: SolveTask) -> Solution:

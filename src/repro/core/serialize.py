@@ -23,7 +23,10 @@ round-tripped instance produces identical solver output.
 :func:`loads` parses request bodies.  It returns exactly what
 ``json.loads`` returns, and raises what it raises, but converts the flat
 float arrays that dominate instance documents natively (see
-:func:`repro.core.native.scan_json`).
+:func:`repro.core.native.scan_json`).  :func:`loads_request`, its sibling
+for the inline solve routes, leaves those arrays as ``np.ndarray`` slices
+of the scan where :func:`instance_from_dict` reads numbers, so an inline
+instance reaches the solver without a detour through Python floats.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from repro.core import native
 from repro.core.instance import (
     DenseSimilarity,
     PARInstance,
-    Photo,
     PredefinedSubset,
     SparseSimilarity,
+    as_ids,
 )
 from repro.core.solver import Solution
 from repro.errors import ValidationError
@@ -87,10 +90,15 @@ def _similarity_to_dict(
     return out
 
 
+def _floats(leaf) -> np.ndarray:
+    """A float64 copy of a list leaf or an ndarray leaf (never a view)."""
+    return np.array(leaf, dtype=np.float64)
+
+
 def _similarity_from_dict(doc: Dict[str, Any]):
     kind = doc.get("kind")
     if kind == "dense":
-        return DenseSimilarity(np.asarray(doc["matrix"], dtype=np.float64))
+        return DenseSimilarity(_floats(doc["matrix"]))
     if kind == "sparse":
         dtype_name = doc.get("dtype", "float64")
         if dtype_name not in ("float64", "float32"):
@@ -98,17 +106,17 @@ def _similarity_from_dict(doc: Dict[str, Any]):
         if "indptr" in doc:
             return SparseSimilarity.from_csr(
                 int(doc["size"]),
-                np.asarray(doc["indptr"], dtype=np.int64),
-                np.asarray(doc["indices"], dtype=np.int64),
-                np.asarray(doc["values"]),
+                doc["indptr"],
+                doc["indices"],
+                _floats(doc["values"]),
                 dtype=np.dtype(dtype_name),
                 validate=True,
             )
         rows = doc["rows"]
         return SparseSimilarity(
             int(doc["size"]),
-            [np.asarray(r["indices"], dtype=np.int64) for r in rows],
-            [np.asarray(r["values"], dtype=np.float64) for r in rows],
+            [r["indices"] for r in rows],
+            [r["values"] for r in rows],
             dtype=np.dtype(dtype_name),
         )
     raise ValidationError(f"unknown similarity kind {kind!r}")
@@ -129,18 +137,23 @@ def instance_to_dict(instance: PARInstance, *, arrays: bool = False) -> Dict[str
     def leaf(arr: np.ndarray):
         return arr if arrays else arr.tolist()
 
+    n = instance.n
+    labels = instance.labels if instance.labels is not None else [""] * n
+    metadata = instance.metadata if instance.metadata is not None else [{}] * n
     doc = {
         "format": _FORMAT,
         "budget": instance.budget,
         "retained": sorted(instance.retained),
         "photos": [
             {
-                "photo_id": p.photo_id,
-                "cost": p.cost,
-                "label": p.label,
-                "metadata": _jsonable(dict(p.metadata)),
+                "photo_id": p,
+                "cost": cost,
+                "label": label,
+                "metadata": _jsonable(dict(meta)),
             }
-            for p in instance.photos
+            for p, (cost, label, meta) in enumerate(
+                zip(instance.costs.tolist(), labels, metadata)
+            )
         ],
         "subsets": [
             {
@@ -184,21 +197,27 @@ def instance_from_dict(doc: Dict[str, Any]) -> PARInstance:
 
 
 def _instance_from_dict_unchecked(doc: Dict[str, Any]) -> PARInstance:
-    photos = [
-        Photo(
-            photo_id=int(p["photo_id"]),
-            cost=float(p["cost"]),
-            label=p.get("label", ""),
-            metadata=p.get("metadata", {}),
+    # Every array the instance keeps is a copy (_floats here, as_ids and
+    # clipping in the constructors), so no instance pins the buffer a
+    # request body was scanned into.
+    photos = doc["photos"]
+    if not isinstance(photos, list):
+        raise ValidationError("'photos' must be a list of photo objects")
+    ids = as_ids([p["photo_id"] for p in photos], "photo ids")
+    if ids.shape != (len(photos),):
+        raise ValidationError("every photo_id must be one integer")
+    wrong = np.flatnonzero(ids != np.arange(ids.size))
+    if wrong.size:
+        raise ValidationError(
+            f"photo at position {int(wrong[0])} has photo_id "
+            f"{int(ids[wrong[0]])}; photo_id must equal list position"
         )
-        for p in doc["photos"]
-    ]
     subsets = [
         PredefinedSubset(
             q["subset_id"],
             float(q["weight"]),
             q["members"],
-            q["relevance"],
+            _floats(q["relevance"]),
             _similarity_from_dict(q["similarity"]),
             normalize=False,
         )
@@ -211,14 +230,17 @@ def _instance_from_dict_unchecked(doc: Dict[str, Any]) -> PARInstance:
         from repro.fidelity.catalog import VariantCatalog
 
         variants = VariantCatalog.from_dict(variants)
+    labels = [p.get("label", "") for p in photos]
+    metadata = [p.get("metadata", {}) for p in photos]
     return PARInstance(
-        photos,
+        np.array([p["cost"] for p in photos], dtype=np.float64),
         subsets,
         float(doc["budget"]),
         retained=doc.get("retained", ()),
-        embeddings=np.asarray(embeddings, dtype=np.float64)
-        if embeddings is not None
-        else None,
+        embeddings=_floats(embeddings) if embeddings is not None else None,
+        # Bare photos (builder and live archives) keep no columns at all.
+        labels=None if labels.count("") == len(labels) else labels,
+        metadata=None if metadata.count({}) == len(metadata) else metadata,
         variants=variants,
     )
 
@@ -262,19 +284,40 @@ def loads(data: Union[bytes, str]) -> Any:
     skeleton does not parse with every hook call matching the scan, so
     errors read exactly as ``json.loads``'s.
     """
+    return _loads(data, arrays=False)
+
+
+def loads_request(data: bytes) -> Any:
+    """Parse a ``/solve``, ``/score`` or ``/fidelity/frontier`` body.
+
+    The same document as :func:`loads`, and the same errors, except that
+    float arrays where :func:`instance_from_dict` reads numbers (see
+    :data:`_ARRAY_SLOTS`) stay ``np.ndarray`` slices of the scan.  Every
+    other key, inside ``instance`` or beside it, holds exactly what
+    ``json.loads`` returns.  Without the native scan this is
+    :func:`loads`.
+    """
+    return _loads(data, arrays=True)
+
+
+def _loads(data: Union[bytes, str], *, arrays: bool) -> Any:
     is_str = isinstance(data, str)
     errors = "surrogatepass" if is_str else "strict"
     scanned = native.scan_json(data.encode("utf-8", errors) if is_str else data)
     if scanned is not None:
         skeleton, tags, values = scanned
         try:
-            return _parse_skeleton(str(skeleton, "utf-8", errors), tags, values)
+            doc = _parse_skeleton(
+                str(skeleton, "utf-8", errors), tags, values if arrays else values.tolist()
+            )
         except (ValueError, RecursionError, _Mismatch):
             pass  # parse the original, for its exact error
+        else:
+            return _settle(doc, tags) if arrays else doc
     return json.loads(data if is_str else data.decode("utf-8"))
 
 
-def _parse_skeleton(skeleton: str, tags: List[int], values: List[float]) -> Any:
+def _parse_skeleton(skeleton: str, tags: List[int], values) -> Any:
     calls = iter(tags)
     offset = 0
 
@@ -292,6 +335,75 @@ def _parse_skeleton(skeleton: str, tags: List[int], values: List[float]) -> Any:
     if next(calls, None) is not None:
         raise _Mismatch("unanswered")
     return doc
+
+
+#: Where a request body's float arrays may stay ndarrays: the leaves
+#: :func:`instance_from_dict` reads as numbers and copies.  ``True`` marks
+#: such a leaf (an array, or a list of row arrays); a dict maps keys to
+#: slots; a one-element list applies its slot to every element.
+_ARRAY_SLOTS: Dict[str, Any] = {
+    "instance": {
+        "subsets": [
+            {
+                "members": True,
+                "relevance": True,
+                "similarity": {
+                    "matrix": True,
+                    "indptr": True,
+                    "indices": True,
+                    "values": True,
+                    "rows": [{"indices": True, "values": True}],
+                },
+            }
+        ],
+        "retained": True,
+        "embeddings": True,
+        "variants": {"indptr": True, "cost": True, "fidelity": True},
+    }
+}
+
+
+def _settle(doc: Any, tags: List[int]) -> Any:
+    """``doc`` with every scanned array outside :data:`_ARRAY_SLOTS` a list.
+
+    Counting the arrays in the slots is cheap; only when some of the
+    scan's arrays are missing from them does the walk convert the rest
+    (photo metadata holding float lists, a ``budgets`` sweep, ...).
+    """
+    scanned = len(tags) - sum(tags.count(kind) for kind in native.CONSTANT_TOKENS)
+    if _count_slotted(doc, _ARRAY_SLOTS) == scanned:
+        return doc
+    return _lists_outside(doc, _ARRAY_SLOTS)
+
+
+def _count_slotted(value: Any, slot: Any) -> int:
+    if slot is True:
+        if isinstance(value, np.ndarray):
+            return 1
+        if isinstance(value, list):  # rows: a dense matrix, embeddings
+            return list(map(type, value)).count(np.ndarray)
+        return 0
+    if isinstance(slot, dict) and isinstance(value, dict):
+        return sum(
+            _count_slotted(value[key], sub) for key, sub in slot.items() if key in value
+        )
+    if isinstance(slot, list) and isinstance(value, list):
+        return sum(_count_slotted(item, slot[0]) for item in value)
+    return 0
+
+
+def _lists_outside(value: Any, slot: Any) -> Any:
+    if slot is True:
+        return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        slots = slot if isinstance(slot, dict) else {}
+        return {key: _lists_outside(item, slots.get(key)) for key, item in value.items()}
+    if isinstance(value, list):
+        sub = slot[0] if isinstance(slot, list) else None
+        return [_lists_outside(item, sub) for item in value]
+    return value
 
 
 def solution_to_dict(solution: Solution) -> Dict[str, Any]:

@@ -186,7 +186,7 @@ def expand_with_compression(
             )
         )
 
-    expanded = PARInstance(
+    expanded = PARInstance.from_photos(
         photos,
         subsets,
         instance.budget,

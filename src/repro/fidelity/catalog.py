@@ -96,9 +96,11 @@ class VariantCatalog:
                 "variant catalog: cost/fidelity/tier must have one entry "
                 "per variant"
             )
-        if np.any(cost <= 0):
-            raise ValidationError("variant catalog: costs must be positive")
-        if np.any(fidelity <= 0) or np.any(fidelity > 1):
+        if not np.all(np.isfinite(cost) & (cost > 0)):
+            raise ValidationError(
+                "variant catalog: costs must be positive and finite"
+            )
+        if not np.all((fidelity > 0) & (fidelity <= 1)):
             raise ValidationError(
                 "variant catalog: fidelity must lie in (0, 1]"
             )
@@ -253,9 +255,9 @@ class VariantCatalog:
             )
         try:
             return cls(
-                np.asarray(doc["indptr"], dtype=np.int64),
-                np.asarray(doc["cost"], dtype=np.float64),
-                np.asarray(doc["fidelity"], dtype=np.float64),
+                np.array(doc["indptr"], dtype=np.int64),
+                np.array(doc["cost"], dtype=np.float64),
+                np.array(doc["fidelity"], dtype=np.float64),
                 [str(t) for t in doc["tier"]],
             )
         except ValidationError:

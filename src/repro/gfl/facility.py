@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.instance import (
     DenseSimilarity,
     PARInstance,
-    Photo,
     PredefinedSubset,
 )
 from repro.errors import ValidationError
@@ -100,7 +99,6 @@ def facility_to_par(problem: FacilityLocationProblem) -> PARInstance:
     n = problem.n
     sim = np.clip((problem.similarity + problem.similarity.T) / 2.0, 0.0, 1.0)
     np.fill_diagonal(sim, 1.0)
-    photos = [Photo(photo_id=i, cost=1.0) for i in range(n)]
     subset = PredefinedSubset(
         subset_id="facility-location",
         weight=float(n),
@@ -108,4 +106,4 @@ def facility_to_par(problem: FacilityLocationProblem) -> PARInstance:
         relevance=[1.0 / n] * n,
         similarity=DenseSimilarity(sim),
     )
-    return PARInstance(photos, [subset], budget=float(problem.k))
+    return PARInstance(np.ones(n), [subset], budget=float(problem.k))

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.core.instance import (
     PARInstance,
-    Photo,
     PredefinedSubset,
     SparseSimilarity,
 )
@@ -385,16 +384,14 @@ class LiveArchive:
             sim,
             normalize=False,
         )
-        photos = list(inst.photos) + [
-            Photo(photo_id=n + j, cost=float(c))
-            for j, c in enumerate(new_costs)
-        ]
         grown = PARInstance(
-            photos,
+            np.concatenate([inst.costs, new_costs]),
             [grown_subset],
             inst.budget,
             retained=inst.retained,
             embeddings=all_emb,
+            labels=None if inst.labels is None else [*inst.labels, *[""] * k],
+            metadata=None if inst.metadata is None else [*inst.metadata, *[{}] * k],
         )
         archive = LiveArchive(
             grown,

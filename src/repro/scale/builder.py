@@ -432,18 +432,15 @@ def build_streamed_instance(
             subset_id, weight, np.arange(n, dtype=np.int64), rel, sparse,
             normalize=False,
         )
-        if photos is None:
-            photos = [Photo(photo_id=i, cost=float(c)) for i, c in enumerate(costs)]
-        elif len(photos) != n:
+        if photos is not None and len(photos) != n:
             raise ConfigurationError(
                 f"{len(photos)} photo records for {n} embedding rows"
             )
-        instance = PARInstance(
-            photos,
-            [subset],
-            budget,
-            retained=retained,
-            embeddings=embeddings if keep_embeddings else None,
+        rest = ([subset], budget, retained, embeddings if keep_embeddings else None)
+        instance = (
+            PARInstance(costs, *rest)
+            if photos is None
+            else PARInstance.from_photos(photos, *rest)
         )
     phase_seconds["assemble"] = time.perf_counter() - t0
 

@@ -122,7 +122,12 @@ from urllib.parse import parse_qs, urlsplit
 from contextlib import ExitStack, contextmanager
 
 from repro.core.objective import score, score_breakdown
-from repro.core.serialize import instance_from_dict, json_default, loads
+from repro.core.serialize import (
+    instance_from_dict,
+    json_default,
+    loads,
+    loads_request,
+)
 from repro.core.solver import available_algorithms
 from repro.errors import (
     DeadlineExceeded,
@@ -361,11 +366,13 @@ def _require(payload: Dict[str, Any], key: str, kind) -> Any:
     return value
 
 
-def _parse_body(body: Optional[bytes]) -> Tuple[Optional[Dict[str, Any]], Optional[Tuple[int, Dict[str, Any]]]]:
+def _parse_body(
+    body: Optional[bytes], parse=loads
+) -> Tuple[Optional[Dict[str, Any]], Optional[Tuple[int, Dict[str, Any]]]]:
     if not body:
         return None, (400, {"error": "empty request body"})
     try:
-        payload = loads(body)
+        payload = parse(body)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and integers longer than
         # int()'s digit limit; RecursionError, nesting deeper than json's.
@@ -750,7 +757,9 @@ def handle_request(
         if path == "/algorithms":
             return 200, {"algorithms": available_algorithms()}
         if path in ("/solve", "/score", "/fidelity/frontier"):
-            payload, err = _parse_body(body)
+            # Inline instances keep their float arrays as ndarrays from
+            # the scan to the decode; every other key parses as json does.
+            payload, err = _parse_body(body, loads_request)
             if err is not None:
                 return err
             deadline_ms = _deadline_ms_from(headers, payload)

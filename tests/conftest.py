@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -81,25 +83,77 @@ MALFORMED_CSR = {
 }
 
 
-def csr_instance_doc(**similarity) -> dict:
+NAN, INF = float("nan"), float("inf")
+
+#: Overrides of csr_instance_doc's ids that are not integers: fractional
+#: ids used to be truncated (1.6 -> 1) and solved.
+MALFORMED_IDS = {
+    "photo-id-fractional": {"photo_ids": [0, 1.6, 2]},
+    "photo-id-nan": {"photo_ids": [0, NAN, 2]},
+    "members-fractional": {"members": [0.4, 1.9, 2.2]},
+    "members-infinite": {"members": [0, 1, INF]},
+    "retained-fractional": {"retained": [0.7]},
+    "retained-nan": {"retained": [NAN]},
+    "indices-fractional": {"indices": [0, 1, 0, 1, 2, 1, 2.5]},
+    "indptr-fractional": {"indptr": [0, 2.2, 5, 7]},
+    "indptr-infinite": {"indptr": [0, 2, 5, INF]},
+}
+
+
+def csr_instance_doc(
+    *, photo_ids=(0, 1, 2), members=(0, 1, 2), retained=(), **similarity
+) -> dict:
     """A 3-photo instance document whose similarity is VALID_CSR with
-    ``similarity`` fields overridden."""
+    ``similarity`` fields overridden (and its ids, when given)."""
     return {
         "format": 1,
         "budget": 2.0,
-        "retained": [],
-        "photos": [{"photo_id": i, "cost": 1.0} for i in range(3)],
+        "retained": list(retained),
+        "photos": [{"photo_id": i, "cost": 1.0} for i in photo_ids],
         "subsets": [
             {
                 "subset_id": "q",
                 "weight": 1.0,
-                "members": [0, 1, 2],
+                "members": list(members),
                 "relevance": [0.2, 0.3, 0.5],
                 "similarity": {**VALID_CSR, **similarity},
             }
         ],
         "embeddings": None,
     }
+
+
+#: One number of the paper example's wire document made non-finite:
+#: ``(form, path, value)``, where form "dense" is figure1_instance(4.0)
+#: and "rows" its tau=0.6 sparsification in the neighbour-rows form.
+#: Each was solved at face value before (a NaN or infinite "value").
+NON_FINITE = {
+    "relevance-nan": ("dense", ("subsets", 0, "relevance"), [NAN, 0.5, 0.5]),
+    "weight-infinite": ("dense", ("subsets", 0, "weight"), INF),
+    "cost-infinite": ("dense", ("photos", 2, "cost"), INF),
+    "rows-similarity-nan": ("rows", ("subsets", 0, "similarity", "rows", 0, "values", 1), NAN),
+    "csr-similarity-nan": ("csr", ("subsets", 0, "similarity", "values", 1), NAN),
+}
+
+
+def non_finite_doc(case: str) -> dict:
+    """The instance document of NON_FINITE[case]."""
+    from repro.core.serialize import instance_to_dict
+    from repro.sparsify.threshold import threshold_sparsify
+
+    form, path, value = NON_FINITE[case]
+    if form == "csr":
+        doc = copy.deepcopy(csr_instance_doc())  # VALID_CSR stays intact
+    else:
+        instance = figure1_instance(4.0)
+        if form == "rows":
+            instance, _ = threshold_sparsify(instance, 0.6)
+        doc = instance_to_dict(instance)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
 
 
 def random_instance(
@@ -144,7 +198,7 @@ def random_instance(
     budget = float(costs.sum() * budget_fraction)
     if retained_ids:
         budget = max(budget, float(costs[retained_ids].sum()) * 1.05)
-    return PARInstance(photos, subsets, budget, retained_ids, embeddings=emb)
+    return PARInstance.from_photos(photos, subsets, budget, retained_ids, embeddings=emb)
 
 
 @pytest.fixture

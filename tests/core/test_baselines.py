@@ -80,7 +80,7 @@ class TestGreedyNR:
         )
         q = PredefinedSubset("q", 1.0, [0, 1, 2], [0.45, 0.45, 0.10], sim)
         photos = [Photo(photo_id=i, cost=1.0) for i in range(3)]
-        inst = PARInstance(photos, [q], budget=2.0)
+        inst = PARInstance.from_photos(photos, [q], budget=2.0)
         sel = greedy_no_redundancy(inst)
         # Additive values: p0 = p1 = 0.45 > p2 = 0.10 -> picks the twins.
         assert sel == [0, 1]
@@ -98,7 +98,7 @@ class TestGreedyNR:
         sim = DenseSimilarity(np.eye(2))
         q = PredefinedSubset("q", 1.0, [0, 1], [0.6, 0.4], sim)
         photos = [Photo(photo_id=0, cost=10.0), Photo(photo_id=1, cost=1.0)]
-        inst = PARInstance(photos, [q], budget=10.0)
+        inst = PARInstance.from_photos(photos, [q], budget=10.0)
         # Value greedy takes p0 (0.6) and has no room for p1.
         assert greedy_no_redundancy(inst) == [0]
         # Density greedy takes p1 first (0.4/1) then cannot afford p0... but

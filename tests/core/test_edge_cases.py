@@ -28,7 +28,7 @@ _ALGORITHMS = [
 
 
 def _instance(photos, subsets, budget, **kwargs):
-    return PARInstance(photos, subsets, budget, **kwargs)
+    return PARInstance.from_photos(photos, subsets, budget, **kwargs)
 
 
 def _uniform_subset(subset_id, members, sim_value=0.0, weight=1.0):

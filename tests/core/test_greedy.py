@@ -139,7 +139,7 @@ class TestMainAlgorithm:
 
         inst = random_instance(seed=11, n_photos=12, n_subsets=4)
         photos = [Photo(photo_id=p.photo_id, cost=1.0) for p in inst.photos]
-        uniform = PARInstance(photos, inst.subsets, budget=5.0, embeddings=inst.embeddings)
+        uniform = PARInstance.from_photos(photos, inst.subsets, budget=5.0, embeddings=inst.embeddings)
         best = main_algorithm(uniform)
         uc = lazy_greedy(uniform, UC)
         assert best.value >= uc.value - 1e-12
@@ -156,7 +156,7 @@ class TestMainAlgorithm:
 
         inst = random_instance(seed=seed, n_photos=11, n_subsets=4)
         photos = [Photo(photo_id=p.photo_id, cost=1.0) for p in inst.photos]
-        uniform = PARInstance(photos, inst.subsets, budget=4.0,
+        uniform = PARInstance.from_photos(photos, inst.subsets, budget=4.0,
                               embeddings=inst.embeddings)
         opt = branch_and_bound(uniform).value
         got = main_algorithm(uniform).value

@@ -60,7 +60,7 @@ def par_instances(draw):
             )
         )
     budget = draw(st.floats(0.2, 1.0)) * float(sum(costs))
-    return PARInstance(photos, subsets, budget)
+    return PARInstance.from_photos(photos, subsets, budget)
 
 
 @settings(max_examples=50, deadline=None)

@@ -267,25 +267,25 @@ class TestPARInstance:
     def test_photo_id_must_match_position(self):
         photos = [Photo(photo_id=1, cost=1.0)]
         with pytest.raises(ValidationError):
-            PARInstance(photos, [_subset(members=[0, 1], similarity=DenseSimilarity(np.eye(2)))], 1.0)
+            PARInstance.from_photos(photos, [_subset(members=[0, 1], similarity=DenseSimilarity(np.eye(2)))], 1.0)
 
     def test_rejects_empty_photo_list(self):
         with pytest.raises(ValidationError):
-            PARInstance([], [], 1.0)
+            PARInstance.from_photos([], [], 1.0)
 
     def test_rejects_nonpositive_budget(self):
         photos = [Photo(photo_id=0, cost=1.0), Photo(photo_id=1, cost=1.0)]
         sim = DenseSimilarity(np.eye(2))
         q = PredefinedSubset("q", 1.0, [0, 1], [1, 1], sim)
         with pytest.raises(ValidationError):
-            PARInstance(photos, [q], 0.0)
+            PARInstance.from_photos(photos, [q], 0.0)
 
     def test_rejects_subset_with_unknown_photo(self):
         photos = [Photo(photo_id=0, cost=1.0)]
         sim = DenseSimilarity(np.eye(2))
         q = PredefinedSubset("q", 1.0, [0, 7], [1, 1], sim)
         with pytest.raises(ValidationError):
-            PARInstance(photos, [q], 1.0)
+            PARInstance.from_photos(photos, [q], 1.0)
 
     def test_rejects_duplicate_subset_ids(self):
         photos = [Photo(photo_id=0, cost=1.0), Photo(photo_id=1, cost=1.0)]
@@ -293,21 +293,21 @@ class TestPARInstance:
         q1 = PredefinedSubset("q", 1.0, [0, 1], [1, 1], sim)
         q2 = PredefinedSubset("q", 1.0, [0, 1], [1, 1], sim)
         with pytest.raises(ValidationError):
-            PARInstance(photos, [q1, q2], 5.0)
+            PARInstance.from_photos(photos, [q1, q2], 5.0)
 
     def test_retained_exceeding_budget_is_infeasible(self):
         photos = [Photo(photo_id=0, cost=3.0), Photo(photo_id=1, cost=3.0)]
         sim = DenseSimilarity(np.eye(2))
         q = PredefinedSubset("q", 1.0, [0, 1], [1, 1], sim)
         with pytest.raises(InfeasibleError):
-            PARInstance(photos, [q], budget=2.0, retained=[0])
+            PARInstance.from_photos(photos, [q], budget=2.0, retained=[0])
 
     def test_retained_out_of_range(self):
         photos = [Photo(photo_id=0, cost=1.0), Photo(photo_id=1, cost=1.0)]
         sim = DenseSimilarity(np.eye(2))
         q = PredefinedSubset("q", 1.0, [0, 1], [1, 1], sim)
         with pytest.raises(ValidationError):
-            PARInstance(photos, [q], 5.0, retained=[9])
+            PARInstance.from_photos(photos, [q], 5.0, retained=[9])
 
     def test_cost_and_feasibility(self, figure1):
         assert figure1.cost_of([0, 1]) == pytest.approx(1.9e6)
@@ -334,11 +334,41 @@ class TestPARInstance:
         sim = DenseSimilarity(np.eye(2))
         q = PredefinedSubset("q", 1.0, [0, 1], [1, 1], sim)
         with pytest.raises(ValidationError):
-            PARInstance(photos, [q], 5.0, embeddings=np.zeros((3, 4)))
+            PARInstance.from_photos(photos, [q], 5.0, embeddings=np.zeros((3, 4)))
 
     def test_is_sparse_and_nnz(self, figure1):
         assert not figure1.is_sparse()
         assert figure1.similarity_nnz() > 0
+
+    def test_columns_build_the_photo_and_membership_views(self, figure1):
+        q = PredefinedSubset("q", 1.0, [0, 2], [1, 1], DenseSimilarity(np.eye(2)))
+        inst = PARInstance(np.array([2.0, 3.0, 4.0]), [q], 5.0, labels=["a", "b", "c"])
+        assert inst.photos == [
+            Photo(0, 2.0, "a"), Photo(1, 3.0, "b"), Photo(2, 4.0, "c")
+        ]
+        assert inst.membership == [[(0, 0)], [], [(0, 1)]]
+        rebuilt = PARInstance(figure1.costs, figure1.subsets, figure1.budget)
+        assert rebuilt.membership == figure1.membership
+        assert [p.cost for p in rebuilt.photos] == [p.cost for p in figure1.photos]
+
+    @pytest.mark.parametrize("cost", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_bad_cost_column(self, cost):
+        q = PredefinedSubset("q", 1.0, [0, 1], [1, 1], DenseSimilarity(np.eye(2)))
+        with pytest.raises(ValidationError):
+            PARInstance(np.array([1.0, cost]), [q], 5.0)
+
+    def test_rejects_photo_records_in_the_cost_column(self):
+        photos = [Photo(photo_id=0, cost=1.0)]
+        q = PredefinedSubset("q", 1.0, [0], [1], DenseSimilarity(np.eye(1)))
+        with pytest.raises(ValidationError, match="from_photos"):
+            PARInstance(photos, [q], 5.0)
+
+    def test_trusted_path_adopts_arrays_and_still_checks_feasibility(self, figure1):
+        other = figure1.with_budget(2.0e6)
+        assert other.costs is figure1.costs
+        assert other.incidence is figure1.incidence
+        with pytest.raises(InfeasibleError):
+            random_instance(seed=7, retained=2).with_budget(1e-9)
 
     def test_build_derives_cosine_similarity(self):
         photos = [Photo(photo_id=i, cost=1.0) for i in range(3)]

@@ -224,7 +224,7 @@ def _broken(inst: PARInstance, **arrays) -> PARInstance:
         )
     }
     parts.update(arrays)
-    return PARInstance(
+    return PARInstance.from_photos(
         inst.photos, inst.subsets, inst.budget, inst.retained,
         incidence=IncidenceCSR(**parts),
     )

@@ -57,7 +57,7 @@ def _with_subsets(inst, similarity_of) -> PARInstance:
         )
         for qi, q in enumerate(inst.subsets)
     ]
-    return PARInstance(inst.photos, subsets, inst.budget, inst.retained)
+    return PARInstance.from_photos(inst.photos, subsets, inst.budget, inst.retained)
 
 
 def _variants(seed: int, **kwargs):

@@ -14,7 +14,7 @@ from tests.conftest import random_instance
 def _instance_with_orphan():
     photos = [Photo(photo_id=i, cost=1.0) for i in range(3)]
     q = PredefinedSubset("q", 1.0, [0, 1], [1, 1], DenseSimilarity(np.eye(2)))
-    return PARInstance(photos, [q], budget=2.0)
+    return PARInstance.from_photos(photos, [q], budget=2.0)
 
 
 class TestAnalyzeInstance:

@@ -1,0 +1,130 @@
+"""Every solve path gives the same answer for the same instance.
+
+One instance, five ways in: an inline ``POST /solve`` parsed by the
+native scanner (ndarray leaves), the same request with the native
+library unavailable (list leaves), ``PUT`` then a ``by_ref`` solve (the
+warm cache's shared-memory view instance), ``POST /jobs`` and a wait,
+and an in-process ``solve`` of the instance as built (the
+``PARInstance.from_photos`` path ``phocus solve`` takes for datasets).
+Selections and values must be identical, not merely close.  A live
+archive's cold re-solve must likewise equal an inline solve of the
+document ``GET`` returns for it.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.core import native
+from repro.core.paper_example import figure1_instance
+from repro.core.serialize import instance_to_dict, json_default
+from repro.core.solver import solve
+from repro.datasets.ecommerce import generate_ecommerce_dataset
+from repro.datasets.public import generate_public_dataset
+from repro.jobs import JobManager
+from repro.live import LiveManager
+from repro.scale import synthetic_archive
+from repro.sparsify.threshold import threshold_sparsify
+from repro.system.service import handle_request
+from repro.tenants import Tenants
+
+from tests.conftest import random_instance
+
+
+def _fraction(dataset, share: float = 0.35):
+    return dataset.instance(dataset.total_cost() * share)
+
+
+#: Instance makers; the datasets build through PARInstance.from_photos.
+INSTANCES = {
+    "paper": lambda: figure1_instance(4.0),
+    "paper-rows": lambda: threshold_sparsify(figure1_instance(4.0), 0.6)[0],
+    "ecommerce": lambda: _fraction(
+        generate_ecommerce_dataset("Fashion", 40, n_queries=6, seed=11)
+    ),
+    "public": lambda: _fraction(generate_public_dataset(80, 12, seed=4)),
+    "random-retained": lambda: random_instance(seed=7, retained=2),
+}
+
+
+@pytest.fixture(scope="module")
+def service(tmp_path_factory):
+    tenants = Tenants(str(tmp_path_factory.mktemp("tenants")), sweep=False)
+    jobs = JobManager(workers=1)
+    try:
+        yield {"tenants": tenants, "jobs": jobs, "live": LiveManager(tenants)}
+    finally:
+        jobs.shutdown()
+        tenants.close()
+
+
+def _answer(doc):
+    return list(doc["selection"]), doc["value"]
+
+
+def _post(path, doc, **collaborators):
+    body = json.dumps(doc, default=json_default).encode("utf-8")
+    status, payload = handle_request("POST", path, body, **collaborators)
+    assert status in (200, 201, 202), payload
+    return payload
+
+
+def _inline(instance_doc):
+    return _answer(_post("/solve", {"instance": instance_doc}))
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_every_path_gives_the_same_answer(service, monkeypatch, name):
+    instance = INSTANCES[name]()
+    doc = instance_to_dict(instance)
+    answers = {}
+
+    in_process = solve(instance, "phocus")
+    answers["in-process"] = (list(in_process.selection), in_process.value)
+    answers["inline-scanner"] = _inline(doc)
+
+    status, _ = handle_request(
+        "PUT",
+        f"/tenants/acme/instances/{name}",
+        json.dumps({"instance": doc}).encode("utf-8"),
+        tenants=service["tenants"],
+    )
+    assert status in (200, 201)
+    by_ref = {"by_ref": {"tenant": "acme", "instance_id": name}}
+    answers["by-ref-cold"] = _answer(_post("/solve", by_ref, tenants=service["tenants"]))
+    answers["by-ref-warm"] = _answer(_post("/solve", by_ref, tenants=service["tenants"]))
+
+    submitted = _post("/jobs", {"instance": doc}, jobs=service["jobs"])
+    finished = service["jobs"].wait(submitted["job_id"], timeout=60)
+    assert finished["state"] == "SUCCEEDED", finished
+    answers["job"] = _answer(service["jobs"].result(submitted["job_id"]))
+
+    monkeypatch.setattr(native, "library", lambda: None)
+    answers["inline-lists"] = _inline(doc)
+
+    want = answers["in-process"]
+    assert {path: got for path, got in answers.items() if got != want} == {}
+
+
+def test_live_cold_resolve_equals_inline_solve_of_its_document(service):
+    costs, embeddings = synthetic_archive(400, dim=8, seed=3)
+    created = _post(
+        "/tenants/acme/instances/live-archive/live",
+        {
+            "costs": costs.tolist(),
+            "embeddings": embeddings.tolist(),
+            "budget": float(costs.sum()) * 0.1,
+            "tau": 0.7,
+        },
+        tenants=service["tenants"],
+        live=service["live"],
+    )
+    status, envelope = handle_request(
+        "GET", "/tenants/acme/instances/live-archive", None,
+        tenants=service["tenants"],
+    )
+    assert status == 200
+    cold = created["solution"]  # cold_resolve's answer, in pick order
+    assert _inline(envelope["instance"]) == (sorted(cold["selection"]), cold["value"])

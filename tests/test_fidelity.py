@@ -320,7 +320,7 @@ def test_sparse_expansion_matches_dense_expansion():
         dense[i, cols[indptr[i] : indptr[i + 1]]] = vals[
             indptr[i] : indptr[i + 1]
         ]
-    dense_instance = PARInstance(
+    dense_instance = PARInstance.from_photos(
         list(instance.photos),
         [
             PredefinedSubset(
@@ -386,7 +386,7 @@ def test_non_variant_blob_stays_back_compatible():
 def test_instance_rejects_mismatched_variants():
     instance = _archive(40, frac=0.2, seed=8)
     with pytest.raises(ValidationError, match="variant"):
-        PARInstance(
+        PARInstance.from_photos(
             list(instance.photos),
             list(instance.subsets),
             instance.budget,

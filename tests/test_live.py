@@ -116,7 +116,7 @@ def _instance_with_grown_sim(seed: int = 3):
         similarity=sim,
         normalize=False,
     )
-    return PARInstance(photos, [subset], float(costs.sum()) * 0.4, [])
+    return PARInstance.from_photos(photos, [subset], float(costs.sum()) * 0.4, [])
 
 
 def test_append_rows_survives_serialize_round_trip():

@@ -62,7 +62,7 @@ class TestSwapLocalSearch:
             Photo(photo_id=1, cost=1.0),
             Photo(photo_id=2, cost=1.0),
         ]
-        inst = PARInstance(photos, [q], budget=2.0)
+        inst = PARInstance.from_photos(photos, [q], budget=2.0)
         # Start from the trap: {p0} (value 0.4).  Optimum {p1, p2} = 0.6.
         result = swap_local_search(inst, [0], max_passes=10)
         # A single 1-for-1 swap reaches {p1} or {p2} then a second pass

@@ -68,7 +68,7 @@ class TestRenderReportHtml:
         q = PredefinedSubset(
             "<b>evil</b>", 1.0, [0], [1.0], DenseSimilarity(np.ones((1, 1)))
         )
-        inst = PARInstance(photos, [q], budget=2.0)
+        inst = PARInstance.from_photos(photos, [q], budget=2.0)
         report = PHOcus(PhocusConfig(certificate=False)).run(inst)
         page = render_report_html(report, inst)
         assert "<script>" not in page

@@ -72,7 +72,7 @@ def _unfused_instance(costs, emb, budget, *, dtype=np.float64):
         normalize=False,
     )
     photos = [Photo(photo_id=i, cost=float(c)) for i, c in enumerate(costs)]
-    return PARInstance(photos, [subset], budget), result
+    return PARInstance.from_photos(photos, [subset], budget), result
 
 
 # ------------------------------------------------------------- bit identity

@@ -23,8 +23,11 @@ from repro.sparsify.threshold import threshold_sparsify
 
 from tests.conftest import (
     MALFORMED_CSR,
+    MALFORMED_IDS,
+    NON_FINITE,
     VALID_CSR,
     csr_instance_doc,
+    non_finite_doc,
     random_instance,
 )
 
@@ -213,6 +216,22 @@ class TestCsrValidation:
     def test_csr_form_document_rejects(self, case):
         with pytest.raises(ValidationError):
             instance_from_dict(csr_instance_doc(**MALFORMED_CSR[case]))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_IDS))
+    def test_non_integral_ids_reject(self, case):
+        with pytest.raises(ValidationError):
+            instance_from_dict(csr_instance_doc(**MALFORMED_IDS[case]))
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_numbers_reject(self, case):
+        with pytest.raises(ValidationError):
+            instance_from_dict(non_finite_doc(case))
+
+    def test_integral_float_ids_accepted(self):
+        inst = instance_from_dict(
+            csr_instance_doc(photo_ids=[0.0, 1.0, 2.0], members=[0.0, 1.0, 2.0])
+        )
+        assert inst.subsets[0].members.tolist() == [0, 1, 2]
 
     def test_csr_form_document_accepted(self):
         inst = instance_from_dict(csr_instance_doc())

@@ -19,7 +19,13 @@ from repro.live import LiveManager
 from repro.system.service import _ALLOWED_METHODS, handle_request
 from repro.tenants import Tenants
 
-from tests.conftest import MALFORMED_CSR, csr_instance_doc
+from tests.conftest import (
+    MALFORMED_CSR,
+    MALFORMED_IDS,
+    NON_FINITE,
+    csr_instance_doc,
+    non_finite_doc,
+)
 
 json_values = st.recursive(
     st.none()
@@ -97,6 +103,38 @@ def test_malformed_csr_put_is_422_and_stores_nothing(tmp_path, case):
     tenants = Tenants(str(tmp_path), sweep=False)
     try:
         body = json.dumps({"instance": csr_instance_doc(**MALFORMED_CSR[case])})
+        status, payload = handle_request(
+            "PUT", "/tenants/acme/instances/p", body.encode("utf-8"),
+            tenants=tenants,
+        )
+        assert status == 422, payload
+        assert tenants.list_instances("acme") == []
+    finally:
+        tenants.close()
+
+
+# ------------------------------------- non-integral ids, non-finite numbers
+
+#: Each malformed document of the two tables, by a unique case id.
+_MALFORMED_DOCS = {
+    **{f"ids-{case}": (lambda c=case: csr_instance_doc(**MALFORMED_IDS[c])) for case in MALFORMED_IDS},
+    **{f"non-finite-{case}": (lambda c=case: non_finite_doc(c)) for case in NON_FINITE},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DOCS))
+def test_non_integral_or_non_finite_solve_is_422(case):
+    body = json.dumps({"instance": _MALFORMED_DOCS[case]()})
+    status, payload = handle_request("POST", "/solve", body.encode("utf-8"))
+    assert status == 422, payload
+    assert "error" in payload
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DOCS))
+def test_non_integral_or_non_finite_put_is_422_and_stores_nothing(tmp_path, case):
+    tenants = Tenants(str(tmp_path), sweep=False)
+    try:
+        body = json.dumps({"instance": _MALFORMED_DOCS[case]()})
         status, payload = handle_request(
             "PUT", "/tenants/acme/instances/p", body.encode("utf-8"),
             tenants=tenants,
