@@ -12,11 +12,13 @@ modes:
 
 * **cold** — re-solve from scratch every quarter;
 * **warm** — adapt last quarter's selection with
-  :func:`repro.extensions.incremental.maintain`.
+  :func:`repro.live.warm_resolve`, which evicts by reverse greedy when
+  the budget shrinks, then continues the greedy into any headroom.
 
 Watch the quality track the cold solve while the churn (photos moved in
 or out of the cache each quarter) stays small — the operational win of
-incremental maintenance.
+incremental maintenance.  Each warm answer also carries a certified
+``regret_bound``: its value is at least ``1 − regret`` of the optimum.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from repro.core.instance import PARInstance
 from repro.core.solver import solve
 from repro.datasets.ecommerce import generate_ecommerce_dataset
-from repro.extensions.incremental import maintain
+from repro.live import warm_resolve
 
 
 def drifted_instance(dataset, budget: float, quarter: int, rng) -> PARInstance:
@@ -64,7 +66,7 @@ def main() -> None:
 
     header = (
         f"{'quarter':>8} {'warm value':>11} {'cold value':>11} {'kept':>7} "
-        f"{'churn':>6} {'warm s':>8} {'cold s':>8}"
+        f"{'churn':>6} {'regret':>7} {'warm s':>8} {'cold s':>8}"
     )
     print(header)
     print("-" * len(header))
@@ -83,17 +85,18 @@ def main() -> None:
         if previous is None:
             previous = cold.selection
             print(f"{'Q1':>8} {'—':>11} {cold.value:>11.4f} {'—':>7} {'—':>6} "
-                  f"{'—':>8} {cold_s:>8.2f}   (initial cold solve)")
+                  f"{'—':>7} {'—':>8} {cold_s:>8.2f}   (initial cold solve)")
             continue
 
         start = time.perf_counter()
-        warm = maintain(inst, previous)
+        warm = warm_resolve(inst, previous)
         warm_s = time.perf_counter() - start
         churn = len(warm.evicted) + len(warm.added)
         kept = warm.value / cold.value if cold.value > 0 else 1.0
         print(
             f"{'Q' + str(quarter):>8} {warm.value:>11.4f} {cold.value:>11.4f} "
-            f"{kept:>6.1%} {churn:>6} {warm_s:>8.2f} {cold_s:>8.2f}"
+            f"{kept:>6.1%} {churn:>6} {warm.regret_bound:>7.1%} "
+            f"{warm_s:>8.2f} {cold_s:>8.2f}"
         )
         previous = warm.selection
 

@@ -4,21 +4,19 @@ Run with::
 
     python examples/compression_tradeoff.py
 
-Explores the paper's Section 6 future-work idea with the
-:mod:`repro.extensions.compression` extension: at each budget, compare
-remove-only archiving against archiving that may keep a compressed
-rendition (85% fidelity at 45% of the bytes) instead of the full photo,
-and watch the solver's keep/compress/archive mix shift with the budget.
+Explores the paper's Section 6 future-work idea with :mod:`repro.fidelity`:
+at each budget, compare remove-only archiving against archiving that may
+keep a compressed rendition (85% fidelity at 45% of the bytes) instead of
+the full photo — at most one rendition per photo — and watch the solver's
+keep/compress/archive mix shift with the budget.
 """
 
 from __future__ import annotations
 
+from repro.core.greedy import main_algorithm
 from repro.core.solver import solve
 from repro.datasets.public import generate_public_dataset
-from repro.extensions.compression import (
-    expand_with_compression,
-    selection_summary,
-)
+from repro.fidelity import VariantCatalog
 
 LEVELS = ((0.85, 0.45),)
 
@@ -40,14 +38,14 @@ def main() -> None:
     for fraction in (0.05, 0.1, 0.2, 0.4, 0.7):
         inst = dataset.instance(corpus * fraction)
         remove_only = solve(inst, "phocus")
-        expanded, variants = expand_with_compression(inst, LEVELS)
-        compressed = solve(expanded, "phocus")
-        summary = selection_summary(compressed.selection, variants)
+        catalog = VariantCatalog.from_levels(inst.costs, LEVELS)
+        compressed = main_algorithm(inst, catalog=catalog)
+        kept = catalog.describe_selection(compressed.chosen)
         gain = compressed.value / remove_only.value - 1.0
         print(
             f"{fraction:>7.0%} {remove_only.value:>12.3f} {compressed.value:>12.3f} "
-            f"{gain:>6.1%}   {summary['kept_original']:>9} "
-            f"{summary['kept_compressed']:>10}"
+            f"{gain:>6.1%}   {kept['kept_original']:>9} "
+            f"{kept['recompressed']:>10}"
         )
     print(
         "\nShape: at tight budgets nearly everything kept is compressed (more"

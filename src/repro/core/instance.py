@@ -86,6 +86,15 @@ def as_ids(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def check_finite(values: np.ndarray, what: str) -> None:
+    """Raise :class:`ValidationError` when a row of ``values`` holds a NaN
+    or an infinity, before it reaches arithmetic that would spread it."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argwhere(~finite)[0][0])
+        raise ValidationError(f"{what}: row {row} is not finite")
+
+
 def _in_unit_interval(values: np.ndarray) -> bool:
     """Every value lies in ``[0, 1]`` within tolerance (NaN never does)."""
     return bool(np.all((values >= -_SIM_ATOL) & (values <= 1.0 + _SIM_ATOL)))
@@ -1064,6 +1073,8 @@ class PARInstance:
                 raise ValidationError(
                     "embeddings must be an (n_photos, dim) array when provided"
                 )
+            if validate:
+                check_finite(embeddings, "embeddings")
         self.embeddings = embeddings
 
         for name, column in (("labels", labels), ("metadata", metadata)):

@@ -188,10 +188,11 @@ class VariantCatalog:
 
         ``levels`` is a sequence of ``(fidelity, size_factor)`` pairs,
         both in ``(0, 1)`` — e.g. ``[(0.85, 0.45), (0.6, 0.22)]`` — the
-        same encoding :func:`repro.extensions.compression.expand_with_compression`
-        uses, so a flat expansion and a catalog built from the same
-        levels describe the identical decision space.  Pairs may arrive
-        in any order; they are sorted best-first per photo.
+        same encoding the tests' flat-expansion oracle
+        (``tests/oracles/compression.py``) uses, so a flat expansion and
+        a catalog built from the same levels describe the identical
+        decision space.  Pairs may arrive in any order; they are sorted
+        best-first per photo.
         """
         costs = np.asarray(costs, dtype=np.float64)
         n = costs.size

@@ -1,7 +1,7 @@
 """Online incremental curation: the archive that never stops changing.
 
-``repro.live`` promotes the incremental/streaming extensions from
-ablation toys to the serving path.  Three layers:
+``repro.live`` keeps a stored archive curated as photos arrive and
+budgets change.  Three layers:
 
 * :mod:`repro.live.archive` — :class:`LiveArchive`: a stored sparse
   instance plus just enough SimHash state to bucket *new* photos against
@@ -10,7 +10,9 @@ ablation toys to the serving path.  Three layers:
   bit-identical to a from-scratch fused build.
 * :mod:`repro.live.resolve` — :func:`warm_resolve`: the checkpoint
   restart vector generalised to a changed instance, with a certified
-  ``regret_bound`` from the online bound.
+  ``regret_bound`` from the online bound; when the budget shrank, the
+  reverse greedy of :func:`~repro.live.resolve.shrink_to_budget` first
+  evicts back inside it.
 * :mod:`repro.live.manager` / :mod:`repro.live.scheduler` —
   :class:`LiveManager` keeps resident archives over the tenant store
   (one atomic versioned write per delta);

@@ -40,6 +40,7 @@ from repro.core.instance import (
     PARInstance,
     PredefinedSubset,
     SparseSimilarity,
+    check_finite,
 )
 from repro.core.serialize import instance_from_dict, instance_to_dict
 from repro.errors import ConfigurationError, ValidationError
@@ -322,11 +323,14 @@ class LiveArchive:
         k = new_emb.shape[0]
         if k < 1:
             raise ValidationError("a delta must contain at least one photo")
+        check_finite(new_emb, "embeddings")
         new_costs = np.asarray(costs, dtype=np.float64).ravel()
         if new_costs.size != k:
             raise ValidationError(
                 f"costs length {new_costs.size} != embedding rows {k}"
             )
+        if not np.all(np.isfinite(new_costs) & (new_costs > 0)):
+            raise ValidationError("costs must be positive and finite")
         total = n + k
 
         new_keys = self._keys_for(new_emb)
@@ -392,6 +396,9 @@ class LiveArchive:
             embeddings=all_emb,
             labels=None if inst.labels is None else [*inst.labels, *[""] * k],
             metadata=None if inst.metadata is None else [*inst.metadata, *[{}] * k],
+            # Only the k new rows and costs are new, and they were checked
+            # above: re-validating all n + k would make uploads O(n).
+            validate=False,
         )
         archive = LiveArchive(
             grown,

@@ -7,8 +7,8 @@ generalises that restart vector to a *changed* instance:
 
 1. **validate** the surviving picks — drop ids outside the grown/shrunk
    photo range, deduplicate, and (when the budget shrank underneath the
-   solution) fall back to :func:`repro.extensions.incremental`'s reverse
-   greedy to evict back inside the budget;
+   solution) evict back inside the budget with the reverse greedy of
+   :func:`shrink_to_budget`;
 2. **replay** the surviving picks in their original order (bit-identical
    float accumulation, exactly like a checkpoint resume);
 3. **re-enter the CELF heap** only where the delta invalidated gains: the
@@ -29,21 +29,25 @@ that an **empty delta reproduces the previous solution bit for bit**
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.bounds import online_bound
 from repro.core.greedy import CB, lazy_greedy, main_algorithm
 from repro.core.instance import PARInstance
 from repro.core.objective import CoverageState
-from repro.extensions.incremental import shrink_to_budget
 
 __all__ = [
     "LiveSolveResult",
     "warm_resolve",
     "cold_resolve",
     "replay_solution",
+    "shrink_to_budget",
     "solve_result_from_dict",
 ]
 
@@ -120,12 +124,10 @@ def warm_resolve(
         1 + 1e-12
     ):
         # The budget shrank under the solution: reverse-greedy eviction
-        # (the incremental extension's shrink pass) restores feasibility,
-        # keeping the original pick order among the survivors.
+        # restores feasibility, keeping the original pick order among the
+        # survivors (retained ids are already among them).
         kept = set(shrink_to_budget(instance, survivors))
-        survivors = [p for p in survivors if p in kept] + sorted(
-            kept - set(survivors)
-        )
+        survivors = [p for p in survivors if p in kept]
     state = CoverageState(instance, survivors)
     run = lazy_greedy(instance, CB, state=state)
     # The replay vector for the next warm re-solve must be the *add*
@@ -147,6 +149,99 @@ def warm_resolve(
         evicted=sorted(previous - final),
         added=sorted(final - previous),
     )
+
+
+def _removal_loss(
+    instance: PARInstance, selection: Iterable[int], photo_id: int
+) -> float:
+    """Objective lost by evicting one photo from a selection.
+
+    Coverage only changes for members whose *nearest selected neighbour*
+    was the evicted photo, and those members all sit in its stored
+    similarity rows — so the loss is computed neighbourhood-locally:
+    for each subset containing the photo, scan the CSR rows of its
+    neighbours for the runner-up selected provider.  No dense per-member
+    vector is ever materialised; cost is
+    ``O(|selection ∩ q| + Σ_{j ∈ N_q(p)} deg_q(j))`` per subset ``q``,
+    independent of the subset size.
+    """
+    sel = set(int(p) for p in selection)
+    p = int(photo_id)
+    if p not in sel:
+        return 0.0
+    loss = 0.0
+    for qi, local_p in instance.membership[p]:
+        subset = instance.subsets[qi]
+        similarity = subset.similarity
+        other_locals = np.fromiter(
+            (
+                subset.local_index(s)
+                for s in sel
+                if s != p and s in subset
+            ),
+            dtype=np.int64,
+        )
+        other_locals.sort()
+        idx_p, sims_p = similarity.neighbors(local_p)
+        relevance = subset.relevance
+        subset_loss = 0.0
+        for j, s_pj in zip(idx_p, sims_p):
+            # Runner-up provider: best selected neighbour of j besides p.
+            cols_j, vals_j = similarity.neighbors(j)
+            if other_locals.size:
+                pos = np.searchsorted(other_locals, cols_j)
+                pos[pos == other_locals.size] = other_locals.size - 1
+                hit = other_locals[pos] == cols_j
+                runner_up = float(vals_j[hit].max()) if np.any(hit) else 0.0
+            else:
+                runner_up = 0.0
+            if s_pj > runner_up:
+                subset_loss += float(relevance[j]) * (float(s_pj) - runner_up)
+        loss += subset.weight * subset_loss
+    return loss
+
+
+def shrink_to_budget(
+    instance: PARInstance, selection: Iterable[int]
+) -> List[int]:
+    """Reverse greedy eviction until the selection fits the budget.
+
+    Evicts, at each step, the non-retained photo minimising
+    ``removal_loss / cost`` (cheapest objective per byte freed).  Uses
+    lazy re-evaluation, the mirror image of CELF: by submodularity a
+    photo's removal loss only *grows* as the selection shrinks, so a
+    cached loss is a valid lower bound and a refreshed entry that stays
+    at the top of the min-heap can be evicted without refreshing the
+    rest.  ``S0`` is never evicted; it always fits, because an instance
+    whose retention set exceeds its budget cannot be constructed.
+    """
+    budget = instance.budget
+    sel = set(int(p) for p in selection) | set(instance.retained)
+    spent = instance.cost_of(sel)
+    if spent <= budget * (1 + 1e-12):
+        return sorted(sel)
+
+    counter = itertools.count()
+    evictions = 0
+    heap: List[Tuple[float, int, int, int]] = []
+    for p in sel:
+        if p in instance.retained:
+            continue
+        key = _removal_loss(instance, sel, p) / instance.costs[p]
+        heapq.heappush(heap, (key, next(counter), p, evictions))
+
+    while spent > budget * (1 + 1e-12) and heap:
+        key, _, p, stamp = heapq.heappop(heap)
+        if p not in sel:
+            continue
+        if stamp == evictions:
+            sel.discard(p)
+            spent -= float(instance.costs[p])
+            evictions += 1
+        else:
+            key = _removal_loss(instance, sel, p) / instance.costs[p]
+            heapq.heappush(heap, (key, next(counter), p, evictions))
+    return sorted(sel)
 
 
 def cold_resolve(instance: PARInstance) -> LiveSolveResult:

@@ -48,6 +48,7 @@ from repro.core.instance import (
     Photo,
     PredefinedSubset,
     SparseSimilarity,
+    check_finite,
     normalize_relevance,
 )
 from repro.errors import ConfigurationError
@@ -324,6 +325,7 @@ def build_streamed_instance(
         )
     if n < 1:
         raise ConfigurationError("instance must contain at least one photo")
+    check_finite(embeddings, "embeddings")
     if chunk_pairs < 1 or signature_chunk < 1:
         raise ConfigurationError("chunk sizes must be positive")
     if not (0.0 < tau <= 1.0):

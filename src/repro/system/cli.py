@@ -65,11 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the partial checkpoint is reported)",
     )
     solve_p.add_argument(
-        "--compress",
-        action="store_true",
-        help="allow compressed photo renditions (Section 6 extension)",
-    )
-    solve_p.add_argument(
         "--html-report",
         metavar="PATH",
         help="additionally write a static HTML archive report",
@@ -567,13 +562,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"{dataset.n_subsets} subsets, {dataset.total_cost_mb():.1f} MB total"
     )
     instance = dataset.instance(budget)
-    if args.compress:
-        from repro.extensions.compression import (
-            expand_with_compression,
-            selection_summary,
-        )
-
-        instance, variants = expand_with_compression(instance)
     config = PhocusConfig(
         algorithm=args.algorithm,
         tau=args.tau,
@@ -604,13 +592,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
         written = write_report_html(report, args.html_report, instance)
         print(f"HTML report written to {written}")
-    if args.compress:
-        summary = selection_summary(report.solution.selection, variants)
-        print(
-            f"compression          : kept {summary['kept_original']} originals + "
-            f"{summary['kept_compressed']} compressed renditions "
-            f"({summary['distinct_photos']} distinct photos)"
-        )
     return 0
 
 

@@ -124,8 +124,9 @@ def csr_instance_doc(
 
 
 #: One number of the paper example's wire document made non-finite:
-#: ``(form, path, value)``, where form "dense" is figure1_instance(4.0)
-#: and "rows" its tau=0.6 sparsification in the neighbour-rows form.
+#: ``(form, path, value)``, where form "dense" is figure1_instance(4.0),
+#: "rows" its tau=0.6 sparsification in the neighbour-rows form and
+#: "csr" the document of csr_instance_doc().
 #: Each was solved at face value before (a NaN or infinite "value").
 NON_FINITE = {
     "relevance-nan": ("dense", ("subsets", 0, "relevance"), [NAN, 0.5, 0.5]),
@@ -133,6 +134,7 @@ NON_FINITE = {
     "cost-infinite": ("dense", ("photos", 2, "cost"), INF),
     "rows-similarity-nan": ("rows", ("subsets", 0, "similarity", "rows", 0, "values", 1), NAN),
     "csr-similarity-nan": ("csr", ("subsets", 0, "similarity", "values", 1), NAN),
+    "embeddings-infinite": ("csr", ("embeddings",), [[1.0, 0.0], [INF, 0.0], [0.0, 1.0]]),
 }
 
 

@@ -1,14 +1,12 @@
-"""Compression-aware archiving (the paper's Section 6 future work).
+"""The flat compression expansion: ``repro.fidelity``'s dominance oracle.
 
-Section 6: "In future work, we plan to consider which photos to compress
-(i.e., to sacrifice quality to gain space) rather than to remove.  While
-we believe that our model can already capture this problem, it would be
-interesting to see how it performs practically."
-
-This module realises that claim: each photo is expanded into *variants* —
-the original plus one or more compressed renditions with smaller byte
-costs and degraded fidelity — and the variant universe is encoded as a
-plain PAR instance, which the unmodified solvers then optimise.
+The paper's Section 6 future work asks "which photos to compress (i.e.,
+to sacrifice quality to gain space) rather than to remove", noting that
+"our model can already capture this problem".  This module encodes that
+claim directly: each photo is expanded into *variants* — the original
+plus one or more compressed renditions with smaller byte costs and
+degraded fidelity — and the variant universe is a plain PAR instance,
+which the unmodified solvers then optimise.
 
 Encoding.  A variant ``v`` of photo ``p`` at fidelity ``φ ∈ (0, 1]``:
 
@@ -18,21 +16,16 @@ Encoding.  A variant ``v`` of photo ``p`` at fidelity ``φ ∈ (0, 1]``:
   ``(q, p)`` slot) only up to its fidelity, so selecting it scores
   ``R(q, p) · φ`` where the original would score ``R(q, p)``.
 
-Both are exactly expressible in the PAR model (costs are arbitrary
-positives; SIM is any symmetric [0, 1] function), confirming the paper's
-"our model can already capture this" — no solver changes are needed.
 Selecting several variants of the same photo is never *invalid*, merely
-wasteful (their coverage dominates pairwise), and the greedy solvers'
-marginal gains make them avoid it naturally; :func:`deduplicate_variants`
-post-processes any remaining redundancy for reporting.
+wasteful; :func:`deduplicate_variants` keeps the best one per photo, and
+the result is then a feasible exclusive assignment of the multi-fidelity
+problem.  Tests assert that :mod:`repro.fidelity`'s exclusive solver,
+which ships the feature, dominates that assignment's value.
 
 Sparse inputs stay sparse: a CSR
 :class:`~repro.core.instance.SparseSimilarity` expands into the block
 CSR of :func:`_expand_sparse_similarity` (nnz × blocks², no dense
-detour).  The flat expansion doubles as the *cross-check oracle* for the
-exclusive-choice solver in :mod:`repro.fidelity`: after
-:func:`deduplicate_variants` its selection is a feasible exclusive
-assignment, and tests assert the exclusive solver's value dominates it.
+detour).
 """
 
 from __future__ import annotations
@@ -56,7 +49,6 @@ __all__ = [
     "VariantMap",
     "expand_with_compression",
     "deduplicate_variants",
-    "selection_summary",
 ]
 
 # (fidelity, size factor) for a typical mid-quality JPEG re-encode.
@@ -257,14 +249,3 @@ def deduplicate_variants(
             best[origin] = (fidelity, v)
     return sorted(v for _, v in best.values())
 
-
-def selection_summary(
-    selection: Sequence[int], variants: VariantMap
-) -> Dict[str, int]:
-    """Counts of originals vs compressed renditions in a selection."""
-    originals = sum(1 for v in selection if variants.is_original(int(v)))
-    return {
-        "kept_original": originals,
-        "kept_compressed": len(list(selection)) - originals,
-        "distinct_photos": len(variants.originals_of(selection)),
-    }

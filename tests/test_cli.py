@@ -73,16 +73,6 @@ class TestCommands:
         assert code == 0
         assert "defaulting to 10%" in capsys.readouterr().out
 
-    def test_solve_with_compression(self, capsys):
-        code = main(
-            ["solve", "--dataset", "P-1K", "--scale", "0.05",
-             "--budget-fraction", "0.1", "--compress", "--no-certificate"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "compression" in out
-        assert "compressed renditions" in out
-
     def test_compare_prints_grid(self, capsys):
         code = main(
             ["compare", "--dataset", "P-1K", "--scale", "0.05",

@@ -1,4 +1,4 @@
-"""Tests for the compression extension (Section 6 future work)."""
+"""Tests for the flat compression expansion oracle (Section 6 future work)."""
 
 from __future__ import annotations
 
@@ -8,14 +8,13 @@ import pytest
 from repro.core.objective import max_score, score
 from repro.core.solver import solve
 from repro.errors import ValidationError
-from repro.extensions.compression import (
+
+from tests.conftest import random_instance
+from tests.oracles.compression import (
     CompressionLevel,
     deduplicate_variants,
     expand_with_compression,
-    selection_summary,
 )
-
-from tests.conftest import random_instance
 
 
 class TestCompressionLevel:
@@ -126,13 +125,3 @@ class TestVariantBookkeeping:
         expanded, variants = expand_with_compression(figure1, [(0.8, 0.4)])
         v3 = next(v for v in range(7, 14) if variants.origin[v] == 3)
         assert variants.originals_of([0, v3]) == [0, 3]
-
-    def test_selection_summary(self, figure1):
-        expanded, variants = expand_with_compression(figure1, [(0.8, 0.4)])
-        v0 = next(v for v in range(7, 14) if variants.origin[v] == 0)
-        summary = selection_summary([0, 5, v0], variants)
-        assert summary == {
-            "kept_original": 2,
-            "kept_compressed": 1,
-            "distinct_photos": 2,
-        }

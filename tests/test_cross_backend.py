@@ -1,7 +1,7 @@
 """Cross-backend regression tests: every algorithm × sparse similarity.
 
 The sparse similarity backend is the production path (PHOcus always
-sparsifies at scale), so each solver/extension must behave identically on
+sparsifies at scale), so each solver must behave identically on
 sparse and dense representations of the same thresholded instance.
 """
 
@@ -14,13 +14,11 @@ from repro.core.bounds import online_bound
 from repro.core.bruteforce import branch_and_bound
 from repro.core.greedy import CB, UC, lazy_greedy, naive_greedy
 from repro.core.objective import score
-from repro.extensions.compression import expand_with_compression
-from repro.extensions.incremental import maintain
-from repro.extensions.local_search import swap_local_search
-from repro.extensions.streaming import stream_solve
+from repro.live import warm_resolve
 from repro.sparsify.threshold import threshold_sparsify
 
 from tests.conftest import random_instance
+from tests.oracles.compression import expand_with_compression
 
 
 def _dense_thresholded(inst, tau):
@@ -91,23 +89,7 @@ def test_compression_over_sparse_backend():
 def test_maintenance_over_sparse_backend():
     inst = random_instance(seed=3, n_photos=14, n_subsets=4)
     sparse, _ = threshold_sparsify(inst, 0.4)
-    result = maintain(sparse, list(range(0, 14, 2)))
+    result = warm_resolve(sparse, list(range(0, 14, 2)))
     assert sparse.feasible(result.selection)
     assert result.value == pytest.approx(score(sparse, result.selection))
 
-
-def test_local_search_over_sparse_backend():
-    inst = random_instance(seed=4, n_photos=12, n_subsets=4)
-    sparse, _ = threshold_sparsify(inst, 0.4)
-    start = lazy_greedy(sparse, CB).selection
-    result = swap_local_search(sparse, start)
-    assert result.value >= result.start_value - 1e-9
-    assert sparse.feasible(result.selection)
-
-
-def test_streaming_over_sparse_backend():
-    inst = random_instance(seed=5, n_photos=16, n_subsets=4)
-    sparse, _ = threshold_sparsify(inst, 0.4)
-    sel, val = stream_solve(sparse)
-    assert sparse.feasible(sel)
-    assert val == pytest.approx(score(sparse, sel))

@@ -1,4 +1,4 @@
-"""Property-based tests for the compression and maintenance extensions."""
+"""Property-based tests for the flat compression expansion oracle."""
 
 from __future__ import annotations
 
@@ -9,15 +9,9 @@ from hypothesis import strategies as st
 
 from repro.core.objective import max_score, score
 from repro.core.solver import solve
-from repro.extensions.compression import expand_with_compression
-from repro.extensions.incremental import (
-    extend_selection,
-    maintain,
-    removal_loss,
-    shrink_to_budget,
-)
 
 from tests.conftest import random_instance
+from tests.oracles.compression import expand_with_compression
 
 _INSTANCES = [random_instance(seed=s, n_photos=12, n_subsets=4) for s in range(4)]
 instances = st.sampled_from(_INSTANCES)
@@ -53,45 +47,3 @@ def test_compression_keeps_ceiling(inst, level):
     expanded, _ = expand_with_compression(inst, [level])
     assert max_score(expanded) == pytest.approx(max_score(inst))
 
-
-@settings(max_examples=30, deadline=None)
-@given(inst=instances, frac=st.floats(0.2, 0.9))
-def test_shrink_always_feasible_and_loss_bounded(inst, frac):
-    target = inst.total_cost() * frac
-    if inst.cost_of(inst.retained) > target:
-        return
-    shrunk = shrink_to_budget(inst, list(range(inst.n)), budget=target)
-    assert inst.cost_of(shrunk) <= target * (1 + 1e-9)
-    assert inst.retained.issubset(set(shrunk))
-
-
-@settings(max_examples=30, deadline=None)
-@given(inst=instances)
-def test_removal_loss_is_exact(inst):
-    sel = list(range(0, inst.n, 2))
-    for p in sel[:4]:
-        expected = score(inst, sel) - score(inst, [x for x in sel if x != p])
-        assert removal_loss(inst, sel, p) == pytest.approx(expected)
-
-
-@settings(max_examples=30, deadline=None)
-@given(inst=instances)
-def test_maintain_always_feasible_and_at_least_as_good_as_seed(inst):
-    rng = np.random.default_rng(1)
-    seed_sel = sorted(
-        int(p) for p in rng.choice(inst.n, size=inst.n // 3, replace=False)
-    )
-    result = maintain(inst, seed_sel)
-    assert inst.feasible(result.selection)
-    # Maintenance shrinks only when over budget; when under budget the
-    # extension pass can only add value over the (feasible part of) seed.
-    feasible_seed = shrink_to_budget(inst, seed_sel)
-    assert result.value >= score(inst, feasible_seed) - 1e-9
-
-
-@settings(max_examples=30, deadline=None)
-@given(inst=instances)
-def test_extend_is_monotone_on_value(inst):
-    base = extend_selection(inst, [])
-    assert score(inst, base) >= 0.0
-    assert inst.feasible(base)

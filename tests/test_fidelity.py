@@ -12,8 +12,9 @@ Covers the acceptance criteria of the ``repro.fidelity`` subsystem:
   against the brute-forced exclusive optimum on small instances across
   seeds × budgets;
 * the exclusive value dominates the flat-expansion cross-check oracle
-  (``expand_with_compression`` + ``deduplicate_variants``), and the
-  sparse expansion path is bit-identical to the dense one;
+  (``expand_with_compression`` + ``deduplicate_variants`` from
+  ``tests/oracles/compression.py``), and the oracle's sparse expansion
+  path is bit-identical to its dense one;
 * variant instances round-trip through serialization (float32 and
   float64) and non-variant blobs stay back-compatible.
 """
@@ -29,10 +30,6 @@ from repro.core.greedy import CB, UC, lazy_greedy, main_algorithm
 from repro.core.instance import DenseSimilarity, PARInstance, PredefinedSubset
 from repro.core.serialize import instance_from_json, instance_to_json
 from repro.errors import ValidationError
-from repro.extensions.compression import (
-    deduplicate_variants,
-    expand_with_compression,
-)
 from repro.fidelity import (
     DEFAULT_TIERS,
     VariantCatalog,
@@ -41,6 +38,8 @@ from repro.fidelity import (
     fidelity_score,
 )
 from repro.scale import build_streamed_instance, synthetic_archive
+
+from tests.oracles.compression import deduplicate_variants, expand_with_compression
 
 LEVELS = [(0.85, 0.45), (0.6, 0.22)]
 

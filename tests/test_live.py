@@ -12,7 +12,9 @@ Three contracts anchor the subsystem:
 * :func:`warm_resolve` reproduces the stored solution **bit for bit**
   on an empty delta, and on any delta certifies a ``regret_bound``
   with ``value >= (1 - regret_bound) * cold_value`` (the measured-regret
-  guarantee, property-tested over random deltas).
+  guarantee, property-tested over random deltas).  When the budget
+  shrinks under a solution, its reverse greedy
+  :func:`~repro.live.resolve.shrink_to_budget` evicts back inside it.
 """
 
 from __future__ import annotations
@@ -21,15 +23,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.greedy import main_algorithm
 from repro.core.instance import PARInstance, Photo, PredefinedSubset, SparseSimilarity
 from repro.core.objective import score
 from repro.core.parallel import SharedInstance
 from repro.core.serialize import instance_from_dict, instance_to_dict, json_default
+from repro.core.solver import solve
 from repro.errors import ValidationError
 from repro.live import LiveArchive, cold_resolve, replay_solution, warm_resolve
+from repro.live.resolve import _removal_loss, shrink_to_budget
 from repro.scale import build_streamed_instance, synthetic_archive
+
+from tests.conftest import random_instance
 
 
 def _sim_equal(a: SparseSimilarity, b: SparseSimilarity) -> bool:
@@ -309,6 +317,101 @@ def test_warm_resolve_evicts_when_budget_shrinks():
     assert warm.evicted  # something had to go
 
 
+def test_warm_resolve_grows_into_a_doubled_budget():
+    costs, embeddings = synthetic_archive(200, dim=8, seed=14)
+    budget = float(costs.sum()) * 0.15
+    archive, _ = LiveArchive.create(costs, embeddings, budget, tau=0.6, seed=14)
+    stored = cold_resolve(archive.instance)
+    roomy = archive.instance.with_budget(budget * 2.0)
+    warm = warm_resolve(roomy, stored.selection)
+    assert warm.added and warm.evicted == []
+    assert warm.selection[: len(stored.selection)] == stored.selection
+    assert warm.cost <= roomy.budget * (1 + 1e-9)
+    assert warm.value >= stored.value
+
+
+def test_warm_resolve_drops_stale_ids():
+    costs, embeddings = synthetic_archive(200, dim=8, seed=15)
+    archive, _ = LiveArchive.create(
+        costs, embeddings, float(costs.sum()) * 0.25, tau=0.6, seed=15
+    )
+    n = archive.instance.n
+    stored = cold_resolve(archive.instance)
+    warm = warm_resolve(archive.instance, [n, *stored.selection, n + 7, 10**9])
+    assert warm.selection == stored.selection
+    assert warm.value == stored.value
+    assert warm.evicted == [] and warm.added == []
+
+
+# ------------------------------------------------- reverse-greedy shrink
+
+
+def test_removal_loss_matches_score_difference(figure1):
+    sel = [0, 1, 4, 5]
+    for p in sel:
+        expected = score(figure1, sel) - score(figure1, [x for x in sel if x != p])
+        assert _removal_loss(figure1, sel, p) == pytest.approx(expected), f"p{p+1}"
+
+
+def test_removal_loss_of_unselected_photo_is_zero(figure1):
+    assert _removal_loss(figure1, [0, 1], 6) == 0.0
+
+
+def test_removal_loss_of_redundant_photo_is_smaller(figure1):
+    # With p1 kept, p3 is mostly covered (0.8): removing p3 from
+    # {p1, p3} costs less than removing p1.
+    sel = [0, 2]
+    assert _removal_loss(figure1, sel, 2) < _removal_loss(figure1, sel, 0)
+
+
+def test_shrink_fits_the_budget(figure1):
+    shrunk = shrink_to_budget(figure1, list(range(7)))  # 8.1 Mb into 4 Mb
+    assert figure1.cost_of(shrunk) <= figure1.budget
+
+
+def test_shrink_quality_close_to_cold_solve():
+    for seed in range(5):
+        inst = random_instance(seed=seed, n_photos=16, n_subsets=5, budget_fraction=0.4)
+        shrunk = shrink_to_budget(inst, list(range(inst.n)))
+        assert score(inst, shrunk) >= 0.8 * solve(inst, "phocus").value
+
+
+def test_shrink_never_evicts_retained():
+    inst = random_instance(seed=7, retained=2, budget_fraction=0.3)
+    shrunk = shrink_to_budget(inst, list(range(inst.n)))
+    assert inst.retained.issubset(set(shrunk))
+
+
+def test_shrink_is_a_noop_when_already_feasible(figure1):
+    assert shrink_to_budget(figure1, [0, 1]) == [0, 1]
+
+
+_SMALL = st.sampled_from(
+    [random_instance(seed=s, n_photos=12, n_subsets=4) for s in range(4)]
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=_SMALL, frac=st.floats(0.2, 0.9))
+def test_shrink_always_feasible_and_loss_bounded(inst, frac):
+    target = inst.total_cost() * frac
+    if inst.cost_of(inst.retained) > target:
+        return
+    tight = inst.with_budget(target)
+    shrunk = shrink_to_budget(tight, list(range(inst.n)))
+    assert inst.cost_of(shrunk) <= target * (1 + 1e-9)
+    assert inst.retained.issubset(set(shrunk))
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=_SMALL)
+def test_removal_loss_is_exact(inst):
+    sel = list(range(0, inst.n, 2))
+    for p in sel[:4]:
+        expected = score(inst, sel) - score(inst, [x for x in sel if x != p])
+        assert _removal_loss(inst, sel, p) == pytest.approx(expected)
+
+
 def test_replay_solution_recomputes_value_and_certificate():
     costs, embeddings = synthetic_archive(200, dim=8, seed=8)
     archive, _ = LiveArchive.create(
@@ -359,8 +462,6 @@ def test_live_archive_rejects_raw_relevance_not_of_length_n(raw_relevance):
 
 
 def test_live_archive_rejects_dense_instance_docs():
-    from tests.conftest import random_instance
-
     doc = instance_to_dict(random_instance(1))
     with pytest.raises(ValidationError):
         LiveArchive.from_doc(doc)

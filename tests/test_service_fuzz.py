@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.jobs import JobManager
 from repro.live import LiveManager
+from repro.scale import synthetic_archive
 from repro.system.service import _ALLOWED_METHODS, handle_request
 from repro.tenants import Tenants
 
@@ -141,6 +142,58 @@ def test_non_integral_or_non_finite_put_is_422_and_stores_nothing(tmp_path, case
         )
         assert status == 422, payload
         assert tenants.list_instances("acme") == []
+    finally:
+        tenants.close()
+
+
+#: A non-finite number planted in one embedding row of a live upload.
+_NON_FINITE_EMBEDDING = {"nan": float("nan"), "infinite": float("inf")}
+
+
+def _live_body(costs, embeddings, **fields):
+    doc = {"costs": costs.tolist(), "embeddings": embeddings.tolist(), **fields}
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_EMBEDDING))
+def test_non_finite_embedding_live_create_is_422_and_stores_nothing(tmp_path, case):
+    tenants = Tenants(str(tmp_path), sweep=False)
+    try:
+        costs, embeddings = synthetic_archive(40, dim=4, seed=1)
+        embeddings[7, 2] = _NON_FINITE_EMBEDDING[case]
+        body = _live_body(costs, embeddings, budget=float(costs.sum()) * 0.3, tau=0.6)
+        status, payload = handle_request(
+            "POST", "/tenants/acme/instances/a1/live", body,
+            tenants=tenants, live=LiveManager(tenants),
+        )
+        assert status == 422, payload
+        assert tenants.list_instances("acme") == []
+    finally:
+        tenants.close()
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_EMBEDDING))
+def test_non_finite_embedding_upload_is_422_and_keeps_the_version(tmp_path, case):
+    tenants = Tenants(str(tmp_path), sweep=False)
+    live = LiveManager(tenants)
+    try:
+        costs, embeddings = synthetic_archive(44, dim=4, seed=1)
+        body = _live_body(
+            costs[:40], embeddings[:40], budget=float(costs.sum()) * 0.3, tau=0.6
+        )
+        status, payload = handle_request(
+            "POST", "/tenants/acme/instances/a1/live", body,
+            tenants=tenants, live=live,
+        )
+        assert status == 201, payload
+        delta = embeddings[40:].copy()
+        delta[1, 0] = _NON_FINITE_EMBEDDING[case]
+        status, payload = handle_request(
+            "POST", "/tenants/acme/instances/a1/photos",
+            _live_body(costs[40:], delta), tenants=tenants, live=live,
+        )
+        assert status == 422, payload
+        assert tenants.store.meta("acme", "a1").version == 1
     finally:
         tenants.close()
 
