@@ -559,26 +559,28 @@ class SparseSimilarity:
         )
         # --- assemble ----------------------------------------------------
         old_nnz = self._cols.size
-        old_lens = np.diff(self._indptr)
-        nnz = old_nnz + add_r.size + new_r.size
+        base = old_nnz + add_r.size
+        nnz = base + new_r.size
         out_cols = np.empty(nnz, dtype=np.int64)
         out_vals = np.empty(nnz, dtype=dt)
-        # Old entries of row i shift right by the additions to rows < i.
-        dest_old = np.arange(old_nnz, dtype=np.int64) + np.repeat(
-            add_prefix[:n], old_lens
-        )
-        out_cols[dest_old] = self._cols
-        out_vals[dest_old] = self._vals
-        # The t-th sorted addition (row r) lands right after row r's old
-        # entries plus the additions to earlier rows already placed before
-        # it: old_indptr[r + 1] + t.
         if add_r.size:
+            # The t-th sorted addition (row r) lands right after row r's
+            # old entries plus the additions to earlier rows already placed
+            # before it: old_indptr[r + 1] + t.  The old entries fill the
+            # other positions in order, placed through a byte mask rather
+            # than an nnz-sized int64 index array.
             dest_add = self._indptr[add_r + 1] + np.arange(
                 add_r.size, dtype=np.int64
             )
+            keep = np.ones(base, dtype=bool)
+            keep[dest_add] = False
+            out_cols[:base][keep] = self._cols
+            out_vals[:base][keep] = self._vals
             out_cols[dest_add] = add_c
             out_vals[dest_add] = add_v
-        base = old_nnz + add_r.size
+        else:
+            out_cols[:old_nnz] = self._cols
+            out_vals[:old_nnz] = self._vals
         out_cols[base:] = new_c
         out_vals[base:] = new_v
         indptr = np.empty(total + 1, dtype=np.int64)
@@ -662,11 +664,13 @@ class IncidenceCSR:
 
     * ``slots`` — the neighbour's global slot,
     * ``sims`` — ``SIM(q, p, neighbour)``,
-    * ``wrel`` — ``W(q) · R(q, neighbour)`` (pre-gathered),
 
     grouped first by photo (``entry_indptr``), then by membership inside
     the photo in ascending subset order (``photo_member_indptr`` into
-    ``member_entry_indptr``).  Membership order and per-row entry order
+    ``member_entry_indptr``).  The weights live once per slot, not per
+    entry: ``slot_wrel[s]`` is ``W(q) · R(q, local)`` for the member that
+    owns slot ``s``, and the kernels read ``slot_wrel[slots[e]]`` — the
+    very doubles a per-entry gather would hold, in the same order.  Membership order and per-row entry order
     match ``PARInstance.membership`` / ``similarity.neighbors`` exactly,
     which is what lets :class:`repro.core.objective.CoverageState`'s kernel
     backend reproduce the reference float accumulation bit for bit.
@@ -679,7 +683,7 @@ class IncidenceCSR:
         "entry_indptr",
         "slots",
         "sims",
-        "wrel",
+        "slot_wrel",
         "total_slots",
         "_native",
     )
@@ -692,7 +696,7 @@ class IncidenceCSR:
         entry_indptr: np.ndarray,
         slots: np.ndarray,
         sims: np.ndarray,
-        wrel: np.ndarray,
+        slot_wrel: np.ndarray,
     ) -> None:
         self.subset_offsets = subset_offsets
         self.photo_member_indptr = photo_member_indptr
@@ -700,7 +704,7 @@ class IncidenceCSR:
         self.entry_indptr = entry_indptr
         self.slots = slots
         self.sims = sims
-        self.wrel = wrel
+        self.slot_wrel = slot_wrel
         self.total_slots = int(subset_offsets[-1]) if subset_offsets.size else 0
         # The native kernel's checked layout (repro.core.native), built on
         # first use: None until then, False when numpy must serve.
@@ -725,13 +729,19 @@ def build_incidence(subsets: Sequence[PredefinedSubset], n: int) -> IncidenceCSR
 
     Fully vectorised (O(nnz) numpy, no per-entry Python): each subset
     contributes its similarity CSR; entries are then permuted from
-    subset-major to photo-major order with a gather.
+    subset-major to photo-major order with a gather.  The per-slot
+    weights are one O(total slots) product per subset.
     """
     n_subsets = len(subsets)
     sizes = np.fromiter((len(q) for q in subsets), dtype=np.int64, count=n_subsets)
     subset_offsets = np.zeros(n_subsets + 1, dtype=np.int64)
     np.cumsum(sizes, out=subset_offsets[1:])
 
+    slot_wrel = (
+        np.concatenate([q.weight * q.relevance for q in subsets])
+        if n_subsets
+        else np.zeros(0, dtype=np.float64)
+    )
     if n_subsets == 0:
         zero = np.zeros(0, dtype=np.int64)
         return IncidenceCSR(
@@ -741,7 +751,7 @@ def build_incidence(subsets: Sequence[PredefinedSubset], n: int) -> IncidenceCSR
             np.zeros(n + 1, dtype=np.int64),
             zero,
             np.zeros(0, dtype=np.float64),
-            np.zeros(0, dtype=np.float64),
+            slot_wrel,
         )
 
     if n_subsets == 1 and len(subsets[0]) == n:
@@ -753,35 +763,32 @@ def build_incidence(subsets: Sequence[PredefinedSubset], n: int) -> IncidenceCSR
             # Archive-wide single-subset instances (the streamed/live
             # builds): local ids are global ids, the photo-major
             # permutation is the identity, and the incidence is the
-            # similarity CSR itself — skip the O(nnz) gather entirely.
+            # similarity CSR itself — no O(nnz) pass at all.
             indptr, cols, vals = q.similarity.csr()
             indptr = np.asarray(indptr, dtype=np.int64)
-            slots = np.asarray(cols, dtype=np.int64)
             return IncidenceCSR(
                 subset_offsets,
                 np.arange(n + 1, dtype=np.int64),
                 indptr,
                 indptr,
-                slots,
+                np.asarray(cols, dtype=np.int64),
                 np.asarray(vals, dtype=np.float64),
-                (q.weight * q.relevance)[slots],
+                slot_wrel,
             )
 
     # Subset-major pass: concatenate every subset's row CSR, converting
-    # local columns to global slots and gathering W(q)·R(q, col) per entry.
-    slot_parts, val_parts, wrel_parts, len_parts = [], [], [], []
+    # local columns to global slots.
+    slot_parts, val_parts, len_parts = [], [], []
     mem_photo_parts = []
     for qi, q in enumerate(subsets):
         indptr, cols, vals = q.similarity.csr()
         slot_parts.append(cols + subset_offsets[qi])
         val_parts.append(vals)
-        wrel_parts.append((q.weight * q.relevance)[cols])
         len_parts.append(indptr[1:] - indptr[:-1])
         mem_photo_parts.append(q.members)
 
     all_slots = np.concatenate(slot_parts)
     all_vals = np.concatenate(val_parts)
-    all_wrel = np.concatenate(wrel_parts)
     mem_len = np.concatenate(len_parts)
     mem_photo = np.concatenate(mem_photo_parts)
 
@@ -814,7 +821,7 @@ def build_incidence(subsets: Sequence[PredefinedSubset], n: int) -> IncidenceCSR
         member_entry_indptr[photo_member_indptr],
         all_slots[src_idx],
         all_vals[src_idx],
-        all_wrel[src_idx],
+        slot_wrel,
     )
 
 

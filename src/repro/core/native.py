@@ -441,21 +441,25 @@ def _check_layout(ffi, inc: IncidenceCSR):
     """
     arrays = (
         inc.photo_member_indptr, inc.member_entry_indptr,
-        inc.slots, inc.sims, inc.wrel,
+        inc.slots, inc.sims, inc.slot_wrel,
     )
     dtypes = (np.int64, np.int64, np.int64, np.float64, np.float64)
     for a, dtype in zip(arrays, dtypes):
         if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous:
             return False
-    pm, me, slots, sims, wrel = arrays
+    pm, me, slots, sims, slot_wrel = arrays
     for name, ptr, size in (
         ("member_entry_indptr", me, slots.size),
         ("photo_member_indptr", pm, me.size - 1),
     ):
         if ptr.size == 0 or ptr[0] != 0 or ptr[-1] != size or np.any(ptr[1:] < ptr[:-1]):
             raise IndexError(f"{name} does not span its {size} entries in order")
-    if not sims.size == wrel.size == slots.size:
-        raise IndexError("incidence slots, sims and wrel differ in length")
+    if sims.size != slots.size:
+        raise IndexError("incidence slots and sims differ in length")
+    if slot_wrel.size != inc.total_slots:
+        raise IndexError(
+            f"slot_wrel holds {slot_wrel.size} weights for {inc.total_slots} slots"
+        )
     if slots.size:
         for bad in (int(slots.min()), int(slots.max())):
             if not 0 <= bad < inc.total_slots:
@@ -496,7 +500,7 @@ class NativeCoverage:
             ctx.member_entry_indptr,
             ctx.slots,
             ctx.sims,
-            ctx.wrel,
+            ctx.slot_wrel,
         ) = layout.pointers
         ctx.best = best_ptr
         ctx.dot_w, ctx.dot_d, ctx.pending_slots, ctx.pending_sims = scratch

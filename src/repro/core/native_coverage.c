@@ -25,7 +25,7 @@ typedef struct {
     const int64_t *member_entry_indptr; /* membership -> entry range */
     const int64_t *slots;
     const double *sims;
-    const double *wrel;
+    const double *slot_wrel;            /* W(q)·R(q, ·), one per slot */
     double *best;                       /* the state's coverage vector */
     double *dot_w, *dot_d;              /* one membership's dot operands */
     int64_t *pending_slots;             /* writes the last gain implies */
@@ -63,7 +63,7 @@ double phocus_gain(phocus_coverage *c, int64_t p, double phi)
             double sim = scale ? phi * c->sims[e] : c->sims[e];
             double delta = sim - c->best[c->slots[e]];
             if (delta > 0) {
-                c->dot_w[n] = c->wrel[e];
+                c->dot_w[n] = c->slot_wrel[c->slots[e]];
                 c->dot_d[n] = delta;
                 n++;
                 c->pending_slots[pending] = c->slots[e];

@@ -281,11 +281,14 @@ class CoverageState:
         positive = delta > 0
         if not positive.any():
             return 0.0, []
-        wrel = inc.wrel[s0:e0]
+        slot_wrel = inc.slot_wrel
         ms = inc.photo_member_indptr[p]
         me = inc.photo_member_indptr[p + 1]
         if me - ms == 1:
-            return float(wrel[positive] @ delta[positive]), [(slots, sims, positive)]
+            return (
+                float(slot_wrel[slots[positive]] @ delta[positive]),
+                [(slots, sims, positive)],
+            )
         eptr = inc.member_entry_indptr
         total = 0.0
         for k in range(ms, me):
@@ -294,7 +297,7 @@ class CoverageState:
             pseg = positive[s:e]
             dsel = delta[s:e][pseg]
             if dsel.size:
-                total += float(wrel[s:e][pseg] @ dsel)
+                total += float(slot_wrel[slots[s:e][pseg]] @ dsel)
         # The add-replay segment covers the whole entry range at once:
         # memberships live in disjoint subsets, so their slots never
         # collide and one masked assignment equals the per-segment writes.
@@ -351,7 +354,7 @@ class CoverageState:
             return self._all_gains_reference()
         delta = inc.sims - self._best_flat[inc.slots]
         np.maximum(delta, 0.0, out=delta)
-        delta *= inc.wrel
+        delta *= inc.slot_wrel[inc.slots]
         starts = inc.entry_indptr[:-1]
         nonempty = starts < inc.entry_indptr[1:]
         # reduceat over the nonempty per-photo ranges: consecutive nonempty

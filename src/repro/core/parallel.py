@@ -200,7 +200,7 @@ class SharedInstance:
                 "entry_indptr": packer.add(inc.entry_indptr),
                 "slots": packer.add(inc.slots),
                 "sims": packer.add(inc.sims),
-                "wrel": packer.add(inc.wrel),
+                "slot_wrel": packer.add(inc.slot_wrel),
             },
         }
         self._shm = shared_memory.SharedMemory(
@@ -330,7 +330,7 @@ def build_view_instance(
             _view(shm, inc["entry_indptr"]),
             _view(shm, inc["slots"]),
             _view(shm, inc["sims"]),
-            _view(shm, inc["wrel"]),
+            _view(shm, inc["slot_wrel"]),
         ),
         validate=False,
     )

@@ -91,6 +91,26 @@ class InstanceNotFound(ReproError, KeyError):
         return self.args[0] if self.args else ""
 
 
+class VersionConflict(ReproError):
+    """A conditional tenant-store write found the instance moved (HTTP 409).
+
+    Raised by :meth:`repro.tenants.store.TenantStore.put` and ``append``
+    when the caller's ``expect_version`` is no longer the stored version:
+    another writer committed in between, and the write computed from the
+    older version is refused rather than silently overwriting it.
+    """
+
+    def __init__(self, tenant: str, instance_id: str, expected: int, actual: int) -> None:
+        super().__init__(
+            f"instance {instance_id!r} of tenant {tenant!r} is at version "
+            f"{actual}, not {expected}; reload and retry"
+        )
+        self.tenant = tenant
+        self.instance_id = instance_id
+        self.expected = expected
+        self.actual = actual
+
+
 class DeadlineExceeded(ReproError):
     """A request's deadline expired while its solve was in flight (HTTP 504).
 

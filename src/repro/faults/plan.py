@@ -65,6 +65,10 @@ KNOWN_SITES: Dict[str, str] = {
     "tenantstore.fsync": "fsync of a tenant instance temp file (drop)",
     "tenantstore.replace": "atomic rename publishing a tenant instance (check)",
     "tenantstore.load": "read of a stored tenant instance blob (check)",
+    "tenantstore.append": "before a tenant instance log record append "
+    "(check/corrupt)",
+    "tenantstore.append_fsync": "fsync after a tenant instance log record "
+    "append (drop)",
     "tenantcache.evict": "warm-cache segment reclaim during eviction (check)",
     "scalebuild.chunk": "before each candidate-verification chunk of a "
     "streamed instance build (check)",

@@ -21,6 +21,7 @@ owns the fair bounded queue (:mod:`repro.jobs.queue`), the worker pool
 
 from __future__ import annotations
 
+import copy
 import inspect
 import logging
 import math
@@ -609,90 +610,128 @@ class JobManager:
             # the next manager on the same journal resumes it.
             raise value
 
-        obs = _obs_probes.active()
+        # Journal the outcome before publishing it: the transition is made
+        # on a copy, the copy is saved, and only then does the live record
+        # (what status() and wait() read) move.  A job is therefore never
+        # reported finished — or requeued — ahead of its journal line, so
+        # a crash in between replays it instead of losing or repeating it.
         with self._lock:
             if record.state is not JobState.RUNNING:
                 return  # resolved concurrently; nothing to record
-            now = time.time()
+            done = copy.copy(record)
+            event_kind = self._apply_outcome(done, outcome, value)
+        try:
+            self._store.save(done)
+        except Exception:
+            # The journal refused the line (a full disk, say): the outcome
+            # still stands, only its durability is lost — publish it rather
+            # than leave the job RUNNING, and let the worker log the error.
+            self._publish(record, done, outcome, event_kind)
+            raise
+        self._publish(record, done, outcome, event_kind)
+
+    def _publish(
+        self,
+        record: JobRecord,
+        done: JobRecord,
+        outcome: str,
+        event_kind: Optional[str],
+    ) -> None:
+        """Make ``done`` (an outcome applied to a copy) the live record."""
+        obs = _obs_probes.active()
+        with self._lock:
+            if record.state is not JobState.RUNNING:
+                return  # drained or abandoned while the outcome was saved
+            vars(record).update(vars(done))
             if outcome == "ok":
-                record.transition(JobState.SUCCEEDED)
-                record.result = value
+                self._latencies.append(record.solve_seconds)
+            if event_kind == "retry":
+                self._schedule_retry(record)
+            if obs is None:
+                return
+            if outcome == "ok":
+                obs.jobs_run_seconds.observe(record.solve_seconds)
+            elif event_kind == "drain":
+                obs.jobs_drain_interrupted.inc()
+            elif event_kind == "deadline":
+                obs.resilience_deadline_exceeded.labels(where="job").inc()
+            elif event_kind == "timeout":
+                obs.jobs_timeouts.inc()
+            elif event_kind == "retry":
+                obs.jobs_retries.inc()
+            if record.error_kind is not None and outcome != "ok":
+                # error_kind doubles as the classify_failure verdict:
+                # transient / transient_exhausted / permanent / timeout
+                # / cancelled.
+                obs.jobs_failures.labels(kind=record.error_kind).inc()
+            if record.terminal:
+                obs.jobs_completed.labels(
+                    tenant=record.tenant, state=record.state.value
+                ).inc()
+
+    @staticmethod
+    def _apply_outcome(record: JobRecord, outcome: str, value: Any) -> Optional[str]:
+        """Move a RUNNING record to where ``outcome`` leaves it.
+
+        Returns what else the outcome calls for — ``"retry"`` (schedule a
+        backoff requeue), ``"drain"``, ``"deadline"`` or ``"timeout"``
+        (count it) — or ``None``.
+        """
+        now = time.time()
+        if outcome == "ok":
+            record.transition(JobState.SUCCEEDED)
+            record.result = value
+            record.error = None
+            record.error_kind = None
+            record.checkpoint = None  # finished: the blob is dead weight
+            record.finished_at = now
+            record.solve_seconds = now - (record.started_at or now)
+            return None
+        if outcome == "cancelled":
+            record.transition(JobState.CANCELLED)
+            record.error_kind = "cancelled"
+            record.finished_at = now
+            return None
+        if outcome == "error" and isinstance(value, DeadlineExceeded):
+            # The solve stopped cooperatively and carried its latest
+            # checkpoint out with the exception — persist it so the work
+            # done is never lost, whatever happens next.
+            if value.checkpoint is not None:
+                record.checkpoint = encode_record_b64(value.checkpoint)
+                record.checkpoint_progress = checkpoint_progress(value.checkpoint)
+            if value.reason == "drain":
+                # Graceful drain: back to QUEUED (the legal retry
+                # transition) in the journal only — the next manager on
+                # this journal resumes the solve bit-identically.
+                record.transition(JobState.QUEUED)
                 record.error = None
                 record.error_kind = None
-                record.checkpoint = None  # finished: the blob is dead weight
-                record.finished_at = now
-                record.solve_seconds = now - (record.started_at or now)
-                self._latencies.append(record.solve_seconds)
-                if obs is not None:
-                    obs.jobs_run_seconds.observe(record.solve_seconds)
-            elif outcome == "cancelled":
-                record.transition(JobState.CANCELLED)
-                record.error_kind = "cancelled"
-                record.finished_at = now
-            elif outcome == "error" and isinstance(value, DeadlineExceeded):
-                # The solve stopped cooperatively and carried its latest
-                # checkpoint out with the exception — persist it so the
-                # work done is never lost, whatever happens next.
-                if value.checkpoint is not None:
-                    record.checkpoint = encode_record_b64(value.checkpoint)
-                    record.checkpoint_progress = checkpoint_progress(
-                        value.checkpoint
-                    )
-                if value.reason == "drain":
-                    # Graceful drain: back to QUEUED (the legal retry
-                    # transition) in the journal only — the next manager
-                    # on this journal resumes the solve bit-identically.
-                    record.transition(JobState.QUEUED)
-                    record.error = None
-                    record.error_kind = None
-                    if obs is not None:
-                        obs.jobs_drain_interrupted.inc()
-                else:
-                    # A genuine expiry: the client is gone; retrying for
-                    # them wastes capacity (permanent), but the persisted
-                    # checkpoint allows a deliberate manual resume.
-                    record.transition(JobState.FAILED)
-                    record.error = f"DeadlineExceeded: {value}"
-                    record.error_kind = "deadline"
-                    record.finished_at = now
-                    if obs is not None:
-                        obs.resilience_deadline_exceeded.labels(where="job").inc()
-            elif outcome == "timeout":
-                record.transition(JobState.FAILED)
-                record.error = (
-                    f"solve exceeded timeout of {record.spec.timeout_seconds}s"
-                )
-                record.error_kind = "timeout"
-                record.finished_at = now
-                if obs is not None:
-                    obs.jobs_timeouts.inc()
-            else:  # outcome == "error"
-                exc = value
-                kind = classify_failure(exc)
-                record.error = f"{type(exc).__name__}: {exc}"
-                if kind == TRANSIENT and record.attempt < record.spec.max_attempts:
-                    record.error_kind = TRANSIENT
-                    record.transition(JobState.QUEUED)
-                    self._schedule_retry(record)
-                    if obs is not None:
-                        obs.jobs_retries.inc()
-                else:
-                    record.error_kind = (
-                        PERMANENT if kind == PERMANENT else "transient_exhausted"
-                    )
-                    record.transition(JobState.FAILED)
-                    record.finished_at = now
-            if obs is not None:
-                if record.error_kind is not None and outcome != "ok":
-                    # error_kind doubles as the classify_failure verdict:
-                    # transient / transient_exhausted / permanent / timeout
-                    # / cancelled.
-                    obs.jobs_failures.labels(kind=record.error_kind).inc()
-                if record.terminal:
-                    obs.jobs_completed.labels(
-                        tenant=record.tenant, state=record.state.value
-                    ).inc()
-        self._store.save(record)
+                return "drain"
+            # A genuine expiry: the client is gone; retrying for them
+            # wastes capacity (permanent), but the persisted checkpoint
+            # allows a deliberate manual resume.
+            record.transition(JobState.FAILED)
+            record.error = f"DeadlineExceeded: {value}"
+            record.error_kind = "deadline"
+            record.finished_at = now
+            return "deadline"
+        if outcome == "timeout":
+            record.transition(JobState.FAILED)
+            record.error = f"solve exceeded timeout of {record.spec.timeout_seconds}s"
+            record.error_kind = "timeout"
+            record.finished_at = now
+            return "timeout"
+        # outcome == "error"
+        kind = classify_failure(value)
+        record.error = f"{type(value).__name__}: {value}"
+        if kind == TRANSIENT and record.attempt < record.spec.max_attempts:
+            record.error_kind = TRANSIENT
+            record.transition(JobState.QUEUED)
+            return "retry"
+        record.error_kind = PERMANENT if kind == PERMANENT else "transient_exhausted"
+        record.transition(JobState.FAILED)
+        record.finished_at = now
+        return None
 
     def _schedule_retry(self, record: JobRecord) -> None:
         """Re-enqueue after exponential backoff with ±25% jitter."""

@@ -15,7 +15,7 @@ budgets change.  Three layers:
   evicts back inside it.
 * :mod:`repro.live.manager` / :mod:`repro.live.scheduler` —
   :class:`LiveManager` keeps resident archives over the tenant store
-  (one atomic versioned write per delta);
+  (one durable write per delta: a log record, or a compacting ``put``);
   :class:`RecurationScheduler` coalesces upload bursts and escalates to
   full re-solves, riding :mod:`repro.jobs` when available.
 

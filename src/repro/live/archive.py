@@ -26,13 +26,22 @@ independent of chunking) into the same canonical CSR layout.
 Relevance stays uniform under growth by storing the *raw* (unnormalised)
 per-photo relevance and renormalising after each delta — ``n`` ones
 become ``1/n`` exactly, matching the fresh build's default.
+
+An ingestion is two steps with one growth path: :meth:`LiveArchive.delta`
+computes what the upload adds (a :class:`Delta`: the photos, their band
+keys and the verified pairs), and ``_extend`` applies a delta.  The
+tenant store logs each upload's delta as one record, and :func:`fold`
+rebuilds the archive from a stored base plus its logged records with a
+single ``_extend`` over all of them — bit-identical to the resident copy
+that ingested them one by one, because ``append_rows`` of a union of
+pairs equals the chain of appends.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,10 +49,13 @@ from repro.core.instance import (
     PARInstance,
     PredefinedSubset,
     SparseSimilarity,
+    _in_unit_interval,
+    as_ids,
     check_finite,
 )
 from repro.core.serialize import instance_from_dict, instance_to_dict
 from repro.errors import ConfigurationError, ValidationError
+from repro.live.resolve import solve_result_from_dict
 from repro.scale.builder import (
     DEFAULT_SIGNATURE_CHUNK,
     ScaleBuildReport,
@@ -61,14 +73,121 @@ from repro.sparsify.simhash import (
     verify_candidate_pairs,
 )
 
-__all__ = ["IngestReport", "LiveArchive", "LIVE_FORMAT"]
+__all__ = ["Delta", "IngestReport", "LiveArchive", "LIVE_FORMAT", "fold"]
 
 LIVE_FORMAT = 1
 
 
 @dataclass
+class Delta:
+    """What one upload adds to an archive of ``n`` photos.
+
+    ``k`` photos (costs, raw embeddings, ``(bands, k)`` bucket keys) and
+    the verified similarity pairs ``(rows, cols, vals)``, each touching
+    the appended id range ``[n, n + k)`` — exactly the arguments of
+    :meth:`SparseSimilarity.append_rows`.
+    """
+
+    costs: np.ndarray
+    embeddings: np.ndarray
+    band_keys: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return int(self.costs.size)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            a.nbytes
+            for a in (
+                self.costs, self.embeddings, self.band_keys,
+                self.rows, self.cols, self.vals,
+            )
+        )
+
+    def to_record(self) -> Dict[str, Any]:
+        """The tenant-store log record (every leaf an array)."""
+        return {
+            "costs": self.costs,
+            "embeddings": self.embeddings,
+            "band_keys": self.band_keys,
+            "pairs": {"rows": self.rows, "cols": self.cols, "vals": self.vals},
+        }
+
+    @classmethod
+    def from_record(
+        cls, record: Dict[str, Any], archive: "LiveArchive", n: int
+    ) -> "Delta":
+        """A logged record checked as strictly as an upload body.
+
+        ``n`` is the archive size the record was appended to.  Costs must
+        be finite and positive, embeddings finite and ``(k, dim)``, keys
+        ``(bands, k)``, and every pair in range, off-diagonal, touching
+        ``[n, n + k)``, unique and valued in ``[0, 1]``.
+        """
+        try:
+            pairs = record["pairs"]
+            costs = np.asarray(record["costs"], dtype=np.float64)
+            embeddings = np.asarray(record["embeddings"], dtype=np.float64)
+            band_keys = np.asarray(record["band_keys"], dtype=np.uint64)
+            rows = as_ids(pairs["rows"], "logged pair rows")
+            cols = as_ids(pairs["cols"], "logged pair cols")
+            vals = np.asarray(pairs["vals"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed delta record: {exc!r}") from exc
+        k = costs.size
+        if costs.ndim != 1 or k < 1:
+            raise ValidationError("a delta record needs a non-empty costs vector")
+        if embeddings.shape != (k, archive.dim):
+            raise ValidationError(
+                f"delta embeddings shape {embeddings.shape} != ({k}, {archive.dim})"
+            )
+        check_finite(embeddings, "embeddings")
+        if not np.all(np.isfinite(costs) & (costs > 0)):
+            raise ValidationError("costs must be positive and finite")
+        if band_keys.shape != (archive.bands, k):
+            raise ValidationError(
+                f"delta band_keys shape {band_keys.shape} != ({archive.bands}, {k})"
+            )
+        if not (rows.ndim == cols.ndim == vals.ndim == 1) or not (
+            rows.size == cols.size == vals.size
+        ):
+            raise ValidationError("delta pair arrays must be flat and equal-length")
+        if rows.size:
+            total = n + k
+            lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+            if lo.min() < 0 or hi.max() >= total:
+                raise ValidationError("delta pair index out of range")
+            if np.any(lo == hi):
+                raise ValidationError("delta pairs must be off-diagonal")
+            if hi.min() < n:
+                raise ValidationError("delta pairs must touch the appended range")
+            if not _in_unit_interval(vals):
+                raise ValidationError("delta pair similarity outside [0, 1]")
+            if np.unique(lo * np.int64(total) + hi).size != rows.size:
+                raise ValidationError("delta holds a duplicate pair")
+        return cls(costs, embeddings, band_keys, rows, cols, vals)
+
+    @classmethod
+    def concat(cls, deltas: List["Delta"]) -> "Delta":
+        """One delta doing the work of ``deltas`` applied in order."""
+        return cls(
+            np.concatenate([d.costs for d in deltas]),
+            np.concatenate([d.embeddings for d in deltas]),
+            np.concatenate([d.band_keys for d in deltas], axis=1),
+            np.concatenate([d.rows for d in deltas]),
+            np.concatenate([d.cols for d in deltas]),
+            np.concatenate([d.vals for d in deltas]),
+        )
+
+
+@dataclass
 class IngestReport:
-    """Diagnostics of one delta ingestion."""
+    """Diagnostics of one delta ingestion (``delta`` is what it added)."""
 
     n_before: int
     n_added: int
@@ -76,6 +195,7 @@ class IngestReport:
     kept_pairs: int
     nnz: int
     seconds: float
+    delta: Optional[Delta] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -303,17 +423,37 @@ class LiveArchive:
     ) -> Tuple["LiveArchive", IngestReport]:
         """Absorb ``k`` new photos; returns ``(grown_archive, report)``.
 
+        :meth:`delta` then ``_extend``; the report carries the delta, which
+        is what the live manager logs.  ``self`` is left untouched — the
+        caller swaps archives only after the grown one is durable, which
+        is what makes a mid-ingest crash invisible.
+        """
+        t0 = time.perf_counter()
+        delta, n_candidates = self.delta(costs, embeddings)
+        grown = self._extend(delta)
+        report = IngestReport(
+            n_before=self.n,
+            n_added=delta.k,
+            candidate_pairs=n_candidates,
+            kept_pairs=int(delta.rows.size),
+            nnz=grown.instance.subsets[0].similarity.nnz(),
+            seconds=time.perf_counter() - t0,
+            delta=delta,
+        )
+        return grown, report
+
+    def delta(
+        self, costs: np.ndarray, embeddings: np.ndarray
+    ) -> Tuple[Delta, int]:
+        """What ``k`` new photos add: ``(delta, candidate_pair_count)``.
+
         Only the new photos are bucketed.  Candidates are the old↔new
         within-bucket matches (one sorted search of the stored keys per
         band) plus the new↔new pairs; both necessarily touch the appended
         id range, which is exactly the contract of
-        :meth:`SparseSimilarity.append_rows`.  ``self`` is left untouched
-        — the caller swaps archives only after the grown one is durable,
-        which is what makes a mid-ingest crash invisible.
+        :meth:`SparseSimilarity.append_rows`.
         """
-        t0 = time.perf_counter()
-        inst = self.instance
-        n = inst.n
+        n = self.n
         new_emb = np.asarray(embeddings, dtype=np.float64)
         if new_emb.ndim != 2 or new_emb.shape[1] != self.dim:
             raise ValidationError(
@@ -370,15 +510,28 @@ class LiveArchive:
             jj = np.zeros(0, dtype=np.int64)
         n_candidates = int(ii.size)
 
-        all_emb = np.concatenate([inst.embeddings, new_emb])
-        unit = unit_normalize(all_emb)
+        unit = unit_normalize(np.concatenate([self.instance.embeddings, new_emb]))
         ki, kj, vals = verify_candidate_pairs(
             unit, ii, jj, self.tau, chunk=self.chunk_pairs
         )
-        del unit, ii, jj
+        return Delta(new_costs, new_emb, new_keys, ki, kj, vals), n_candidates
 
-        subset = inst.subsets[0]
-        sim = subset.similarity.append_rows(k, ki, kj, vals, validate=False)
+    def _extend(self, delta: Delta, *, validate: bool = False) -> "LiveArchive":
+        """The archive grown by ``delta`` — the one growth path, shared by
+        ingestion and :func:`fold`.
+
+        ``validate=True`` re-checks the pairs inside ``append_rows`` (the
+        fold's logged records); an ingestion's own delta is trusted.  The
+        instance itself is not re-validated: only the appended rows and
+        costs are new, and re-validating all ``n + k`` would make uploads
+        O(n).
+        """
+        inst = self.instance
+        n, k = inst.n, delta.k
+        total = n + k
+        sim = inst.subsets[0].similarity.append_rows(
+            k, delta.rows, delta.cols, delta.vals, validate=validate
+        )
         raw = np.concatenate([self.raw_relevance, np.ones(k)])
         grown_subset = PredefinedSubset(
             self.subset_id,
@@ -389,15 +542,13 @@ class LiveArchive:
             normalize=False,
         )
         grown = PARInstance(
-            np.concatenate([inst.costs, new_costs]),
+            np.concatenate([inst.costs, delta.costs]),
             [grown_subset],
             inst.budget,
             retained=inst.retained,
-            embeddings=all_emb,
+            embeddings=np.concatenate([inst.embeddings, delta.embeddings]),
             labels=None if inst.labels is None else [*inst.labels, *[""] * k],
             metadata=None if inst.metadata is None else [*inst.metadata, *[{}] * k],
-            # Only the k new rows and costs are new, and they were checked
-            # above: re-validating all n + k would make uploads O(n).
             validate=False,
         )
         archive = LiveArchive(
@@ -411,16 +562,20 @@ class LiveArchive:
             subset_id=self.subset_id,
             weight=self.weight,
             raw_relevance=raw,
-            band_keys=np.concatenate([self.band_keys, new_keys], axis=1),
+            band_keys=np.concatenate([self.band_keys, delta.band_keys], axis=1),
             signature_chunk=self.signature_chunk,
             chunk_pairs=self.chunk_pairs,
         )
         archive._planes = self._planes
+        if self._key_order is None:
+            return archive  # sorted lazily, on the grown archive's first upload
         # Carry the sorted-key cache forward with a linear merge: the k
         # new keys (sorted among themselves) interleave into each band's
         # already-sorted run.  Any interleave that keeps keys sorted is a
         # valid argsort — equal keys are interchangeable for the bucket
         # search, which recovers hit *sets*, not orders.
+        sorted_keys, key_order = self._sorted_keys, self._key_order
+        new_keys = delta.band_keys
         new_order = np.argsort(new_keys, axis=1, kind="stable")
         new_sorted = np.take_along_axis(new_keys, new_order, axis=1)
         merged_sorted = np.empty((self.bands, total), dtype=np.uint64)
@@ -431,15 +586,7 @@ class LiveArchive:
             merged_order[b] = np.insert(key_order[b], pos, new_order[b] + n)
         archive._sorted_keys = merged_sorted
         archive._key_order = merged_order
-        report = IngestReport(
-            n_before=n,
-            n_added=k,
-            candidate_pairs=n_candidates,
-            kept_pairs=int(ki.size),
-            nnz=sim.nnz(),
-            seconds=time.perf_counter() - t0,
-        )
-        return archive, report
+        return archive
 
     # --------------------------------------------------------- persistence
 
@@ -507,7 +654,80 @@ class LiveArchive:
                 f"live raw_relevance shape {archive.raw_relevance.shape} != "
                 f"({archive.n},)"
             )
-        # Load-time key sort, exactly like `create`: the per-upload path
-        # of a freshly loaded archive starts from the merged cache too.
-        archive._sorted_key_state()
+        # The bucket keys are sorted on the first upload, not here: a
+        # loaded archive may only ever be folded and solved.
         return archive
+
+
+def fold(store: Any, envelope: Dict[str, Any]) -> Tuple[Dict[str, Any], Optional[LiveArchive]]:
+    """Apply a stored envelope's logged records to its base document.
+
+    ``envelope`` is what :meth:`repro.tenants.store.TenantStore.get`
+    returned.  Without ``"records"`` it comes back unchanged, with
+    ``None`` for the archive.  Otherwise every record is checked as strictly as an upload
+    body (:meth:`Delta.from_record`, a curation object) and the photo
+    records are applied by one ``_extend`` over their concatenation.  The
+    result is the envelope the resident copy would have written: the
+    grown archive's document with the last record's curation, at the last
+    record's version — plus the grown archive itself.
+
+    The first invalid record, and every record after it, is cut from the
+    store's log (quarantined, never served); the envelope then ends at
+    the last good record.
+    """
+    records = envelope.get("records")
+    if not records:
+        return envelope, None
+    tenant, instance_id = envelope.get("tenant"), envelope.get("instance_id")
+    base_envelope = {k: v for k, v in envelope.items() if k != "records"}
+    doc = envelope["instance"]
+    try:
+        archive = LiveArchive.from_doc(doc)
+    except ValidationError as exc:
+        store.cut_log(tenant, instance_id, records[0]["version"], str(exc))
+        return base_envelope, None
+    curation = doc["live"].get("curation", {})
+    deltas: List[Delta] = []
+    n = archive.n
+    good = 0
+    for rec in records:
+        body = rec["record"]
+        try:
+            delta = (
+                None
+                if set(body) == {"curation"}
+                else Delta.from_record(body, archive, n)
+            )
+            _check_curation(body.get("curation"))
+        except ValidationError as exc:
+            store.cut_log(tenant, instance_id, rec["version"], f"invalid record: {exc}")
+            break
+        if delta is not None:
+            deltas.append(delta)
+            n += delta.k
+        curation = body["curation"]
+        good += 1
+    if not good:
+        return base_envelope, archive
+    if deltas:
+        archive = archive._extend(Delta.concat(deltas), validate=True)
+    grown = archive.to_doc()
+    grown["live"]["curation"] = curation
+    last = records[good - 1]
+    base_envelope.update(
+        instance=grown, version=last["version"], updated_at=last["updated_at"]
+    )
+    return base_envelope, archive
+
+
+def _check_curation(curation: Any) -> None:
+    """A logged curation block must rebuild as the live manager reads it."""
+    if not isinstance(curation, dict):
+        raise ValidationError("a record's curation must be an object")
+    try:
+        solve_result_from_dict(curation.get("solution"))
+        int(curation.get("pending_deltas", 0))
+        int(curation.get("pending_photos", 0))
+        float(curation.get("accumulated_regret", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed curation block: {exc!r}") from exc

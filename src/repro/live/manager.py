@@ -3,19 +3,31 @@
 One :class:`LiveManager` fronts a :class:`~repro.tenants.Tenants` facade
 and keeps a bounded set of *resident* :class:`LiveArchive` objects keyed
 by ``(tenant, instance_id)`` and pinned to the store version they were
-loaded from.  The hot path — ``ingest`` — then never re-parses the JSON
-document: the resident archive absorbs the delta in memory, the grown
-document is written through the store's atomic versioned ``put``, and
-only after that single durable commit does the resident slot (and the
-stored solution) advance.
+loaded from.  The hot path — ``ingest`` — then never re-parses the stored
+document: the resident archive absorbs the delta in memory, the delta is
+appended to the store as one fsynced log record, and only after that
+single durable commit does the resident slot (and the stored solution)
+advance.
+
+Each commit writes what changed, not the archive: an upload appends its
+:class:`~repro.live.archive.Delta` plus the curation block, and a
+re-curation appends the curation block alone.  A full base goes through
+the store's atomic ``put`` instead on creation, on the first commit over
+a format-1 base, and once the log would pass :data:`COMPACT_FRACTION` of
+the base's bytes (compaction).  Loading folds the log back in
+(:func:`repro.live.archive.fold`), bit-identical to the resident copy.
 
 Crash atomicity falls out of the one-write design: the **only** durable
-mutation an ingestion performs is one ``TenantStore.put`` (itself
-old-or-new atomic under the ``tenantstore.*`` fault sites).  The
-``live.append`` and ``live.resolve`` fault sites fire *before* that
-write, so a kill anywhere in the pipeline leaves the store at the old
-version with the old solution — never a torn instance.  Chaos tests
-assert exactly this.
+mutation an ingestion performs is one record append or one ``put``, each
+old-or-new atomic under the ``tenantstore.*`` fault sites (a torn record
+is cut on the next read).  The ``live.append`` and ``live.resolve`` fault
+sites fire *before* that write, so a kill anywhere in the pipeline
+leaves the store at the old version with the old solution — never a torn
+instance.  Every write is conditional on the version its entry was
+loaded at: a concurrent plain ``PUT`` makes it fail with
+:class:`~repro.errors.VersionConflict` (HTTP 409) instead of being
+silently overwritten, and the resident slot is dropped.  Chaos tests
+assert all of this.
 
 Every commit invalidates the tenant warm cache for the instance, so
 ``by_ref`` solves and jobs immediately see the new version.
@@ -23,6 +35,7 @@ Every commit invalidates the tenant warm cache for the instance, so
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
@@ -32,8 +45,9 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro import faults
-from repro.errors import ValidationError
-from repro.live.archive import IngestReport, LiveArchive
+from repro.core.serialize import json_default
+from repro.errors import ValidationError, VersionConflict
+from repro.live.archive import Delta, IngestReport, LiveArchive, fold
 from repro.live.resolve import (
     LiveSolveResult,
     cold_resolve,
@@ -49,6 +63,10 @@ __all__ = ["LiveManager", "LiveStatus"]
 
 #: Resident archives kept in memory (LRU beyond this).
 DEFAULT_MAX_RESIDENT = 8
+
+#: A commit writes a new base instead of a log record once the log would
+#: pass this fraction of the base's bytes.
+COMPACT_FRACTION = 0.25
 
 
 @dataclass
@@ -90,6 +108,7 @@ class _Entry:
     __slots__ = (
         "archive",
         "version",
+        "base_format",
         "solution",
         "recurated_at",
         "pending_deltas",
@@ -98,9 +117,17 @@ class _Entry:
         "last_ingest_at",
     )
 
-    def __init__(self, archive: LiveArchive, version: int, meta: Dict[str, Any]):
+    def __init__(
+        self,
+        archive: LiveArchive,
+        version: int,
+        meta: Dict[str, Any],
+        base_format: int = 2,
+    ):
         self.archive = archive
         self.version = version
+        # Logs follow format-2 bases only: a format-1 base is rewritten.
+        self.base_format = base_format
         self.solution = solve_result_from_dict(meta.get("solution"))
         self.recurated_at = meta.get("recurated_at")
         self.pending_deltas = int(meta.get("pending_deltas", 0))
@@ -144,7 +171,8 @@ class LiveManager:
             return lock
 
     def _load_entry(self, tenant: str, instance_id: str) -> _Entry:
-        """The resident entry, reloaded if the store moved past it."""
+        """The resident entry, reloaded (base plus folded log) if the store
+        moved past it."""
         key = (tenant, instance_id)
         version = self._tenants.store.meta(tenant, instance_id).version
         with self._mu:
@@ -152,16 +180,20 @@ class LiveManager:
             if entry is not None and entry.version == version:
                 self._resident.move_to_end(key)
                 return entry
-        envelope = self._tenants.store.get(tenant, instance_id)
+        envelope, archive = fold(
+            self._tenants.store, self._tenants.store.get(tenant, instance_id)
+        )
         doc = envelope["instance"]
         if "live" not in doc:
             raise ValidationError(
                 f"instance {instance_id!r} of tenant {tenant!r} is not live "
                 "(create it through the live API to ingest deltas)"
             )
-        archive = LiveArchive.from_doc(doc)
         entry = _Entry(
-            archive, int(envelope["version"]), doc["live"].get("curation", {})
+            archive if archive is not None else LiveArchive.from_doc(doc),
+            int(envelope["version"]),
+            doc["live"].get("curation", {}),
+            int(envelope.get("format", 1)),
         )
         self._admit(key, entry)
         return entry
@@ -173,16 +205,62 @@ class LiveManager:
             while len(self._resident) > self._max_resident:
                 self._resident.popitem(last=False)
 
+    def _drop(self, key: Tuple[str, str]) -> None:
+        with self._mu:
+            self._resident.pop(key, None)
+
     def _commit(
-        self, tenant: str, instance_id: str, entry: _Entry
+        self,
+        tenant: str,
+        instance_id: str,
+        entry: _Entry,
+        delta: Optional[Delta] = None,
+        *,
+        create: bool = False,
     ) -> int:
-        """One atomic store write; resident state advances only on success."""
-        doc = entry.archive.to_doc()
-        doc["live"]["curation"] = entry.meta_dict()
-        meta = self._tenants.store.put(tenant, instance_id, doc)
+        """One durable store write; resident state advances only on success.
+
+        Appends ``delta`` (if any) plus the curation block as one log
+        record, or writes a full base (see the module docstring).  Unless
+        ``create``, the write is conditional on ``entry.version``.  On any
+        failure the resident slot is dropped, so the next call reloads
+        what the store holds.
+        """
+        key = (tenant, instance_id)
+        store = self._tenants.store
+        curation = entry.meta_dict()
+        try:
+            meta = None if create else store.meta(tenant, instance_id)
+            record_nbytes = len(json.dumps(curation, default=json_default))
+            if delta is not None:
+                record_nbytes += delta.nbytes
+            if (
+                meta is not None
+                and entry.base_format == 2
+                and meta.log_nbytes + record_nbytes
+                <= COMPACT_FRACTION * meta.base_nbytes
+            ):
+                record = {} if delta is None else delta.to_record()
+                record["curation"] = curation
+                meta = store.append(
+                    tenant, instance_id, record, expect_version=entry.version
+                )
+            else:
+                doc = entry.archive.to_doc()
+                doc["live"]["curation"] = curation
+                meta = store.put(
+                    tenant,
+                    instance_id,
+                    doc,
+                    expect_version=None if create else entry.version,
+                )
+        except BaseException:
+            self._drop(key)
+            raise
         self._tenants.cache.invalidate(tenant, instance_id)
         entry.version = meta.version
-        self._admit((tenant, instance_id), entry)
+        entry.base_format = 2
+        self._admit(key, entry)
         return meta.version
 
     # ------------------------------------------------------------ lifecycle
@@ -220,7 +298,7 @@ class LiveManager:
                 entry.solution = cold_resolve(archive.instance)
                 entry.recurated_at = time.time()
                 self._observe_resolve(tenant, entry.solution)
-            version = self._commit(tenant, instance_id, entry)
+            version = self._commit(tenant, instance_id, entry, create=True)
         return {
             "tenant": tenant,
             "instance_id": instance_id,
@@ -263,12 +341,19 @@ class LiveManager:
             entry = self._load_entry(tenant, instance_id)
             with _trace.span("live.append"):
                 grown, report = entry.archive.ingest(costs, embeddings)
-            new_entry = _Entry(grown, entry.version, entry.meta_dict())
+            new_entry = _Entry(
+                grown, entry.version, entry.meta_dict(), entry.base_format
+            )
             new_entry.last_ingest_at = time.time()
+            # Release the old archive before the solve and the commit, so
+            # peak memory holds one archive, not two.  If anything fails
+            # from here on, the empty slot makes the next call reload.
+            self._drop(key)
+            del entry
             if resolve == "warm":
                 faults.check("live.resolve")
                 previous = (
-                    entry.solution.selection if entry.solution else []
+                    new_entry.solution.selection if new_entry.solution else []
                 )
                 with _trace.span("live.resolve"):
                     solved = warm_resolve(grown.instance, previous)
@@ -281,7 +366,9 @@ class LiveManager:
             else:
                 new_entry.pending_deltas += 1
                 new_entry.pending_photos += report.n_added
-            version = self._commit(tenant, instance_id, new_entry)
+            version = self._commit(
+                tenant, instance_id, new_entry, report.delta
+            )
         if obs is not None:
             obs.live_ingests.labels(tenant=tenant).inc()
             obs.live_photos.labels(tenant=tenant).inc(report.n_added)
@@ -317,7 +404,8 @@ class LiveManager:
         deferred deltas into one pass); ``kind="full"`` runs the cold
         two-phase solver and resets the accumulated regret.  Commits a
         new version only if the store did not move underneath the solve
-        (a concurrent ingest wins; the sweep retries next tick).
+        (a concurrent write wins and this returns ``None``; the sweep
+        retries next tick).
         """
         if kind not in ("warm", "full"):
             raise ValidationError(f"unknown recuration kind {kind!r}")
@@ -325,7 +413,6 @@ class LiveManager:
         with self._key_lock(key):
             faults.check("live.resolve")
             entry = self._load_entry(tenant, instance_id)
-            base_version = entry.version
             with _trace.span(f"live.recurate.{kind}"):
                 if kind == "full":
                     solved = cold_resolve(entry.archive.instance)
@@ -334,9 +421,6 @@ class LiveManager:
                         entry.solution.selection if entry.solution else []
                     )
                     solved = warm_resolve(entry.archive.instance, previous)
-            current = self._tenants.store.meta(tenant, instance_id).version
-            if current != base_version:
-                return None
             entry.solution = solved
             entry.recurated_at = time.time()
             entry.pending_deltas = 0
@@ -345,7 +429,10 @@ class LiveManager:
                 entry.accumulated_regret = 0.0
             else:
                 entry.accumulated_regret += solved.regret_bound
-            version = self._commit(tenant, instance_id, entry)
+            try:
+                version = self._commit(tenant, instance_id, entry)
+            except VersionConflict:
+                return None
         self._observe_resolve(tenant, solved)
         obs = probes.active()
         if obs is not None:
@@ -391,7 +478,10 @@ class LiveManager:
             entry.pending_deltas = 0
             entry.pending_photos = 0
             entry.accumulated_regret = 0.0
-            version = self._commit(tenant, instance_id, entry)
+            try:
+                version = self._commit(tenant, instance_id, entry)
+            except VersionConflict:
+                return None
         self._observe_resolve(tenant, solved)
         return version
 

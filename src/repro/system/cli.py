@@ -16,6 +16,7 @@ example with the Figure 3 trace.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from typing import List, Optional
 
@@ -1126,6 +1127,29 @@ def _cmd_scale(args) -> int:
     return 0
 
 
+#: glibc's ``M_ARENA_MAX`` mallopt parameter (``<malloc.h>``).
+_M_ARENA_MAX = -8
+
+
+def _single_malloc_arena() -> None:
+    """Keep every thread of this process on one glibc malloc arena.
+
+    ``serve`` answers each request on a fresh thread, and glibc gives new
+    threads arenas of their own; the multi-MB arrays a live upload frees
+    there are not handed back to the system, so the resident set grows
+    with the request count instead of staying at one archive's worth.
+    A no-op where ``mallopt`` is unavailable (non-glibc platforms).  Only
+    ``serve`` calls this: library users' processes keep their settings.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "datasets":
@@ -1157,6 +1181,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_obs(args)
     if args.command == "serve":
         from repro.system.service import PhocusService
+
+        _single_malloc_arena()
 
         tenant_quota = None
         if (

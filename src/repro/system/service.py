@@ -63,10 +63,11 @@ archive API is also served:
                                                one atomic version bump;
                                                warm re-solve inline
                                                (``resolve="warm"``) or
-                                               defer to the sweep
+                                               defer to the sweep; 409
+                                               if a ``PUT`` raced it
 ``.../instances/<i>/recurate``     POST        force a warm/full
-                                               re-solve; 409 if an
-                                               ingest raced it
+                                               re-solve; 409 if a
+                                               write raced it
 =================================  ==========  ===========================
 
 and ``POST /solve``, ``/score``, and ``/jobs`` accept ``{"by_ref":
@@ -138,6 +139,7 @@ from repro.errors import (
     ServiceOverloaded,
     StorageExhausted,
     ValidationError,
+    VersionConflict,
 )
 from repro.jobs import JobManager, JobState, QueueFull, execute_solve_payload
 from repro.jobs.spec import JobSpec, new_job_id
@@ -829,6 +831,14 @@ def handle_request(
         }
     except InstanceNotFound as exc:
         return 404, {"error": str(exc)}
+    except VersionConflict as exc:
+        return 409, {
+            "error": str(exc),
+            "tenant": exc.tenant,
+            "instance_id": exc.instance_id,
+            "expected_version": exc.expected,
+            "version": exc.actual,
+        }
     except ServiceOverloaded as exc:
         shed_doc: Dict[str, Any] = {
             "error": str(exc),

@@ -24,7 +24,8 @@ a live :class:`~repro.core.instance.PARInstance` under a cache lease.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from functools import partial
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.serialize import instance_from_dict
@@ -52,6 +53,10 @@ __all__ = [
     "sweep_leaked_segments",
     "DEFAULT_PREFIX",
 ]
+
+
+class _VersionMoved(ValidationError):
+    """The stored version changed between choosing a cache key and loading."""
 
 
 def parse_ref(doc: Any) -> Tuple[str, str, Optional[int]]:
@@ -110,8 +115,24 @@ class Tenants:
         return meta
 
     def get_instance(self, tenant: str, instance_id: str) -> Dict[str, Any]:
-        """The stored envelope: metadata fields + the ``instance`` document."""
-        return self.store.get(tenant, instance_id)
+        """The stored envelope: metadata fields + the ``instance`` document.
+
+        A live instance's logged uploads are folded in, so the document is
+        the archive the live manager holds, at its latest version.
+        """
+        return self._read(tenant, instance_id)[0]
+
+    def _read(
+        self, tenant: str, instance_id: str
+    ) -> Tuple[Dict[str, Any], Optional[Any]]:
+        """The stored envelope with its logged records folded in, plus the
+        folded :class:`~repro.live.LiveArchive` (``None`` without a log)."""
+        envelope = self.store.get(tenant, instance_id)
+        if "records" not in envelope:
+            return envelope, None
+        from repro.live.archive import fold  # only live instances log
+
+        return fold(self.store, envelope)
 
     def delete_instance(self, tenant: str, instance_id: str) -> StoredInstance:
         meta = self.store.delete(tenant, instance_id)
@@ -163,22 +184,36 @@ class Tenants:
         unmap it mid-solve.  ``budget`` overrides the stored instance's
         budget without copying arrays.
         """
-        tenant, instance_id, version = parse_ref(by_ref)
-        if version is None:
-            version = self.store.meta(tenant, instance_id).version
-        key: CacheKey = (tenant, instance_id, version)
+        tenant, instance_id, pinned = parse_ref(by_ref)
 
-        def _load():
-            envelope = self.store.get(tenant, instance_id)
+        def _load(version: int):
+            envelope, archive = self._read(tenant, instance_id)
             if envelope.get("version") != version:
-                raise ValidationError(
+                raise _VersionMoved(
                     f"instance {instance_id!r} of tenant {tenant!r} is at "
                     f"version {envelope.get('version')}, not {version} "
                     "(only the latest version is retrievable)"
                 )
+            if archive is not None:
+                return archive.instance
             return instance_from_dict(envelope["instance"])
 
-        with self.cache.lease(key, _load, budget=budget) as (instance, hit):
+        with ExitStack() as stack:
+            for last_try in (False, True):
+                version = pinned
+                if version is None:
+                    version = self.store.meta(tenant, instance_id).version
+                key: CacheKey = (tenant, instance_id, version)
+                try:
+                    instance, hit = stack.enter_context(
+                        self.cache.lease(key, partial(_load, version), budget=budget)
+                    )
+                    break
+                except _VersionMoved:
+                    # An unpinned reference asks again: a write landed, or
+                    # a read cut a damaged log back to its last good record.
+                    if pinned is not None or last_try:
+                        raise
             yield instance, hit
 
     def close(self) -> None:

@@ -1,12 +1,15 @@
 """Persistent per-tenant instance store: upload once, solve by reference.
 
 The store holds serialised :class:`~repro.core.instance.PARInstance`
-documents on disk, one file per ``(tenant, instance)``::
+documents on disk, one base file per ``(tenant, instance)``, optionally
+followed by an append-only log of delta records::
 
     <root>/
       <tenant_id>/
-        <instance_id>.inst                  # CRC-framed envelope
+        <instance_id>.inst                  # CRC-framed base envelope
+        <instance_id>.inst.log              # appended records (live uploads)
         <instance_id>.inst.quarantine       # corrupt blob moved aside
+        <instance_id>.inst.log.quarantine   # cut log suffixes moved aside
 
 Every write goes through :func:`repro.ioutil.atomic_write_bytes` (site
 ``tenantstore`` — chaos tests can crash the write, the fsync, or the
@@ -40,6 +43,27 @@ rather than 500.
 cached packing can never serve a newer upload.  Storage quotas
 (:class:`~repro.tenants.quota.QuotaPolicy`) are enforced under the store
 lock using post-write totals, so concurrent uploads cannot overshoot.
+``put`` and ``append`` take an optional ``expect_version``: when the
+stored version differs they raise
+:class:`~repro.errors.VersionConflict` (HTTP 409) and write nothing.
+
+**The log.**  ``append`` adds one record after the base without
+rewriting it: a length (u64 LE) followed by a format-2 blob whose
+envelope is ``{"format", "version", "updated_at", "record"}``, written
+with ``O_APPEND`` and fsynced (sites ``tenantstore.append`` and
+``tenantstore.append_fsync``).  Record versions run base+1, base+2, …;
+the index version and ``nbytes`` count base plus log.  Reads stop at
+the first short, CRC-failing, out-of-order or malformed record: that
+record and everything after it move to ``<id>.inst.log.quarantine``
+(counted in ``quarantined_count``) and the instance reads at its last
+good version.  :meth:`TenantStore.cut_log` does the same for a record a
+reader finds semantically invalid.  ``put`` renames a new base into
+place and then removes the log; a log left behind by a crash between the
+two holds only versions at or below its base, is ignored as stale, and
+is removed before the next append.  ``get`` returns the base envelope
+plus ``"records"`` (only when there are any) and never interprets them:
+folding them into the document is the reader's job
+(:func:`repro.live.archive.fold`).
 
 Identifiers (tenant and instance ids) are restricted to
 ``[A-Za-z0-9._-]``, max 64 chars, not starting with a dot — they become
@@ -48,6 +72,7 @@ path components, and this closes traversal at the validation layer.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -57,15 +82,15 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import faults
 from repro.core.serialize import json_default
-from repro.errors import InstanceNotFound, ValidationError
-from repro.ioutil import atomic_write_bytes
+from repro.errors import InstanceNotFound, ValidationError, VersionConflict
+from repro.ioutil import atomic_write_bytes, fsync_directory, raise_if_no_space
 from repro.obs import probes as _obs_probes
 from repro.tenants.quota import QuotaPolicy
 
@@ -75,6 +100,10 @@ logger = logging.getLogger(__name__)
 
 _FORMAT = 2
 _SUFFIX = ".inst"
+_LOG_SUFFIX = _SUFFIX + ".log"
+_QUARANTINE = ".quarantine"
+#: Each log record starts with its blob's length.
+_RECORD_LEN = struct.Struct("<Q")
 #: Format-2 blobs start with this; format-1 blobs start with 8 hex digits.
 _MAGIC = b"\x89PHOCUS\n"
 _PREFIX = struct.Struct("<8sIQ")  # magic, CRC32 of the rest, head length
@@ -107,9 +136,19 @@ class StoredInstance:
     tenant: str
     instance_id: str
     version: int
-    nbytes: int  # on-disk envelope size
+    nbytes: int  # on-disk size: base envelope plus its log
     created_at: float
     updated_at: float
+    log_nbytes: int = 0  # the log's valid bytes (part of nbytes)
+    log_records: int = 0
+
+    @property
+    def base_version(self) -> int:
+        return self.version - self.log_records
+
+    @property
+    def base_nbytes(self) -> int:
+        return self.nbytes - self.log_nbytes
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -281,6 +320,65 @@ def _tail_arrays(blob: bytearray, table: Any, tail_start: int) -> List[np.ndarra
     return arrays
 
 
+def _read_log(
+    path: str, base_version: int, limit: Optional[int] = None
+) -> Tuple[List[Dict[str, Any]], int, Optional[str]]:
+    """Decode a log's records in order: ``(records, good_bytes, defect)``.
+
+    Reading stops at the first record that is short, fails its CRC or
+    framing, is not a record envelope, or does not carry the next
+    version; ``defect`` then says why and ``good_bytes`` is where that
+    record starts.  A log whose first record is at or below
+    ``base_version`` is stale (its base was rewritten after it) and reads
+    as empty with no defect.  ``limit`` caps the bytes read: the index
+    knows how many were acknowledged.
+    """
+    records: List[Dict[str, Any]] = []
+    good = 0
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return [], 0, ("log is missing" if limit else None)
+    except OSError as exc:
+        return [], 0, f"log is unreadable: {exc}"
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        if limit is not None:
+            if size < limit:
+                return [], 0, f"log holds {size} bytes, {limit} were written"
+            size = limit
+        while good < size:
+            head = fh.read(_RECORD_LEN.size)
+            if good + _RECORD_LEN.size > size or len(head) != _RECORD_LEN.size:
+                return records, good, "short record length"
+            (length,) = _RECORD_LEN.unpack(head)
+            if length > size - good - _RECORD_LEN.size:
+                return records, good, "short record"
+            blob = bytearray(length)
+            if fh.readinto(blob) != length:
+                return records, good, "short record"
+            if blob[: len(_MAGIC)] != _MAGIC:
+                return records, good, "record is not a format-2 blob"
+            try:
+                rec = _decode_blob(blob)
+            except ValueError as exc:
+                return records, good, f"record: {exc}"
+            version = rec.get("version")
+            if type(version) is not int:
+                return records, good, "record carries no version"
+            if not records and version <= base_version:
+                return [], 0, None  # stale: a put rewrote the base after it
+            if version != base_version + len(records) + 1:
+                return records, good, f"record version {version!r} is out of order"
+            if not isinstance(rec.get("record"), dict) or type(
+                rec.get("updated_at")
+            ) not in (int, float):
+                return records, good, "malformed record envelope"
+            records.append(rec)
+            good += _RECORD_LEN.size + length
+    return records, good, None
+
+
 class TenantStore:
     """Durable tenant-scoped instance blobs with a scanned in-memory index."""
 
@@ -300,6 +398,9 @@ class TenantStore:
 
     def _path(self, tenant: str, instance_id: str) -> str:
         return os.path.join(self.root, tenant, instance_id + _SUFFIX)
+
+    def _log_path(self, tenant: str, instance_id: str) -> str:
+        return os.path.join(self.root, tenant, instance_id + _LOG_SUFFIX)
 
     def _scan(self) -> None:
         """Build the index from disk; quarantine anything unreadable."""
@@ -325,7 +426,21 @@ class TenantStore:
                     created_at=float(envelope.get("created_at", 0.0)),
                     updated_at=float(envelope.get("updated_at", 0.0)),
                 )
+                records, good, defect = _read_log(
+                    self._log_path(tenant, instance_id), meta.version
+                )
+                if records:
+                    meta = replace(
+                        meta,
+                        version=meta.version + len(records),
+                        nbytes=meta.nbytes + good,
+                        updated_at=float(records[-1].get("updated_at", 0.0)),
+                        log_nbytes=good,
+                        log_records=len(records),
+                    )
                 self._index.setdefault(tenant, {})[instance_id] = meta
+                if defect is not None:
+                    self._cut_locked(meta, meta.version + 1, good, defect)
 
     @staticmethod
     def _read_envelope(path: str) -> Dict[str, Any]:
@@ -339,8 +454,11 @@ class TenantStore:
         return _decode_blob(blob)
 
     def _quarantine(self, path: str, exc: Exception) -> None:
-        """Move a corrupt blob aside (never delete); count + log it."""
-        quarantine_path = path + ".quarantine"
+        """Move a corrupt blob, and any log after it, aside (never delete);
+        count + log it."""
+        quarantine_path = path + _QUARANTINE
+        with contextlib.suppress(OSError):
+            os.replace(path + ".log", path + ".log" + _QUARANTINE)
         try:
             os.replace(path, quarantine_path)
         except OSError:
@@ -353,10 +471,61 @@ class TenantStore:
             exc,
         )
 
+    def _cut_locked(
+        self, meta: StoredInstance, version: int, offset: int, reason: str
+    ) -> None:
+        """Quarantine the log from record ``version`` (at byte ``offset``) on.
+
+        The suffix, up to the end of the file, is appended to the log's
+        quarantine file (never deleted), the log is truncated back to its
+        good prefix, and the index drops to ``version - 1``.
+        """
+        path = self._log_path(meta.tenant, meta.instance_id)
+        try:
+            with open(path, "r+b") as fh:
+                fh.seek(offset)
+                suffix = fh.read()
+                with open(path + _QUARANTINE, "ab") as out:
+                    out.write(suffix)
+                    out.flush()
+                    os.fsync(out.fileno())
+                fh.truncate(offset)
+                fh.flush()
+                os.fsync(fh.fileno())
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            # The index still stops at the good prefix; the next append
+            # truncates whatever follows it.
+            logger.warning("tenant store: could not move %s aside (%s)", path, exc)
+        self._index[meta.tenant][meta.instance_id] = replace(
+            meta,
+            version=version - 1,
+            nbytes=meta.base_nbytes + offset,
+            log_nbytes=offset,
+            log_records=version - 1 - meta.base_version,
+        )
+        self.quarantined_count += 1
+        self._gauge(meta.tenant)
+        logger.warning(
+            "tenant store: cut the log of %s/%s at version %d, serving "
+            "version %d (%s)",
+            meta.tenant,
+            meta.instance_id,
+            version,
+            version - 1,
+            reason,
+        )
+
     # ----------------------------------------------------------------- CRUD
 
     def put(
-        self, tenant: str, instance_id: str, instance_doc: Dict[str, Any]
+        self,
+        tenant: str,
+        instance_id: str,
+        instance_doc: Dict[str, Any],
+        *,
+        expect_version: Optional[int] = None,
     ) -> StoredInstance:
         """Store (or overwrite) an instance document; returns its metadata.
 
@@ -364,7 +533,10 @@ class TenantStore:
         service deserialises it first so garbage is rejected with 422
         before any disk write).  Raises
         :class:`~repro.errors.QuotaExceeded` without writing when the
-        post-write totals would violate the tenant's quota.
+        post-write totals would violate the tenant's quota, and
+        :class:`~repro.errors.VersionConflict` when ``expect_version`` is
+        given and is not the stored version (0 for "absent").  The new
+        base replaces the old one and its log.
         """
         validate_id(tenant, "tenant id")
         validate_id(instance_id, "instance id")
@@ -373,11 +545,14 @@ class TenantStore:
         now = time.time()
         with self._lock:
             existing = self._index.get(tenant, {}).get(instance_id)
+            current = existing.version if existing else 0
+            if expect_version is not None and expect_version != current:
+                raise VersionConflict(tenant, instance_id, expect_version, current)
             envelope = {
                 "format": _FORMAT,
                 "tenant": tenant,
                 "instance_id": instance_id,
-                "version": (existing.version + 1) if existing else 1,
+                "version": current + 1,
                 "created_at": existing.created_at if existing else now,
                 "updated_at": now,
                 "instance": instance_doc,
@@ -401,14 +576,94 @@ class TenantStore:
             )
             self._index.setdefault(tenant, {})[instance_id] = meta
             self._gauge(tenant)
+            # The new base is durable; the old log is now stale whether or
+            # not this unlink happens (a crash here leaves it for the next
+            # append to remove).
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self._log_path(tenant, instance_id))
+            return meta
+
+    def append(
+        self,
+        tenant: str,
+        instance_id: str,
+        record: Dict[str, Any],
+        *,
+        expect_version: int,
+    ) -> StoredInstance:
+        """Append one delta record to an instance's log; returns its metadata.
+
+        The record becomes version ``expect_version + 1``.  Raises
+        :class:`~repro.errors.VersionConflict` if the stored version is
+        not ``expect_version`` and :class:`~repro.errors.QuotaExceeded` if
+        base plus log would pass the tenant's quota; both write nothing.
+        """
+        if not isinstance(record, dict):
+            raise ValidationError("a log record must be an object")
+        now = time.time()
+        with self._lock:
+            meta = self._meta(tenant, instance_id)
+            if meta.version != expect_version:
+                raise VersionConflict(
+                    tenant, instance_id, expect_version, meta.version
+                )
+            chunks, size = _encode_blob(
+                {
+                    "format": _FORMAT,
+                    "version": meta.version + 1,
+                    "updated_at": now,
+                    "record": record,
+                }
+            )
+            framed = _RECORD_LEN.size + size
+            self.quotas.check_storage(
+                tenant,
+                new_bytes=self.tenant_bytes(tenant) + framed,
+                new_instances=len(self._index[tenant]),
+            )
+            path = self._log_path(tenant, instance_id)
+            chunks.insert(0, _RECORD_LEN.pack(size))
+            faults.check("tenantstore.append")
+            if faults.is_armed():
+                chunks = [faults.mangle("tenantstore.append", b"".join(chunks))]
+            try:
+                with open(path, "ab") as fh:
+                    if os.fstat(fh.fileno()).st_size != meta.log_nbytes:
+                        # A stale log, or the torn end of a write that
+                        # failed in this process: neither was acknowledged.
+                        fh.truncate(meta.log_nbytes)
+                    for chunk in chunks:
+                        fh.write(chunk)
+                    fh.flush()
+                    if not faults.should_drop("tenantstore.append_fsync"):
+                        os.fsync(fh.fileno())
+            except OSError as exc:
+                raise_if_no_space(exc, path)
+                raise
+            if meta.log_nbytes == 0:
+                fsync_directory(os.path.dirname(path))
+            meta = replace(
+                meta,
+                version=meta.version + 1,
+                nbytes=meta.nbytes + framed,
+                updated_at=now,
+                log_nbytes=meta.log_nbytes + framed,
+                log_records=meta.log_records + 1,
+            )
+            self._index[tenant][instance_id] = meta
+            self._gauge(tenant)
             return meta
 
     def get(self, tenant: str, instance_id: str) -> Dict[str, Any]:
-        """The full stored envelope (metadata + ``instance`` document).
+        """The stored base envelope (metadata + ``instance`` document), plus
+        ``"records"`` — the logged record envelopes, oldest first — when the
+        instance has a log.
 
-        A CRC/parse failure quarantines the blob, drops it from the
-        index, and raises :class:`InstanceNotFound` — a corrupt blob is
-        indistinguishable from a missing one to callers, by design.
+        A CRC/parse failure of the base quarantines it (and its log),
+        drops it from the index, and raises :class:`InstanceNotFound` — a
+        corrupt blob is indistinguishable from a missing one to callers,
+        by design.  A defective log record is cut instead (see
+        :meth:`cut_log`): the envelope then ends at the last good record.
         """
         with self._lock:
             meta = self._meta(tenant, instance_id)
@@ -423,7 +678,42 @@ class TenantStore:
                     f"instance {instance_id!r} of tenant {tenant!r} is corrupt "
                     "and was quarantined"
                 ) from exc
+            if meta.log_nbytes:
+                records, good, defect = _read_log(
+                    self._log_path(tenant, instance_id),
+                    meta.base_version,
+                    limit=meta.log_nbytes,
+                )
+                if defect is not None:
+                    version = meta.base_version + len(records) + 1
+                    self._cut_locked(meta, version, good, defect)
+                if records:
+                    envelope["records"] = records
             return envelope
+
+    def cut_log(
+        self, tenant: str, instance_id: str, version: int, reason: str
+    ) -> None:
+        """Quarantine logged records from ``version`` on (a reader found that
+        record invalid); the instance then reads at ``version - 1``.
+
+        A no-op when ``version`` is not in the current log (another reader
+        cut it already, or a writer rewrote the base).
+        """
+        with self._lock:
+            meta = self._index.get(tenant, {}).get(instance_id)
+            if meta is None or not meta.base_version < version <= meta.version:
+                return
+            offset = 0
+            try:
+                with open(self._log_path(tenant, instance_id), "rb") as fh:
+                    for _ in range(version - 1 - meta.base_version):
+                        (length,) = _RECORD_LEN.unpack(fh.read(_RECORD_LEN.size))
+                        offset += _RECORD_LEN.size + length
+                        fh.seek(offset)
+            except (OSError, struct.error):
+                return  # the framing itself broke: the next get cuts there
+            self._cut_locked(meta, version, offset, reason)
 
     def meta(self, tenant: str, instance_id: str) -> StoredInstance:
         with self._lock:
@@ -438,13 +728,17 @@ class TenantStore:
         return meta
 
     def delete(self, tenant: str, instance_id: str) -> StoredInstance:
-        """Remove an instance; returns the metadata it had."""
+        """Remove an instance and its log; returns the metadata it had."""
         with self._lock:
             meta = self._meta(tenant, instance_id)
-            try:
-                os.unlink(self._path(tenant, instance_id))
-            except FileNotFoundError:  # pragma: no cover - index ahead of disk
-                pass
+            # The log goes first: a crash in between leaves a base with no
+            # log, never a log that a later base could mistake for its own.
+            for path in (
+                self._log_path(tenant, instance_id),
+                self._path(tenant, instance_id),
+            ):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(path)
             del self._index[tenant][instance_id]
             if not self._index[tenant]:
                 del self._index[tenant]

@@ -220,7 +220,7 @@ def _broken(inst: PARInstance, **arrays) -> PARInstance:
         name: getattr(inc, name).copy()
         for name in (
             "subset_offsets", "photo_member_indptr", "member_entry_indptr",
-            "entry_indptr", "slots", "sims", "wrel",
+            "entry_indptr", "slots", "sims", "slot_wrel",
         )
     }
     parts.update(arrays)
@@ -255,7 +255,14 @@ class TestBoundary:
 
     @needs_kernel
     @pytest.mark.parametrize(
-        "case", ["slot_too_big", "slot_negative", "indptr_decreasing", "indptr_short"]
+        "case",
+        [
+            "slot_too_big",
+            "slot_negative",
+            "indptr_decreasing",
+            "indptr_short",
+            "slot_wrel_short",
+        ],
     )
     def test_broken_invariant_raises_index_error_before_c(self, case):
         inst, _ = threshold_sparsify(random_instance(2, n_photos=16, n_subsets=4), 0.3)
@@ -272,6 +279,9 @@ class TestBoundary:
         elif case == "indptr_decreasing":
             me[1] = me[2] + 1
             bad = _broken(inst, member_entry_indptr=me)
+        elif case == "slot_wrel_short":
+            # One weight per slot: a short array would read past its end.
+            bad = _broken(inst, slot_wrel=inc.slot_wrel[:-1].copy())
         else:
             pm[-1] -= 1
             bad = _broken(inst, photo_member_indptr=pm)
@@ -307,7 +317,7 @@ class TestBoundary:
             inc = view.incidence
             arrays = [
                 inc.photo_member_indptr, inc.member_entry_indptr,
-                inc.slots, inc.sims, inc.wrel, state._best_flat,
+                inc.slots, inc.sims, inc.slot_wrel, state._best_flat,
             ]
             refs = [weakref.ref(a) for a in arrays]
             expected = [state.gain(p) for p in range(view.n)]

@@ -90,3 +90,25 @@ class TestCommands:
              "--algorithms", "rand-a,wizardry"]
         )
         assert code == 2
+
+
+def test_serve_arena_policy_is_a_no_op_without_mallopt(monkeypatch):
+    from repro.system import cli
+
+    calls = []
+
+    class _Libc:
+        def __init__(self, name):
+            self.mallopt = lambda param, value: calls.append((param, value))
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", _Libc)
+    cli._single_malloc_arena()
+    assert calls == [(cli._M_ARENA_MAX, 1)]
+
+    class _NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", _NoMallopt)
+    cli._single_malloc_arena()  # non-glibc platforms: nothing to call
+    assert calls == [(cli._M_ARENA_MAX, 1)]

@@ -8,7 +8,8 @@ and an in-process ``solve`` of the instance as built (the
 ``PARInstance.from_photos`` path ``phocus solve`` takes for datasets).
 Selections and values must be identical, not merely close.  A live
 archive's cold re-solve must likewise equal an inline solve of the
-document ``GET`` returns for it.
+document ``GET`` returns for it, and so must a ``by_ref`` solve of a live
+archive whose latest uploads are still in the store's log.
 """
 
 from __future__ import annotations
@@ -128,3 +129,38 @@ def test_live_cold_resolve_equals_inline_solve_of_its_document(service):
     assert status == 200
     cold = created["solution"]  # cold_resolve's answer, in pick order
     assert _inline(envelope["instance"]) == (sorted(cold["selection"]), cold["value"])
+
+
+def test_live_by_ref_with_a_logged_upload_equals_inline_solve_of_get(service):
+    costs, embeddings = synthetic_archive(330, dim=8, seed=5)
+    base = "/tenants/acme/instances/live-logged"
+    collaborators = {"tenants": service["tenants"], "live": service["live"]}
+    _post(
+        base + "/live",
+        {
+            "costs": costs[:300].tolist(),
+            "embeddings": embeddings[:300].tolist(),
+            "budget": float(costs[:300].sum()) * 0.1,
+            "tau": 0.7,
+        },
+        **collaborators,
+    )
+    for lo in (300, 315):
+        _post(
+            base + "/photos",
+            {
+                "costs": costs[lo : lo + 15].tolist(),
+                "embeddings": embeddings[lo : lo + 15].tolist(),
+            },
+            **collaborators,
+        )
+    meta = service["tenants"].store.meta("acme", "live-logged")
+    assert meta.log_records == 2  # the last two versions live in the log
+    status, envelope = handle_request(
+        "GET", base, None, tenants=service["tenants"]
+    )
+    assert status == 200 and envelope["version"] == meta.version
+    by_ref = {"by_ref": {"tenant": "acme", "instance_id": "live-logged"}}
+    assert _answer(_post("/solve", by_ref, tenants=service["tenants"])) == _inline(
+        envelope["instance"]
+    )

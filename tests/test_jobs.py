@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from collections import defaultdict
 
 import pytest
+
+from repro import faults
 
 from repro.core.serialize import instance_to_dict
 from repro.core.solver import PERMANENT, TRANSIENT, classify_failure, solve
@@ -25,6 +28,8 @@ from repro.jobs import (
     QueueFull,
     execute_solve_payload,
 )
+from repro.faults.plan import FaultPlan, ProcessKilled
+from repro.jobs.store import InMemoryJobStore
 
 from tests.conftest import random_instance
 
@@ -545,6 +550,96 @@ class TestAcceptance:
         finally:
             second.shutdown()
         assert all(executions[j] == 1 for j in done_ids + staged_ids), executions
+
+
+# ------------------------------------------------- journal before publish
+
+
+class _BlockingTerminalStore(InMemoryJobStore):
+    """Holds every save of a terminal record until ``release`` is set."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.saving = threading.Event()
+        self.release = threading.Event()
+
+    def save(self, record: JobRecord) -> None:
+        if record.terminal:
+            self.saving.set()
+            assert self.release.wait(10)
+        super().save(record)
+
+
+@contextlib.contextmanager
+def _quiet_process_kills():
+    previous = threading.excepthook
+
+    def _hook(args):
+        if not issubclass(args.exc_type, ProcessKilled):
+            previous(args)
+
+    threading.excepthook = _hook
+    try:
+        yield
+    finally:
+        threading.excepthook = previous
+
+
+class TestJournalBeforePublish:
+    def test_status_is_not_terminal_while_the_outcome_is_being_saved(self):
+        store = _BlockingTerminalStore()
+        with JobManager(workers=1, store=store, solve_fn=lambda spec: {"ok": 1}) as m:
+            job_id = m.submit(_spec())
+            assert store.saving.wait(10)
+            assert m.status(job_id)["state"] == "RUNNING"
+            with pytest.raises(TimeoutError):
+                m.wait(job_id, timeout=0.1)
+            store.release.set()
+            assert m.wait(job_id, timeout=10)["state"] == "SUCCEEDED"
+            assert m.result(job_id) == {"ok": 1}
+
+    def test_an_outcome_the_journal_refuses_is_still_published(self):
+        class _FullDisk(InMemoryJobStore):
+            def save(self, record: JobRecord) -> None:
+                if record.terminal:
+                    raise OSError("no space left for the outcome line")
+                super().save(record)
+
+        with JobManager(workers=1, store=_FullDisk(), solve_fn=lambda spec: {"ok": 1}) as m:
+            job_id = m.submit(_spec())
+            assert m.wait(job_id, timeout=10)["state"] == "SUCCEEDED"
+            assert m.result(job_id) == {"ok": 1}
+
+    def test_kill_at_the_completion_write_replays_instead_of_succeeding(self, tmp_path):
+        journal = str(tmp_path / "jobs.jsonl")
+        executions = []
+
+        def solve_fn(spec):
+            executions.append(spec.job_id)
+            return {"run": len(executions)}
+
+        # Each journal write probes its site twice (check, then mangle):
+        # hit 5 is the third write's check — after the submit and RUNNING
+        # lines, the outcome line.
+        plan = FaultPlan().on("journal.write", "kill", nth=5)
+        with _quiet_process_kills(), faults.armed(plan):
+            first = JobManager(workers=1, journal_path=journal, solve_fn=solve_fn)
+            job_id = first.submit(_spec("k1"))
+            deadline = time.monotonic() + 10
+            while not plan.fired("journal.write") and time.monotonic() < deadline:
+                assert first.status(job_id)["state"] != "SUCCEEDED"
+                time.sleep(0.005)
+            assert plan.fired("journal.write") == 1
+            time.sleep(0.1)  # the killed worker thread has unwound
+            assert first.status(job_id)["state"] == "RUNNING"
+            first.shutdown(wait=False)
+        second = JobManager(workers=1, journal_path=journal, solve_fn=solve_fn)
+        try:
+            assert second.wait(job_id, timeout=10)["state"] == "SUCCEEDED"
+            assert second.result(job_id) == {"run": 2}
+        finally:
+            second.shutdown()
+        assert executions == ["k1", "k1"]
 
 
 # ------------------------------------------------------------------- stats

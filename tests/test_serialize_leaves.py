@@ -82,7 +82,7 @@ _INCIDENCE_FIELDS = (
     "entry_indptr",
     "slots",
     "sims",
-    "wrel",
+    "slot_wrel",
 )
 
 

@@ -145,6 +145,89 @@ def test_transient_load_error_quarantines(tmp_path):
     assert (tmp_path / "acme" / "p.inst.quarantine").exists()
 
 
+# ------------------------------------------------------------ log append chaos
+
+
+def _logged_store(tmp_path):
+    """A store holding acme/p at version 2: a base plus one log record."""
+    store = TenantStore(str(tmp_path))
+    store.put("acme", "p", _doc(1))
+    store.append("acme", "p", {"curation": {"n": 1}}, expect_version=1)
+    return store
+
+
+def _versions(store):
+    envelope = store.get("acme", "p")
+    return envelope["version"], [r["version"] for r in envelope.get("records", [])]
+
+
+def test_killed_append_leaves_the_log_untouched(tmp_path):
+    store = _logged_store(tmp_path)
+    log = tmp_path / "acme" / "p.inst.log"
+    size = log.stat().st_size
+
+    plan = FaultPlan(seed=CHAOS_SEED).on("tenantstore.append", "kill")
+    with faults.armed(plan):
+        with pytest.raises(ProcessKilled):
+            store.append("acme", "p", {"curation": {"n": 2}}, expect_version=2)
+        assert plan.fired("tenantstore.append") == 1
+
+    # Killed before a byte was written: same version, same log.
+    assert store.meta("acme", "p").version == 2
+    assert log.stat().st_size == size
+    assert _versions(TenantStore(str(tmp_path))) == (1, [2])
+    # And the retry lands as the next version.
+    assert store.append("acme", "p", {"curation": {"n": 2}}, expect_version=2).version == 3
+    assert _versions(TenantStore(str(tmp_path))) == (1, [2, 3])
+
+
+def test_record_torn_by_a_kill_mid_write_is_cut_on_reopen(tmp_path):
+    store = _logged_store(tmp_path)
+    log = tmp_path / "acme" / "p.inst.log"
+    good = log.stat().st_size
+    store.append("acme", "p", {"curation": {"n": 2}}, expect_version=2)
+    grown = log.stat().st_size
+    # The process died with only part of the record on disk.
+    torn = good + 1 + (CHAOS_SEED * 104729) % (grown - good - 1)
+    with open(log, "r+b") as fh:
+        fh.truncate(torn)
+
+    reopened = TenantStore(str(tmp_path))
+    assert reopened.quarantined_count == 1
+    assert reopened.meta("acme", "p").version == 2
+    assert _versions(reopened) == (1, [2])
+    # The torn bytes moved aside whole; the log ends at its good prefix.
+    assert log.stat().st_size == good
+    assert (tmp_path / "acme" / "p.inst.log.quarantine").stat().st_size == torn - good
+    # The retry appends cleanly after the good prefix.
+    assert reopened.append("acme", "p", {"curation": {"n": 2}}, expect_version=2).version == 3
+    assert _versions(TenantStore(str(tmp_path))) == (1, [2, 3])
+
+
+def test_corrupted_append_is_cut_and_the_previous_version_served(tmp_path):
+    store = _logged_store(tmp_path)
+    plan = FaultPlan(seed=CHAOS_SEED).on("tenantstore.append", "corrupt")
+    with faults.armed(plan):
+        meta = store.append("acme", "p", {"curation": {"n": 2}}, expect_version=2)
+        assert meta.version == 3  # the write "succeeds"...
+    # ...but the read finds the bad record, cuts it and serves version 2.
+    assert _versions(store) == (1, [2])
+    assert store.meta("acme", "p").version == 2
+    assert store.quarantined_count == 1
+    assert (tmp_path / "acme" / "p.inst.log.quarantine").exists()
+    assert _versions(TenantStore(str(tmp_path))) == (1, [2])
+
+
+def test_dropped_append_fsync_is_silent_without_a_crash(tmp_path):
+    store = _logged_store(tmp_path)
+    plan = FaultPlan(seed=CHAOS_SEED).on("tenantstore.append_fsync", "drop")
+    with faults.armed(plan):
+        store.append("acme", "p", {"curation": {"n": 2}}, expect_version=2)
+        assert plan.fired("tenantstore.append_fsync") == 1
+    # No crash followed the dropped fsync, so the record is still there.
+    assert _versions(TenantStore(str(tmp_path))) == (1, [2, 3])
+
+
 # ----------------------------------------------------------------- cache chaos
 
 
