@@ -27,12 +27,15 @@ float arrays that dominate instance documents natively (see
 for the inline solve routes, leaves those arrays as ``np.ndarray`` slices
 of the scan where :func:`instance_from_dict` reads numbers, so an inline
 instance reaches the solver without a detour through Python floats.
+:func:`number_field` and :func:`numbers_field` read a body's numeric
+options, rejecting what ``json.loads`` parsed as anything else.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Union
+import math
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -54,6 +57,8 @@ __all__ = [
     "instance_from_json",
     "json_default",
     "loads",
+    "number_field",
+    "numbers_field",
     "solution_to_dict",
 ]
 
@@ -298,6 +303,58 @@ def loads_request(data: bytes) -> Any:
     :func:`loads`.
     """
     return _loads(data, arrays=True)
+
+
+def number_field(
+    payload: Dict[str, Any],
+    key: str,
+    default: Any = None,
+    *,
+    integer: bool = False,
+    minimum: Optional[float] = None,
+) -> Any:
+    """``payload[key]`` as a finite float, or an int when ``integer``;
+    ``default`` when the key is absent or null.
+
+    A boolean, string, list or object, a non-finite or out-of-range
+    number, a fraction where an integer is asked for, and a value below
+    ``minimum`` raise :class:`ValidationError` naming the field.
+    """
+    value = payload.get(key)
+    if value is None:
+        return default
+    return _number(value, key, integer, minimum)
+
+
+def numbers_field(payload: Dict[str, Any], key: str) -> Optional[List[float]]:
+    """``payload[key]`` as a list of finite floats (``None`` when absent
+    or null); anything but a list of numbers raises
+    :class:`ValidationError` naming the field."""
+    value = payload.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ValidationError(f"{key!r} must be a list of numbers, got {value!r}")
+    return [_number(v, key, False, None) for v in value]
+
+
+def _number(value: Any, key: str, integer: bool, minimum: Optional[float]) -> Any:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key!r} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{key!r} must be finite, got {value!r}")
+    if integer:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValidationError(f"{key!r} must be an integer, got {value!r}")
+        value = int(value)
+    else:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValidationError(f"{key!r} is out of range") from None
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{key!r} must be at least {minimum}, got {value!r}")
+    return value
 
 
 def _loads(data: Union[bytes, str], *, arrays: bool) -> Any:

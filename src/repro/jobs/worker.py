@@ -25,7 +25,12 @@ import numpy as np
 
 from repro import faults as _faults
 from repro.core.objective import score
-from repro.core.serialize import instance_from_dict, solution_to_dict
+from repro.core.serialize import (
+    instance_from_dict,
+    number_field,
+    numbers_field,
+    solution_to_dict,
+)
 from repro.core.solver import checkpointable_algorithms, solve
 from repro.errors import ValidationError
 from repro.obs import probes as _obs_probes
@@ -99,10 +104,11 @@ def execute_solve_payload(
     _obs = _obs_probes.active()
     if _obs is not None:
         _obs.solve_requests.labels(algorithm=str(algorithm)).inc()
-    tau = float(payload.get("tau") or 0.0)
+    tau = number_field(payload, "tau", 0.0)
     method = payload.get("sparsify_method") or "exact"
     certificate = bool(payload.get("certificate", False))
-    seed = payload.get("seed")
+    seed = number_field(payload, "seed", integer=True, minimum=0)
+    budgets = numbers_field(payload, "budgets")
     rng = np.random.default_rng(seed)
 
     solver_instance = instance
@@ -124,7 +130,7 @@ def execute_solve_payload(
     )
     fidelity = payload.get("fidelity")
     if fidelity is not None:
-        if payload.get("budgets"):
+        if budgets:
             raise ValidationError(
                 "use the fidelity policy's own 'budgets' key for "
                 "multi-fidelity sweeps, not the top-level 'budgets'"
@@ -137,14 +143,13 @@ def execute_solve_payload(
                 checkpoint_sink=checkpoint_sink,
                 resume_from=resume_from,
             )
-    budgets = payload.get("budgets")
     if budgets:
         return _execute_sweep(
             instance,
             solver_instance,
             sparsify_doc,
             algorithm=algorithm,
-            budgets=[float(b) for b in budgets],
+            budgets=budgets,
             certificate=certificate,
             seed=seed,
             workers=payload.get("parallel_workers"),

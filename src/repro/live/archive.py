@@ -6,22 +6,34 @@ bucket *new* photos against it:
 
 * the seeded hyperplanes (re-derived from ``(seed, n_bits, dim)``, never
   stored);
-* one ``uint64`` bucket key per photo per band (``O(n · bands)`` ints,
-  the only per-photo LSH residue kept between uploads).
+* one bucket key per photo per band, held as a short list of immutable
+  sorted *runs* (the bucket index, below).
 
 :meth:`ingest` re-buckets only the ``k`` arriving photos: their band keys
-are matched against the stored keys (old↔new candidates, a sorted search
-per band) and against each other (new↔new, the builder's own
-within-bucket emitter), verified with the shared exact-cosine kernel, and
-appended to the CSR via :meth:`SparseSimilarity.append_rows` — the dense
-SIM is never rebuilt and the old CSR region is never re-sorted.  The
-grown instance is **bit-identical** to a from-scratch
+are matched against the stored keys (old↔new candidates, two sorted
+searches per band and run) and against each other (new↔new, the builder's
+own within-bucket emitter), verified with the shared exact-cosine kernel,
+and appended to the CSR via :meth:`SparseSimilarity.append_rows` — the
+dense SIM is never rebuilt and the old CSR region is never re-sorted.
+The grown instance is **bit-identical** to a from-scratch
 :func:`repro.scale.build_streamed_instance` over the union of photos at
 the same ``(seed, n_bits)``: identical planes give identical bucket keys,
 the union of (old-old, old-new, new-new) within-bucket pairs is exactly
 the fresh build's candidate set, and both paths verify through
 :func:`repro.sparsify.simhash.verify_candidate_pairs` (per-pair values
 independent of chunking) into the same canonical CSR layout.
+
+**The bucket index.**  A run is ``(keys, order)``: two ``(bands, m)``
+arrays, each row sorted by key, ``order`` holding the photo ids.  A
+created archive holds one base run; an upload sorts its own ``k`` keys
+and merges them into a small recent run, which merges into the base once
+it holds more than ``√(2·n·k) + k`` keys (:func:`_recent_limit`).  An
+upload's own merge then costs ``O(bands·√(n·k))`` and the ``O(bands·n)``
+fold comes about every ``√(n/k)`` uploads.  Keys are held in the
+smallest unsigned dtype that fits ``rows`` bits and ``order`` as
+``int32``; stored documents and log records keep ``uint64`` keys.  No
+run is written after it is made, so a grown archive shares its parent's
+base and the parent stays valid.
 
 Relevance stays uniform under growth by storing the *raw* (unnormalised)
 per-photo relevance and renormalising after each delta — ``n`` ones
@@ -39,9 +51,10 @@ pairs equals the chain of appends.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,6 +89,113 @@ from repro.sparsify.simhash import (
 __all__ = ["Delta", "IngestReport", "LiveArchive", "LIVE_FORMAT", "fold"]
 
 LIVE_FORMAT = 1
+
+
+class _Run(NamedTuple):
+    """One immutable sorted run of the bucket index (see the module doc)."""
+
+    keys: np.ndarray  # (bands, m), each row sorted
+    order: np.ndarray  # (bands, m) int32 photo ids, keys[b] == band_keys[b, order[b]]
+
+    @property
+    def size(self) -> int:
+        return int(self.keys.shape[1])
+
+
+def _key_dtype(rows: int) -> np.dtype:
+    """The smallest unsigned dtype holding a ``rows``-bit bucket key."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if rows <= np.iinfo(dtype).bits:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
+
+
+def _recent_limit(n: int, k: int) -> int:
+    """Keys the recent run may hold, at ``n`` photos after a ``k``-photo
+    upload, before it merges into the base: ``√(2·n·k) + k``, which
+    balances the upload's own merge against the amortised fold."""
+    return math.ceil(math.sqrt(2 * n * k)) + k
+
+
+def _checked_band_keys(raw: Any, rows: int, what: str) -> np.ndarray:
+    """Band keys read from outside the process, as ``uint64``.
+
+    Each key must be an integer in ``[0, 2**rows)``: anything else would
+    overflow numpy's cast, or wrap silently into another bucket once
+    narrowed to :func:`_key_dtype`.
+    """
+    try:
+        keys = np.asarray(raw)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc!r}") from exc
+    if keys.dtype.kind not in "iu":
+        raise ValidationError(f"{what} must be integers, got {keys.dtype}")
+    if keys.size and (int(keys.min()) < 0 or int(keys.max()) >> rows):
+        raise ValidationError(f"{what} must lie in [0, 2**{rows})")
+    return keys.astype(np.uint64, copy=False)
+
+
+#: Index entries one vectorised step of a sort or merge covers: whole
+#: bands at a time, so small runs (an upload's own, the recent run) take
+#: a few numpy calls, while a fold into the base goes band by band and no
+#: temporary grows with the archive.
+_BAND_BLOCK = 1 << 16
+
+
+def _band_blocks(bands: int, m: int):
+    """``(b0, b1)`` ranges of bands holding at most ~``_BAND_BLOCK``
+    entries of width ``m`` (at least one band each)."""
+    step = max(1, _BAND_BLOCK // max(m, 1))
+    return [(b0, min(b0 + step, bands)) for b0 in range(0, bands, step)]
+
+
+def _sorted_run(keys: np.ndarray, first_id: int) -> _Run:
+    """The run of ``keys`` (photo order, ids from ``first_id``)."""
+    sorted_keys = np.empty_like(keys)
+    order = np.empty(keys.shape, dtype=np.int32)
+    for b0, b1 in _band_blocks(*keys.shape):
+        perm = np.argsort(keys[b0:b1], axis=1, kind="stable")
+        sorted_keys[b0:b1] = np.take_along_axis(keys[b0:b1], perm, axis=1)
+        order[b0:b1] = perm + first_id
+    return _Run(sorted_keys, order)
+
+
+def _merge_runs(old: _Run, new: _Run) -> _Run:
+    """One run holding both, merged into preallocated arrays.
+
+    Each of ``new``'s keys lands after the equal keys of ``old`` (a
+    ``searchsorted`` plus its rank); a mask places ``old``'s keys in the
+    remaining slots.  Any interleave that keeps rows sorted is valid —
+    the bucket search recovers hit *sets*, not orders.
+    """
+    bands, m = old.keys.shape[0], old.size + new.size
+    keys = np.empty((bands, m), dtype=old.keys.dtype)
+    order = np.empty((bands, m), dtype=np.int32)
+    rank = np.arange(new.size)
+    for b0, b1 in _band_blocks(bands, m):
+        at = np.empty((b1 - b0, new.size), dtype=np.int64)
+        for b in range(b0, b1):
+            at[b - b0] = old.keys[b].searchsorted(new.keys[b], side="right")
+        at += rank
+        at += np.arange(0, (b1 - b0) * m, m)[:, None]
+        at = at.ravel()
+        from_old = np.ones((b1 - b0) * m, dtype=bool)
+        from_old[at] = False
+        for out, a, b in ((keys, old.keys, new.keys), (order, old.order, new.order)):
+            flat = out[b0:b1].reshape(-1)
+            flat[at] = b[b0:b1].ravel()
+            flat[from_old] = a[b0:b1].ravel()
+    return _Run(keys, order)
+
+
+def _grown_index(runs: Tuple[_Run, ...], new: _Run, n: int, k: int) -> Tuple[_Run, ...]:
+    """``runs`` plus an upload's sorted run, at ``n`` photos after it."""
+    base, *recent = runs
+    if recent:
+        new = _merge_runs(recent[0], new)
+    if new.size > _recent_limit(n, k):
+        return (_merge_runs(base, new),)
+    return (base, new)
 
 
 @dataclass
@@ -126,14 +246,17 @@ class Delta:
 
         ``n`` is the archive size the record was appended to.  Costs must
         be finite and positive, embeddings finite and ``(k, dim)``, keys
-        ``(bands, k)``, and every pair in range, off-diagonal, touching
-        ``[n, n + k)``, unique and valued in ``[0, 1]``.
+        ``(bands, k)`` integers below ``2**rows``, and every pair in
+        range, off-diagonal, touching ``[n, n + k)``, unique and valued in
+        ``[0, 1]``.
         """
         try:
             pairs = record["pairs"]
             costs = np.asarray(record["costs"], dtype=np.float64)
             embeddings = np.asarray(record["embeddings"], dtype=np.float64)
-            band_keys = np.asarray(record["band_keys"], dtype=np.uint64)
+            band_keys = _checked_band_keys(
+                record["band_keys"], archive.rows, "delta band_keys"
+            )
             rows = as_ids(pairs["rows"], "logged pair rows")
             cols = as_ids(pairs["cols"], "logged pair cols")
             vals = np.asarray(pairs["vals"], dtype=np.float64)
@@ -222,12 +345,10 @@ class LiveArchive:
         "subset_id",
         "weight",
         "raw_relevance",
-        "band_keys",
         "signature_chunk",
         "chunk_pairs",
         "_planes",
-        "_sorted_keys",
-        "_key_order",
+        "_index",
     )
 
     def __init__(
@@ -243,10 +364,13 @@ class LiveArchive:
         subset_id: str,
         weight: float,
         raw_relevance: np.ndarray,
-        band_keys: np.ndarray,
+        band_keys: Union[np.ndarray, Tuple[_Run, ...]],
         signature_chunk: int = DEFAULT_SIGNATURE_CHUNK,
         chunk_pairs: int = DEFAULT_VERIFY_CHUNK,
     ) -> None:
+        """``band_keys`` is the bucket index: a ``(bands, n)`` array in
+        photo order, sorted into a base run on the first upload, or the
+        runs themselves."""
         if instance.embeddings is None:
             raise ConfigurationError(
                 "a live archive needs embeddings attached to its instance"
@@ -256,10 +380,14 @@ class LiveArchive:
                 "live archives require band rows <= 64 (single-word bucket "
                 "keys are the only banding stable under deltas)"
             )
-        if band_keys.shape != (bands, instance.n):
-            raise ConfigurationError(
-                f"band_keys shape {band_keys.shape} != ({bands}, {instance.n})"
-            )
+        if instance.n > np.iinfo(np.int32).max:
+            raise ConfigurationError("live archives hold fewer than 2**31 photos")
+        if isinstance(band_keys, np.ndarray):
+            if band_keys.shape != (bands, instance.n):
+                raise ConfigurationError(
+                    f"band_keys shape {band_keys.shape} != ({bands}, {instance.n})"
+                )
+            band_keys = band_keys.astype(_key_dtype(rows), copy=False)
         self.instance = instance
         self.tau = float(tau)
         self.seed = int(seed)
@@ -270,12 +398,10 @@ class LiveArchive:
         self.subset_id = subset_id
         self.weight = float(weight)
         self.raw_relevance = np.asarray(raw_relevance, dtype=np.float64)
-        self.band_keys = np.ascontiguousarray(band_keys, dtype=np.uint64)
         self.signature_chunk = int(signature_chunk)
         self.chunk_pairs = int(chunk_pairs)
         self._planes: Optional[np.ndarray] = None
-        self._sorted_keys: Optional[np.ndarray] = None
-        self._key_order: Optional[np.ndarray] = None
+        self._index: Union[np.ndarray, Tuple[_Run, ...]] = band_keys
 
     # ------------------------------------------------------------ geometry
 
@@ -314,23 +440,24 @@ class LiveArchive:
             )
         return out
 
-    def _sorted_key_state(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-band sorted bucket keys plus the argsort realising them.
+    def _runs(self) -> Tuple[_Run, ...]:
+        """The bucket index as sorted runs; a loaded archive's photo-order
+        keys become its base run here, on its first upload."""
+        if isinstance(self._index, np.ndarray):
+            self._index = (_sorted_run(self._index, 0),)
+        return self._index
 
-        The old↔new candidate search is a binary search of the stored
-        keys, which needs them sorted per band.  Sorting ``O(n log n)``
-        keys on every upload would dominate small deltas, so the sorted
-        view is built once per archive lifetime and then *merged* forward
-        at each ingest (a linear interleave of ``k`` new keys) — the
-        steady-state upload path never re-sorts the stored keys.
-        """
-        if self._key_order is None:
-            order = np.argsort(self.band_keys, axis=1, kind="stable")
-            self._key_order = order
-            self._sorted_keys = np.take_along_axis(
-                self.band_keys, order, axis=1
-            )
-        return self._sorted_keys, self._key_order
+    @property
+    def band_keys(self) -> np.ndarray:
+        """``(bands, n)`` uint64 bucket keys in photo order (a new array:
+        the stored document's form, scattered back from the runs)."""
+        if isinstance(self._index, np.ndarray):
+            return self._index.astype(np.uint64)
+        out = np.empty((self.bands, self.n), dtype=np.uint64)
+        for b in range(self.bands):
+            for run in self._index:
+                out[b, run.order[b]] = run.keys[b]
+        return out
 
     # ------------------------------------------------------------ creation
 
@@ -388,9 +515,9 @@ class LiveArchive:
         hasher = SimHasher(
             embeddings.shape[1], int(n_bits), np.random.default_rng(int(seed))
         )
-        band_keys = np.empty((bands, n), dtype=np.uint64)
+        keys = np.empty((bands, n), dtype=_key_dtype(rows))
         for b in range(bands):
-            band_keys[b] = _streamed_band_keys(
+            keys[b] = _streamed_band_keys(
                 instance.embeddings,
                 hasher.planes[b * rows : (b + 1) * rows],
                 signature_chunk,
@@ -406,14 +533,13 @@ class LiveArchive:
             subset_id=subset_id,
             weight=weight,
             raw_relevance=np.ones(n, dtype=np.float64),
-            band_keys=band_keys,
+            # Sorted now, at build time: uploads then pay only the merge
+            # of their own keys, never an O(n log n) sort.
+            band_keys=(_sorted_run(keys, 0),),
             signature_chunk=signature_chunk,
             chunk_pairs=chunk_pairs,
         )
         archive._planes = hasher.planes
-        # Sort the bucket keys now, at build time: uploads then pay only
-        # the linear merge, never an O(n log n) sort.
-        archive._sorted_key_state()
         return archive, report
 
     # ----------------------------------------------------------- ingestion
@@ -448,10 +574,13 @@ class LiveArchive:
         """What ``k`` new photos add: ``(delta, candidate_pair_count)``.
 
         Only the new photos are bucketed.  Candidates are the old↔new
-        within-bucket matches (one sorted search of the stored keys per
-        band) plus the new↔new pairs; both necessarily touch the appended
-        id range, which is exactly the contract of
-        :meth:`SparseSimilarity.append_rows`.
+        within-bucket matches (two sorted searches per band and run, the
+        rest done once for all bands) plus the new↔new pairs (one call of
+        the builder's emitter over ``(band, key)`` groups); both touch the
+        appended id range, which is exactly the contract of
+        :meth:`SparseSimilarity.append_rows`.  Only the candidates'
+        endpoints are normalised; ``unit_normalize`` works row by row, so
+        every value equals the fresh build's.
         """
         n = self.n
         new_emb = np.asarray(embeddings, dtype=np.float64)
@@ -472,49 +601,75 @@ class LiveArchive:
         if not np.all(np.isfinite(new_costs) & (new_costs > 0)):
             raise ValidationError("costs must be positive and finite")
         total = n + k
+        bands = self.bands
 
         new_keys = self._keys_for(new_emb)
-        sorted_keys, key_order = self._sorted_key_state()
+        narrow = new_keys.astype(_key_dtype(self.rows))
+        # Band b's new photo j sits at flat position b*k + j.
+        new_ids = n + np.tile(np.arange(k, dtype=np.int64), bands)
         pending = []
-        for b in range(self.bands):
-            new_b = new_keys[b]
-            # old↔new: every stored photo sharing a bucket with a new one
-            # — a binary search of the cached sorted keys, no re-sort.
-            sorted_old = sorted_keys[b]
-            order = key_order[b]
-            left = np.searchsorted(sorted_old, new_b, side="left")
-            right = np.searchsorted(sorted_old, new_b, side="right")
-            counts = right - left
+        left = np.empty((bands, k), dtype=np.int64)
+        right = np.empty((bands, k), dtype=np.int64)
+        for run in self._runs():
+            # old↔new: every stored photo sharing a bucket with a new one.
+            for b in range(bands):
+                left[b] = run.keys[b].searchsorted(narrow[b], side="left")
+                right[b] = run.keys[b].searchsorted(narrow[b], side="right")
+            counts = (right - left).ravel()
             hits = int(counts.sum())
-            if hits:
-                starts = np.repeat(left, counts)
-                within = np.arange(hits, dtype=np.int64) - np.repeat(
-                    np.cumsum(counts) - counts, counts
-                )
-                old_idx = order[starts + within]
-                new_idx = n + np.repeat(np.arange(k, dtype=np.int64), counts)
-                pending.append(old_idx * np.int64(total) + new_idx)
-            # new↔new: the builder's own within-bucket emitter over just
-            # the delta, re-keyed from local to global ids.
-            local = _emit_band_pairs(new_b, k, self.chunk_pairs)
-            if local.size:
-                li = local // np.int64(k) + n
-                lj = local % np.int64(k) + n
-                pending.append(li * np.int64(total) + lj)
+            if not hits:
+                continue
+            left += np.arange(0, bands * run.size, run.size)[:, None]
+            # Hit t of group g reads flat slot left[g] + (t - first[g]).
+            first = np.cumsum(counts) - counts
+            slots = np.repeat(left.ravel() - first, counts)
+            slots += np.arange(hits)
+            old_idx = run.order.ravel()[slots].astype(np.int64)
+            pending.append(old_idx * total + np.repeat(new_ids, counts))
+        # new↔new: the builder's own emitter over (band, key) group ids —
+        # each band's keys ranked among themselves, offset by b*k.
+        perm = np.argsort(narrow, axis=1, kind="stable")
+        ranked = np.take_along_axis(narrow, perm, axis=1)
+        rank = np.zeros((bands, k), dtype=np.int64)
+        np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
+        rank += np.arange(0, bands * k, k)[:, None]
+        groups = np.empty((bands, k), dtype=np.int64)
+        np.put_along_axis(groups, perm, rank, axis=1)
+        local = _emit_band_pairs(groups.ravel(), bands * k, self.chunk_pairs)
+        if local.size:
+            li = new_ids[local // (bands * k)]
+            lj = new_ids[local % (bands * k)]
+            pending.append(li * total + lj)
         if pending:
-            keys = _sorted_dedup(np.concatenate(pending))
-            ii = keys // np.int64(total)
-            jj = keys % np.int64(total)
+            pair_keys = _sorted_dedup(np.concatenate(pending))
+            ii = pair_keys // total
+            jj = pair_keys % total
         else:
             ii = np.zeros(0, dtype=np.int64)
             jj = np.zeros(0, dtype=np.int64)
         n_candidates = int(ii.size)
 
-        unit = unit_normalize(np.concatenate([self.instance.embeddings, new_emb]))
-        ki, kj, vals = verify_candidate_pairs(
-            unit, ii, jj, self.tau, chunk=self.chunk_pairs
+        # ii is sorted and every jj is new: gather the old endpoints once,
+        # after them the k new rows, and verify in that compact numbering.
+        old_ii = ii[ii < n]
+        fresh = np.ones(old_ii.size, dtype=bool)
+        np.not_equal(old_ii[1:], old_ii[:-1], out=fresh[1:])
+        endpoints = old_ii[fresh]
+        ci = np.concatenate(
+            [np.cumsum(fresh) - 1, endpoints.size + ii[old_ii.size :] - n]
         )
-        return Delta(new_costs, new_emb, new_keys, ki, kj, vals), n_candidates
+        cj = endpoints.size + jj - n
+        unit = unit_normalize(
+            np.concatenate([self.instance.embeddings[endpoints], new_emb])
+        )
+        ki, kj, vals = verify_candidate_pairs(
+            unit, ci, cj, self.tau, chunk=self.chunk_pairs
+        )
+        ids = np.concatenate([endpoints, np.arange(n, total, dtype=np.int64)])
+        return (
+            Delta(new_costs, new_emb, new_keys, ids[ki], ids[kj], vals),
+            n_candidates,
+        )
 
     def _extend(self, delta: Delta, *, validate: bool = False) -> "LiveArchive":
         """The archive grown by ``delta`` — the one growth path, shared by
@@ -524,7 +679,9 @@ class LiveArchive:
         fold's logged records); an ingestion's own delta is trusted.  The
         instance itself is not re-validated: only the appended rows and
         costs are new, and re-validating all ``n + k`` would make uploads
-        O(n).
+        O(n).  The bucket index grows by a merge of the delta's keys
+        (:func:`_grown_index`); a loaded archive not yet sorted
+        concatenates them instead.
         """
         inst = self.instance
         n, k = inst.n, delta.k
@@ -551,6 +708,11 @@ class LiveArchive:
             metadata=None if inst.metadata is None else [*inst.metadata, *[{}] * k],
             validate=False,
         )
+        new_keys = delta.band_keys.astype(_key_dtype(self.rows))
+        if isinstance(self._index, np.ndarray):
+            index = np.concatenate([self._index, new_keys], axis=1)
+        else:
+            index = _grown_index(self._index, _sorted_run(new_keys, n), total, k)
         archive = LiveArchive(
             grown,
             tau=self.tau,
@@ -562,30 +724,11 @@ class LiveArchive:
             subset_id=self.subset_id,
             weight=self.weight,
             raw_relevance=raw,
-            band_keys=np.concatenate([self.band_keys, delta.band_keys], axis=1),
+            band_keys=index,
             signature_chunk=self.signature_chunk,
             chunk_pairs=self.chunk_pairs,
         )
         archive._planes = self._planes
-        if self._key_order is None:
-            return archive  # sorted lazily, on the grown archive's first upload
-        # Carry the sorted-key cache forward with a linear merge: the k
-        # new keys (sorted among themselves) interleave into each band's
-        # already-sorted run.  Any interleave that keeps keys sorted is a
-        # valid argsort — equal keys are interchangeable for the bucket
-        # search, which recovers hit *sets*, not orders.
-        sorted_keys, key_order = self._sorted_keys, self._key_order
-        new_keys = delta.band_keys
-        new_order = np.argsort(new_keys, axis=1, kind="stable")
-        new_sorted = np.take_along_axis(new_keys, new_order, axis=1)
-        merged_sorted = np.empty((self.bands, total), dtype=np.uint64)
-        merged_order = np.empty((self.bands, total), dtype=np.int64)
-        for b in range(self.bands):
-            pos = np.searchsorted(sorted_keys[b], new_sorted[b], side="right")
-            merged_sorted[b] = np.insert(sorted_keys[b], pos, new_sorted[b])
-            merged_order[b] = np.insert(key_order[b], pos, new_order[b] + n)
-        archive._sorted_keys = merged_sorted
-        archive._key_order = merged_order
         return archive
 
     # --------------------------------------------------------- persistence
@@ -596,8 +739,9 @@ class LiveArchive:
         :func:`repro.core.serialize.instance_from_dict` reads only the keys
         it knows, so the same stored document keeps serving plain
         ``by_ref`` solves while carrying the banding state deltas need.
-        Every array leaf is a view of this archive's own state — the
-        tenant store writes them as raw bytes, never as decimal text.
+        Every array leaf but the band keys is a view of this archive's
+        own state — the tenant store writes them as raw bytes, never as
+        decimal text.
         """
         doc = instance_to_dict(self.instance, arrays=True)
         doc["live"] = {
@@ -632,20 +776,23 @@ class LiveArchive:
                 "live document lost its embeddings; cannot ingest deltas"
             )
         try:
+            rows = int(live["rows"])
             archive = cls(
                 instance,
                 tau=float(live["tau"]),
                 seed=int(live["seed"]),
                 n_bits=int(live["n_bits"]),
                 bands=int(live["bands"]),
-                rows=int(live["rows"]),
+                rows=rows,
                 target_recall=float(live["target_recall"]),
                 subset_id=str(live["subset_id"]),
                 weight=float(live["weight"]),
                 raw_relevance=np.asarray(
                     live["raw_relevance"], dtype=np.float64
                 ),
-                band_keys=np.asarray(live["band_keys"], dtype=np.uint64),
+                band_keys=_checked_band_keys(
+                    live["band_keys"], rows, "live band_keys"
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed live sidecar: {exc!r}") from exc

@@ -122,12 +122,14 @@ from urllib.parse import parse_qs, urlsplit
 
 from contextlib import ExitStack, contextmanager
 
+from repro.core.instance import as_ids
 from repro.core.objective import score, score_breakdown
 from repro.core.serialize import (
     instance_from_dict,
     json_default,
     loads,
     loads_request,
+    number_field,
 )
 from repro.core.solver import available_algorithms
 from repro.errors import (
@@ -222,11 +224,9 @@ def _resolved_instance(payload: Dict[str, Any], tenants: Optional[Tenants]):
         raise ValidationError("give either 'instance' or 'by_ref', not both")
     if tenants is None:
         raise ValidationError("no tenant store configured on this service")
-    budget = payload.get("budget")
-    if budget is not None:
-        budget = float(budget)
-        if not budget > 0:
-            raise ValidationError("'budget' override must be positive")
+    budget = number_field(payload, "budget")
+    if budget is not None and not budget > 0:
+        raise ValidationError("'budget' override must be positive")
     tenant, _, _ = parse_ref(by_ref)
     tenants.check_rate(tenant)
     with tenants.lease_for_solve(by_ref, budget=budget) as (instance, hit):
@@ -348,7 +348,10 @@ def _fidelity_frontier_endpoint(
     ``budgets`` list (top-level or inside the ``fidelity`` policy), and
     optionally the rest of the fidelity policy vocabulary.
     """
-    policy = dict(payload.get("fidelity") or {})
+    fidelity = payload.get("fidelity")
+    if fidelity is not None and not isinstance(fidelity, dict):
+        raise ValidationError(f"'fidelity' must be an object, got {fidelity!r}")
+    policy = dict(fidelity or {})
     if payload.get("budgets") is not None:
         policy["budgets"] = payload["budgets"]
     if policy.get("budgets") is None:
@@ -424,7 +427,7 @@ def _submit_job(
             tau=float(payload.get("tau") or 0.0),
             sparsify_method=str(payload.get("sparsify_method") or "exact"),
             certificate=bool(payload.get("certificate", False)),
-            seed=payload.get("seed"),
+            seed=number_field(payload, "seed", integer=True, minimum=0),
             priority=int(payload.get("priority") or 0),
             timeout_seconds=(
                 float(timeout_seconds) if timeout_seconds is not None else None
@@ -575,23 +578,31 @@ def _live_routes(
         return err
     costs, embeddings = _parse_photos(payload)
     if action == "live":  # POST — create the live archive
-        budget = payload.get("budget")
-        tau = payload.get("tau")
-        if not isinstance(budget, (int, float)) or not budget > 0:
+        budget = number_field(payload, "budget")
+        tau = number_field(payload, "tau")
+        if budget is None or not budget > 0:
             raise ValidationError("request body needs a positive 'budget'")
-        if not isinstance(tau, (int, float)):
+        if tau is None:
             raise ValidationError("request body needs a numeric 'tau'")
+        n_bits = payload.get("n_bits")
+        if n_bits != "auto":
+            n_bits = number_field(payload, "n_bits", "auto", integer=True, minimum=1)
+        retained = payload.get("retained", [])
+        if not isinstance(retained, list):
+            raise ValidationError(
+                f"'retained' must be a list of photo ids, got {retained!r}"
+            )
         doc = live.create(
             tenant,
             instance_id,
             costs,
             embeddings,
-            float(budget),
-            tau=float(tau),
-            seed=int(payload.get("seed", 0)),
-            n_bits=payload.get("n_bits", "auto"),
-            target_recall=float(payload.get("target_recall", 0.95)),
-            retained=[int(p) for p in payload.get("retained", [])],
+            budget,
+            tau=tau,
+            seed=number_field(payload, "seed", 0, integer=True, minimum=0),
+            n_bits=n_bits,
+            target_recall=number_field(payload, "target_recall", 0.95),
+            retained=as_ids(retained, "'retained'").tolist(),
             solve=bool(payload.get("solve", True)),
         )
         if sweeper is not None:

@@ -23,7 +23,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.greedy import main_algorithm
@@ -34,6 +34,7 @@ from repro.core.serialize import instance_from_dict, instance_to_dict, json_defa
 from repro.core.solver import solve
 from repro.errors import ValidationError
 from repro.live import LiveArchive, cold_resolve, replay_solution, warm_resolve
+from repro.live import archive as live_archive
 from repro.live.resolve import _removal_loss, shrink_to_budget
 from repro.scale import build_streamed_instance, synthetic_archive
 
@@ -177,13 +178,27 @@ def test_ingest_bit_identical_to_fresh_fused_build():
     assert archive.n == 360
 
 
-def test_consecutive_ingests_bit_identical_to_fresh_fused_build():
-    """Two deltas in a row exercise the merged sorted-key cache.
+def _assert_run_index(archive):
+    """The bucket index is sound: every run's rows are sorted, each run's
+    keys are the photos' keys gathered through its ``order``, and the
+    runs' orders partition ``range(n)`` in every band."""
+    band_keys = archive.band_keys
+    runs = archive._runs()
+    for b in range(archive.bands):
+        for run in runs:
+            assert np.all(run.keys[b][1:] >= run.keys[b][:-1])
+            assert np.array_equal(run.keys[b], band_keys[b, run.order[b]])
+        ids = np.concatenate([run.order[b] for run in runs])
+        assert np.array_equal(np.sort(ids), np.arange(archive.n))
 
-    The first ingest on an archive searches the build-time key sort; the
-    grown archive carries a *merged* cache forward, so the second ingest
-    proves the linear interleave finds exactly the buckets a fresh
-    argsort would.
+
+def test_consecutive_ingests_bit_identical_to_fresh_fused_build():
+    """Two deltas in a row exercise the run index.
+
+    The first ingest on an archive searches the build-time base run; the
+    grown archive carries a recent run forward, so the second ingest
+    proves searching both runs finds exactly the buckets a fresh build
+    would.
     """
     costs, embeddings = synthetic_archive(420, dim=8, seed=12)
     budget = float(costs.sum()) * 0.2
@@ -193,12 +208,9 @@ def test_consecutive_ingests_bit_identical_to_fresh_fused_build():
     once, _ = archive.ingest(costs[360:390], embeddings[360:390])
     twice, _ = once.ingest(costs[390:], embeddings[390:])
 
-    # The carried cache is a real argsort of the carried keys.
-    sorted_keys, key_order = twice._sorted_key_state()
-    assert np.array_equal(
-        sorted_keys, np.take_along_axis(twice.band_keys, key_order, axis=1)
-    )
-    assert np.array_equal(np.sort(twice.band_keys, axis=1), sorted_keys)
+    # The carried runs index exactly the carried keys.
+    assert len(once._runs()) == 2
+    _assert_run_index(twice)
 
     fresh, _ = build_streamed_instance(
         costs, embeddings, budget, tau=0.6, n_bits=16, rng=12
@@ -210,6 +222,114 @@ def test_consecutive_ingests_bit_identical_to_fresh_fused_build():
         twice.instance.subsets[0].relevance, fresh.subsets[0].relevance
     )
     assert np.array_equal(twice.instance.costs, fresh.costs)
+
+
+def _assert_same_archive(got, want):
+    """Bit-identical archives: CSR, relevance, costs, embeddings, keys."""
+    assert got.n == want.n
+    assert _sim_equal(
+        got.instance.subsets[0].similarity, want.instance.subsets[0].similarity
+    )
+    pairs = [
+        (got.instance.subsets[0].relevance, want.instance.subsets[0].relevance),
+        (got.raw_relevance, want.raw_relevance),
+        (got.instance.costs, want.instance.costs),
+        (got.instance.embeddings, want.instance.embeddings),
+        (got.band_keys, want.band_keys),
+    ]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+#: The run-index chains: a base of N0 photos, uploads of 1 to 3x the
+#: recent run's limit for a one-photo upload, so an upload can cross it.
+N0, UPLOAD_MAX = 150, 3 * live_archive._recent_limit(150, 1)
+
+
+def _chain_photos(sizes, seed=31):
+    costs, embeddings = synthetic_archive(N0 + sum(sizes), dim=8, seed=seed)
+    return costs, embeddings, float(costs[:N0].sum()) * 0.2
+
+
+def _fresh(costs, embeddings, budget, seed=31):
+    archive, _ = LiveArchive.create(
+        costs, embeddings, budget, tau=0.6, seed=seed, n_bits=16
+    )
+    return archive
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.integers(1, UPLOAD_MAX), min_size=4, max_size=9))
+@example(sizes=[40, 1, 57, 1, 30, 2, 57, 1])
+def test_upload_chains_equal_a_fresh_build_across_folds(sizes):
+    """Chains of uploads of any sizes, across any number of merges of the
+    recent run into the base, equal a fresh fused build bit for bit, and
+    folding their logged records equals the resident chain."""
+    costs, embeddings, budget = _chain_photos(sizes)
+    archive = _fresh(costs[:N0], embeddings[:N0], budget)
+    base_doc = archive.to_doc()
+    deltas, lo = [], N0
+    for k in sizes:
+        archive, report = archive.ingest(costs[lo : lo + k], embeddings[lo : lo + k])
+        deltas.append(report.delta)
+        lo += k
+        _assert_run_index(archive)
+        assert len(archive._runs()) in (1, 2)
+    _assert_same_archive(archive, _fresh(costs, embeddings, budget))
+
+    records = [
+        {"version": v, "updated_at": 0.0, "record": {**d.to_record(), "curation": {}}}
+        for v, d in enumerate(deltas, start=2)
+    ]
+    envelope = {"version": 1, "updated_at": 0.0, "instance": base_doc}
+    _, folded = live_archive.fold(None, {**envelope, "records": records})
+    _assert_same_archive(folded, archive)
+
+
+@pytest.mark.parametrize("block", [1, 1000, live_archive._BAND_BLOCK])
+def test_upload_chain_crosses_several_folds_at_any_band_block(monkeypatch, block):
+    """The property's pinned example really merges into the base, and
+    sorting and merging a band, a few bands or every band per step build
+    the same index."""
+    monkeypatch.setattr(live_archive, "_BAND_BLOCK", block)
+    sizes = [40, 1, 57, 1, 30, 2, 57, 1]
+    costs, embeddings, budget = _chain_photos(sizes)
+    archive = _fresh(costs[:N0], embeddings[:N0], budget)
+    folds, lo = 0, N0
+    for k in sizes:
+        archive, _ = archive.ingest(costs[lo : lo + k], embeddings[lo : lo + k])
+        folds += len(archive._runs()) == 1
+        lo += k
+        _assert_run_index(archive)
+    assert folds >= 3
+    _assert_same_archive(archive, _fresh(costs, embeddings, budget))
+
+
+def test_children_of_one_parent_share_its_runs_safely():
+    """Two uploads onto one parent: one merges into the recent run, the
+    other folds it into the base.  Each child equals a fresh build of the
+    parent's photos plus its own, and neither the parent nor the first
+    child changes when the second is made."""
+    costs, embeddings, budget = _chain_photos([60, 60, 1])
+    a_lo, b_lo = N0 + 60, N0 + 120
+    root = _fresh(costs[:N0], embeddings[:N0], budget)
+    parent, _ = root.ingest(costs[N0:a_lo], embeddings[N0:a_lo])
+    parent_keys = parent.band_keys
+    parent_runs = [(r.keys.copy(), r.order.copy()) for r in parent._runs()]
+
+    first, _ = parent.ingest(costs[a_lo:b_lo], embeddings[a_lo:b_lo])
+    assert len(first._runs()) == 2
+    first_keys = first.band_keys
+    second, _ = parent.ingest(costs[b_lo : b_lo + 1], embeddings[b_lo : b_lo + 1])
+    assert len(second._runs()) == 1
+
+    assert np.array_equal(first.band_keys, first_keys)
+    assert np.array_equal(parent.band_keys, parent_keys)
+    for run, (keys, order) in zip(parent._runs(), parent_runs):
+        assert np.array_equal(run.keys, keys) and np.array_equal(run.order, order)
+    _assert_same_archive(first, _fresh(costs[:b_lo], embeddings[:b_lo], budget))
+    own = np.r_[0:a_lo, b_lo]
+    _assert_same_archive(second, _fresh(costs[own], embeddings[own], budget))
 
 
 def test_ingest_bit_identical_after_doc_round_trip():
@@ -457,6 +577,37 @@ def test_live_archive_rejects_raw_relevance_not_of_length_n(raw_relevance):
     )
     doc = archive.to_doc()
     doc["live"]["raw_relevance"] = raw_relevance(doc["live"]["raw_relevance"])
+    with pytest.raises(ValidationError):
+        LiveArchive.from_doc(doc)
+
+
+#: A band key a stored document may not hold: ``(form, key)`` where
+#: ``key(rows)`` is the planted value and ``form`` how the keys arrive.
+_BAD_BAND_KEYS = {
+    "negative": ("json", lambda rows: -1),
+    "past-uint64": ("json", lambda rows: 2**70),
+    "past-rows": ("json", lambda rows: 1 << rows),
+    "negative-int64-array": ("array", lambda rows: -1),
+    "past-rows-array": ("array", lambda rows: 1 << rows),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BAND_KEYS))
+def test_live_archive_rejects_band_keys_outside_their_rows(case):
+    costs, embeddings = synthetic_archive(60, dim=8, seed=6)
+    archive, _ = LiveArchive.create(
+        costs, embeddings, float(costs.sum()) * 0.3, tau=0.6, seed=6
+    )
+    doc = archive.to_doc()
+    form, key = _BAD_BAND_KEYS[case]
+    bad = key(doc["live"]["rows"])
+    if form == "json":
+        keys = doc["live"]["band_keys"].tolist()
+        keys[0][3] = bad
+    else:
+        keys = doc["live"]["band_keys"].astype(np.int64)
+        keys[0, 3] = bad
+    doc["live"]["band_keys"] = keys
     with pytest.raises(ValidationError):
         LiveArchive.from_doc(doc)
 

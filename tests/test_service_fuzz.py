@@ -253,3 +253,74 @@ def test_unparsable_body_is_400_on_every_body_route(collaborators, method, path,
     )
     assert status == 400, payload
     assert payload["error"].startswith("invalid JSON: ")
+
+
+# ------------------------------------------------ malformed option fields
+
+#: ``(route, field, value)``: an option each body reader must answer 422
+#: for, naming the field, instead of letting a TypeError, ValueError or
+#: OverflowError through as a 500.
+BAD_OPTIONS = [
+    *(("live", "seed", v) for v in ("x", -1, 1.5)),
+    *(("live", "retained", v) for v in (5, ["a"], [1.5])),
+    *(("live", "n_bits", v) for v in ("foo", 12.5)),
+    ("live", "target_recall", [1]),
+    *(("solve", "budgets", v) for v in ("x", -1, 1.5, True, ["x"])),
+    *(("solve", "tau", v) for v in ("x", [1])),
+    *(("solve", "seed", v) for v in ("x", -1, 1.5)),
+    *(("jobs", "seed", v) for v in ("x", -1, 1.5)),
+    *(("by_ref", "budget", v) for v in ("x", [], {})),
+    *(("frontier", "fidelity", v) for v in ("x", 5, [1])),
+]
+
+
+@pytest.fixture(scope="module")
+def option_service(tmp_path_factory):
+    tenants = Tenants(str(tmp_path_factory.mktemp("options")), sweep=False)
+    jobs = JobManager(workers=0)
+    try:
+        status, payload = handle_request(
+            "PUT", "/tenants/acme/instances/p",
+            json.dumps({"instance": csr_instance_doc()}).encode("utf-8"),
+            tenants=tenants,
+        )
+        assert status == 201, payload
+        yield {"tenants": tenants, "live": LiveManager(tenants), "jobs": jobs}
+    finally:
+        jobs.shutdown()
+        tenants.close()
+
+
+def _option_request(route, field, value):
+    """``(path, body)`` of a valid request to ``route`` with ``field`` set."""
+    if route == "live":
+        costs, embeddings = synthetic_archive(40, dim=4, seed=1)
+        base = {
+            "costs": costs.tolist(),
+            "embeddings": embeddings.tolist(),
+            "budget": float(costs.sum()) * 0.3,
+            "tau": 0.6,
+        }
+        return "/tenants/acme/instances/a1/live", {**base, field: value}
+    if route == "by_ref":
+        by_ref = {"tenant": "acme", "instance_id": "p"}
+        return "/solve", {"by_ref": by_ref, field: value}
+    if route == "frontier":
+        doc = {"instance": csr_instance_doc(), "budgets": [2.0], field: value}
+        return "/fidelity/frontier", doc
+    path = "/jobs" if route == "jobs" else "/solve"
+    return path, {"instance": csr_instance_doc(), field: value}
+
+
+@pytest.mark.parametrize(
+    "route,field,value", BAD_OPTIONS, ids=[f"{r}-{f}-{v!r}" for r, f, v in BAD_OPTIONS]
+)
+def test_malformed_option_field_is_422_naming_it(option_service, route, field, value):
+    path, doc = _option_request(route, field, value)
+    status, payload = handle_request(
+        "POST", path, json.dumps(doc).encode("utf-8"), **option_service
+    )
+    assert status == 422, payload
+    assert repr(field) in payload["error"]
+    stored = option_service["tenants"].list_instances("acme")
+    assert [m.instance_id for m in stored] == ["p"]

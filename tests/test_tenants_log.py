@@ -252,12 +252,26 @@ def _bad_curation(record):
     record["curation"] = {"solution": {"selection": "nope"}}
 
 
+def _wide_band_key(record):
+    # Past any band's rows: narrowing it would wrap it into another bucket.
+    record["band_keys"] = record["band_keys"].copy()
+    record["band_keys"][0, 0] = np.iinfo(np.uint64).max
+
+
+def _wrapped_band_key(record):
+    # A negative key a cast to uint64 would wrap past the rows.
+    record["band_keys"] = record["band_keys"].astype(np.int64)
+    record["band_keys"][0, 0] = -1
+
+
 HOSTILE = {
     "old-only-pairs": _old_only,
     "out-of-range": _out_of_range,
     "non-finite-cost": _non_finite,
     "non-finite-similarity": _nan_similarity,
     "bad-curation": _bad_curation,
+    "wide-band-key": _wide_band_key,
+    "wrapped-band-key": _wrapped_band_key,
 }
 
 
