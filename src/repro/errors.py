@@ -5,13 +5,27 @@ callers can catch a single base class at API boundaries.  The concrete
 subclasses distinguish the three failure domains a caller may want to
 handle differently: malformed problem inputs, infeasible optimisation
 requests, and misconfigured components.
+
+Each error also carries the answer the HTTP service gives for it: an
+``http_status`` (422 unless a subclass says otherwise) and a
+:meth:`~ReproError.to_doc` body (``{"error": message}`` plus the
+structured fields a subclass adds), so the service needs one
+``except ReproError`` clause rather than one per class.
 """
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
+
+    http_status = 422
+
+    def to_doc(self) -> Dict[str, Any]:
+        """The JSON body the service answers this error with."""
+        return {"error": str(self)}
 
 
 class ValidationError(ReproError, ValueError):
@@ -21,6 +35,22 @@ class ValidationError(ReproError, ValueError):
     substrate input) when, e.g., relevance scores are negative, a similarity
     value lies outside ``[0, 1]``, or a subset references an unknown photo.
     """
+
+
+class BadRequest(ValidationError):
+    """The service cannot read the request itself (HTTP 400).
+
+    An empty or unparsable body, a body that is not a JSON object, or a
+    malformed ``Content-Length``.
+    """
+
+    http_status = 400
+
+
+class RequestTooLarge(BadRequest):
+    """A request body over the service's size limit (HTTP 413)."""
+
+    http_status = 413
 
 
 class InfeasibleError(ReproError):
@@ -58,6 +88,8 @@ class QuotaExceeded(ReproError):
     return a structured error body instead of prose.
     """
 
+    http_status = 413
+
     def __init__(self, tenant: str, kind: str, used: float, limit: float) -> None:
         super().__init__(
             f"tenant {tenant!r} over {kind} quota ({used:g} of {limit:g})"
@@ -67,6 +99,15 @@ class QuotaExceeded(ReproError):
         self.used = used
         self.limit = limit
 
+    def to_doc(self) -> Dict[str, Any]:
+        return {
+            "error": str(self),
+            "tenant": self.tenant,
+            "kind": self.kind,
+            "used": self.used,
+            "limit": self.limit,
+        }
+
 
 class RateLimited(ReproError):
     """A tenant's token bucket is empty — back off (HTTP 429).
@@ -74,6 +115,8 @@ class RateLimited(ReproError):
     ``retry_after`` is the seconds until one token refills, surfaced in
     the structured error body (and usable as a ``Retry-After`` header).
     """
+
+    http_status = 429
 
     def __init__(self, tenant: str, retry_after: float) -> None:
         super().__init__(
@@ -83,9 +126,18 @@ class RateLimited(ReproError):
         self.tenant = tenant
         self.retry_after = retry_after
 
+    def to_doc(self) -> Dict[str, Any]:
+        return {
+            "error": str(self),
+            "tenant": self.tenant,
+            "retry_after": self.retry_after,
+        }
+
 
 class InstanceNotFound(ReproError, KeyError):
     """A ``by_ref`` reference names no stored tenant instance (HTTP 404)."""
+
+    http_status = 404
 
     def __str__(self) -> str:  # KeyError would repr() the message
         return self.args[0] if self.args else ""
@@ -100,6 +152,8 @@ class VersionConflict(ReproError):
     older version is refused rather than silently overwriting it.
     """
 
+    http_status = 409
+
     def __init__(self, tenant: str, instance_id: str, expected: int, actual: int) -> None:
         super().__init__(
             f"instance {instance_id!r} of tenant {tenant!r} is at version "
@@ -109,6 +163,15 @@ class VersionConflict(ReproError):
         self.instance_id = instance_id
         self.expected = expected
         self.actual = actual
+
+    def to_doc(self) -> Dict[str, Any]:
+        return {
+            "error": str(self),
+            "tenant": self.tenant,
+            "instance_id": self.instance_id,
+            "expected_version": self.expected,
+            "version": self.actual,
+        }
 
 
 class DeadlineExceeded(ReproError):
@@ -127,6 +190,8 @@ class DeadlineExceeded(ReproError):
     external interruption (``"drain"``, ``"clock_skew"``, ...).
     """
 
+    http_status = 504
+
     def __init__(
         self,
         message: str,
@@ -141,6 +206,15 @@ class DeadlineExceeded(ReproError):
         self.deadline_seconds = deadline_seconds
         self.elapsed_seconds = elapsed_seconds
         self.checkpoint = checkpoint
+
+    def to_doc(self) -> Dict[str, Any]:
+        return {
+            "error": str(self),
+            "reason": self.reason,
+            "deadline_seconds": self.deadline_seconds,
+            "elapsed_seconds": self.elapsed_seconds,
+            "progress": self.progress(),
+        }
 
     def progress(self) -> "dict | None":
         """The checkpoint's small progress view (``None`` without one)."""
@@ -162,6 +236,8 @@ class ServiceOverloaded(ReproError):
     stable machine-readable shed cause.
     """
 
+    http_status = 503
+
     def __init__(
         self,
         message: str,
@@ -175,6 +251,16 @@ class ServiceOverloaded(ReproError):
         self.retry_after = retry_after
         self.tenant = tenant
 
+    def to_doc(self) -> Dict[str, Any]:
+        doc: Dict[str, Any] = {
+            "error": str(self),
+            "reason": self.reason,
+            "retry_after": self.retry_after,
+        }
+        if self.tenant is not None:
+            doc["tenant"] = self.tenant
+        return doc
+
 
 class StorageExhausted(ReproError, OSError):
     """A durable write failed because the disk is full (HTTP 507).
@@ -187,11 +273,21 @@ class StorageExhausted(ReproError, OSError):
     so a retried job can plausibly succeed.
     """
 
+    http_status = 507
+
     def __init__(self, message: str, *, path: "str | None" = None, errno_value: "int | None" = None) -> None:
         ReproError.__init__(self, message)
         self.path = path
         self.errno_value = errno_value
         self.kind = "storage_exhausted"
+
+    def to_doc(self) -> Dict[str, Any]:
+        return {
+            "error": str(self),
+            "kind": self.kind,
+            "path": self.path,
+            "errno": self.errno_value,
+        }
 
 
 class TransientSolveError(ReproError):

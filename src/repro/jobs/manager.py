@@ -188,7 +188,7 @@ class JobManager:
             raise
         if obs is not None:
             obs.jobs_submitted.labels(tenant=spec.tenant).inc()
-        self._store.save(record)
+        self._save(record)
         return spec.job_id
 
     def submit_solve(self, instance_doc: Dict[str, Any], **spec_kwargs: Any) -> str:
@@ -243,7 +243,7 @@ class JobManager:
                     record.transition(JobState.CANCELLED)
                     record.error_kind = "cancelled"
                     record.finished_at = time.time()
-                    self._store.save(record)
+                    self._save(record)
                     self._count_cancelled(record)
             return True
 
@@ -385,7 +385,7 @@ class JobManager:
                     if event is not None:
                         event.set()
                     try:
-                        self._store.save(record)
+                        self._save(record)
                     except Exception:  # noqa: BLE001 - drain must not die
                         logger.exception(
                             "drain: failed to journal straggler %s", record.job_id
@@ -449,6 +449,22 @@ class JobManager:
             payload, checkpoint_sink=checkpoint_sink, resume_from=resume_from
         )
 
+    def _snapshot(self, record: JobRecord) -> JobRecord:
+        """A copy of ``record`` at its next revision, taken under the lock.
+
+        Revisions follow the order of the changes they capture, whatever
+        order the snapshots reach the journal in, and replay keeps the
+        highest: a QUEUED line appended after its job's SUCCEEDED line
+        can no longer make the job run twice.
+        """
+        with self._lock:
+            record.revision += 1
+            return copy.copy(record)
+
+    def _save(self, record: JobRecord) -> None:
+        """Journal a snapshot of ``record`` (outside the lock, unless held)."""
+        self._store.save(self._snapshot(record))
+
     @staticmethod
     def _count_cancelled(record: JobRecord) -> None:
         obs = _obs_probes.active()
@@ -480,7 +496,7 @@ class JobManager:
                 self._cancel_events[record.job_id] = threading.Event()
                 if record.state is JobState.RUNNING:
                     record.transition(JobState.QUEUED)
-                    self._store.save(record)
+                    self._save(record)
                 self._queue.put(
                     record,
                     tenant=record.tenant,
@@ -498,7 +514,7 @@ class JobManager:
                 record.transition(JobState.CANCELLED)
                 record.error_kind = "cancelled"
                 record.finished_at = time.time()
-                self._store.save(record)
+                self._save(record)
                 self._count_cancelled(record)
                 return
             record.transition(JobState.RUNNING)
@@ -535,7 +551,7 @@ class JobManager:
                         obs.jobs_completed.labels(
                             tenant=record.tenant, state=record.state.value
                         ).inc()
-                    self._store.save(record)
+                    self._save(record)
                     return
             # One deadline handle per execution: timed when the spec has a
             # budget, interrupt-only otherwise — either way drain() can
@@ -556,7 +572,11 @@ class JobManager:
                     )
                     record.checkpoint = None
                     record.checkpoint_progress = None
-        self._store.save(record)
+        self._save(record)
+        # Set under the lock as the outcome is taken; from then on an
+        # abandoned (timed-out or cancelled) solve thread's checkpoints
+        # are dropped, so none can follow the outcome into the journal.
+        attempt_over = False
 
         if self._solve_accepts_checkpoints:
 
@@ -566,11 +586,12 @@ class JobManager:
                 blob = encode_record_b64(doc)
                 progress = checkpoint_progress(doc)
                 with self._lock:
-                    if record.state is not JobState.RUNNING:
+                    if attempt_over or record.state is not JobState.RUNNING:
                         return
                     record.checkpoint = blob
                     record.checkpoint_progress = progress
-                self._store.save(record)
+                    snapshot = self._snapshot(record)
+                self._store.save(snapshot)
 
             solve_call = lambda: self._solve_fn(  # noqa: E731
                 record.spec,
@@ -616,9 +637,10 @@ class JobManager:
         # reported finished — or requeued — ahead of its journal line, so
         # a crash in between replays it instead of losing or repeating it.
         with self._lock:
+            attempt_over = True
             if record.state is not JobState.RUNNING:
                 return  # resolved concurrently; nothing to record
-            done = copy.copy(record)
+            done = self._snapshot(record)
             event_kind = self._apply_outcome(done, outcome, value)
         try:
             self._store.save(done)

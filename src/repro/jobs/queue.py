@@ -10,8 +10,8 @@ rely on: no tenant's second job is dequeued before every waiting tenant's
 first.
 
 The queue is *bounded*: :meth:`put` raises :class:`QueueFull` once
-``maxsize`` jobs are waiting, which the service layer translates into
-HTTP 429 backpressure.  Internal re-queues (retries, journal replay) use
+``maxsize`` jobs are waiting; the error carries the service's HTTP 429
+backpressure answer.  Internal re-queues (retries, journal replay) use
 ``force=True`` — a job that already got past admission must never be
 dropped by its own retry.
 """
@@ -32,12 +32,27 @@ __all__ = ["QueueFull", "FairPriorityQueue"]
 
 
 class QueueFull(ReproError):
-    """The bounded job queue is at capacity — callers should back off."""
+    """The bounded job queue is at capacity — callers should back off (HTTP 429).
+
+    ``retry_after`` is the suggested backoff in seconds; the service sets
+    it from its admission controller when it has one.
+    """
+
+    http_status = 429
+    retry_after = 1.0
 
     def __init__(self, depth: int, maxsize: int) -> None:
         super().__init__(f"job queue full ({depth}/{maxsize} jobs waiting)")
         self.depth = depth
         self.maxsize = maxsize
+
+    def to_doc(self) -> Dict[str, Any]:
+        return {
+            "error": str(self),
+            "queue_depth": self.depth,
+            "queue_limit": self.maxsize,
+            "retry_after": self.retry_after,
+        }
 
 
 class FairPriorityQueue:

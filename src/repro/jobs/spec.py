@@ -246,6 +246,10 @@ class JobRecord:
     # journal-only; the API serves just the progress dict.
     checkpoint: Optional[str] = None
     checkpoint_progress: Optional[Dict[str, Any]] = None
+    # Bumped under the manager lock with every journalled snapshot; replay
+    # keeps each job's highest revision, so a snapshot appended late
+    # never overrides a newer state.  0 on journals written without it.
+    revision: int = 0
 
     @property
     def job_id(self) -> str:
@@ -286,13 +290,16 @@ class JobRecord:
             "dequeue_seq": self.dequeue_seq,
             "checkpoint": self.checkpoint,
             "checkpoint_progress": self.checkpoint_progress,
+            "revision": self.revision,
         }
 
     def public_dict(self) -> Dict[str, Any]:
-        """The API view of a record: everything except the (large) instance
-        and the raw checkpoint blob (its progress view is kept)."""
+        """The API view of a record: everything except the (large) instance,
+        the raw checkpoint blob (its progress view is kept) and the
+        journal revision."""
         doc = self.to_dict(include_instance=False)
         doc.pop("checkpoint", None)
+        doc.pop("revision", None)
         doc["job_id"] = self.job_id
         doc["tenant"] = self.tenant
         return doc
@@ -314,6 +321,7 @@ class JobRecord:
                 dequeue_seq=doc.get("dequeue_seq"),
                 checkpoint=doc.get("checkpoint"),
                 checkpoint_progress=doc.get("checkpoint_progress"),
+                revision=int(doc.get("revision") or 0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed job record document: {exc!r}") from exc

@@ -2,16 +2,17 @@
 
 The store is the durability layer under :class:`repro.jobs.manager.JobManager`.
 Its contract is tiny — ``save`` a record snapshot on every state change,
-``load_all`` the latest snapshot per job — so alternative backends (SQLite,
-Redis, a real queue service) can slot in later without touching the
-scheduler.
+``load_all`` the latest snapshot (highest ``revision``) per job — so
+alternative backends (SQLite, Redis, a real queue service) can slot in
+later without touching the scheduler.
 
 :class:`JournalJobStore` appends one CRC32-prefixed JSON line per state
 change (*append-only*: no seeks, no rewrites, so a crash can at worst
 truncate the final line).  Replay reads the file top to bottom and keeps
-the last snapshot per job id; any corrupt line — torn tail, bit flip,
-editor accident mid-file — is *quarantined*: logged, counted, skipped,
-and the remainder of the journal still replays.  Records carry the full
+the snapshot with the highest ``revision`` per job id (the last one among
+equals); any corrupt line — torn tail, bit flip, editor accident
+mid-file — is *quarantined*: logged, counted, skipped, and the remainder
+of the journal still replays.  Records carry the full
 serialised instance in the :mod:`repro.core.serialize` wire format plus
 the latest solver checkpoint, so a replayed ``RUNNING`` job can resume
 mid-solve on a fresh manager with no other state.
@@ -82,6 +83,16 @@ class InMemoryJobStore(JobStore):
 
     def save(self, record: JobRecord) -> None:
         with self._lock:
+            self._keep_locked(record)
+
+    def _keep_locked(self, record: JobRecord) -> None:
+        """Hold ``record`` unless a higher revision of its job is held.
+
+        Equal revisions (journals written without them) keep the later
+        snapshot, i.e. line order.
+        """
+        held = self._records.get(record.job_id)
+        if held is None or record.revision >= held.revision:
             self._records[record.job_id] = record
 
     def load_all(self) -> Dict[str, JobRecord]:
@@ -179,8 +190,7 @@ class JournalJobStore(InMemoryJobStore):
     def _replay(self) -> int:
         if not os.path.exists(self.path):
             return 0
-        recovered: Dict[str, JobRecord] = {}
-        with open(self.path, "rb") as fh:
+        with self._lock, open(self.path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:
@@ -199,10 +209,8 @@ class JournalJobStore(InMemoryJobStore):
                         exc,
                     )
                     continue
-                recovered[record.job_id] = record  # last snapshot wins
-        with self._lock:
-            self._records.update(recovered)
-        return len(recovered)
+                self._keep_locked(record)
+            return len(self._records)
 
     def _maybe_fsync_locked(self) -> None:
         self._unsynced += 1
@@ -224,7 +232,7 @@ class JournalJobStore(InMemoryJobStore):
             raise
         line = faults.mangle("journal.write", _encode_line(record.to_dict()))
         with self._lock:
-            self._records[record.job_id] = record
+            self._keep_locked(record)
             try:
                 self._file.write(line)
                 self._file.flush()

@@ -38,7 +38,7 @@ DESIGN.md "Observability" section for the metric catalog.
 
 from __future__ import annotations
 
-from repro.obs.middleware import AccessLog, observe_request, route_label
+from repro.obs.middleware import AccessLog, observe_request
 from repro.obs.probes import Instruments, active, arm, armed, disarm, is_armed
 from repro.obs.prom import CONTENT_TYPE, render, render_registry
 from repro.obs.registry import (
@@ -85,7 +85,6 @@ __all__ = [
     # middleware
     "AccessLog",
     "observe_request",
-    "route_label",
     # convenience
     "render_text",
 ]

@@ -6,8 +6,9 @@ request, after the response is written.  It does two independent things:
 * **Metrics** — when probes are armed, bump
   ``phocus_http_requests_total{method,route,status}`` and observe
   ``phocus_http_request_seconds{route}``.  The ``route`` label is the
-  *pattern*, not the raw path (``/jobs/<id>``, never ``/jobs/3f2a…``),
-  via :func:`route_label` — otherwise every job id would mint a new
+  *pattern*, not the raw path (``/jobs/<id>``, never ``/jobs/3f2a…``):
+  the caller passes the pattern its route table matched
+  (:func:`repro.system.service.route_label`), so job ids never mint new
   series and burn the cardinality cap.
 * **Access log** — when an :class:`AccessLog` is given, append one
   structured JSON line (method, path, status, duration_ms, timestamp)
@@ -26,49 +27,7 @@ from typing import Optional, TextIO
 
 from repro.obs.probes import Instruments
 
-__all__ = ["AccessLog", "observe_request", "route_label"]
-
-# Exact routes the service exposes; anything else (including the
-# /jobs/<id> family) is normalised so unknown paths cannot explode the
-# route label space.
-_EXACT_ROUTES = frozenset(
-    {
-        "/health",
-        "/healthz",
-        "/readyz",
-        "/version",
-        "/algorithms",
-        "/solve",
-        "/score",
-        "/fidelity/frontier",
-        "/jobs",
-        "/stats",
-        "/metrics",
-    }
-)
-
-
-def route_label(path: str) -> str:
-    """Collapse a request path to a bounded route label."""
-    path = path.rstrip("/") or "/"
-    if path in _EXACT_ROUTES:
-        return path
-    if path.startswith("/jobs/"):
-        return "/jobs/<id>"
-    if path.startswith("/tenants/"):
-        # /tenants/<tid>[/instances[/<iid>]] and /tenants/<tid>/stats —
-        # tenant and instance ids never become route labels.
-        tail = path.split("/")[3:]
-        if tail[:1] == ["stats"]:
-            return "/tenants/<id>/stats"
-        if tail[:1] == ["instances"]:
-            return (
-                "/tenants/<id>/instances/<iid>"
-                if len(tail) > 1
-                else "/tenants/<id>/instances"
-            )
-        return "/tenants/<id>"
-    return "<other>"
+__all__ = ["AccessLog", "observe_request"]
 
 
 class AccessLog:
@@ -111,12 +70,16 @@ def observe_request(
     access_log: Optional[AccessLog],
     method: str,
     path: str,
+    route: str,
     status: int,
     duration_s: float,
 ) -> None:
-    """Record one finished HTTP request into metrics and/or the access log."""
+    """Record one finished HTTP request into metrics and/or the access log.
+
+    ``route`` is the metrics label (a route pattern); the access log keeps
+    the raw ``path``.
+    """
     if instruments is not None:
-        route = route_label(path)
         instruments.http_requests.labels(
             method=method, route=route, status=str(int(status))
         ).inc()

@@ -697,8 +697,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _http(server: str, method: str, path: str, payload=None):
-    """One JSON request against a running service; returns (status, doc)."""
+class CommandFailed(Exception):
+    """A client command the service refused; :func:`main` prints it and exits 1."""
+
+
+def _call(server, method, path, payload=None, *, ok=(200,), refusals=None):
+    """One JSON request against a running service; returns ``(status, doc)``.
+
+    A status outside ``ok`` raises :class:`CommandFailed` with the
+    service's error message, or with ``refusals[status](doc)`` when given.
+    """
     import json
     import urllib.error
     import urllib.request
@@ -710,12 +718,22 @@ def _http(server: str, method: str, path: str, payload=None):
     )
     try:
         with urllib.request.urlopen(req) as resp:
-            return resp.status, json.loads(resp.read())
+            status, doc = resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         try:
-            return exc.code, json.loads(exc.read())
+            status, doc = exc.code, json.loads(exc.read())
         except Exception:  # noqa: BLE001 - non-JSON error body
-            return exc.code, {"error": str(exc)}
+            status, doc = exc.code, {"error": str(exc)}
+    except OSError as exc:  # refused, unresolvable, timed out
+        raise CommandFailed(f"cannot reach {url}: {exc}") from None
+    if status in ok:
+        return status, doc
+    message = (refusals or {}).get(status)
+    raise CommandFailed(message(doc) if message else doc.get("error", status))
+
+
+def _queue_full(doc: dict) -> str:
+    return f"queue full ({doc.get('queue_depth')}/{doc.get('queue_limit')}); retry later"
 
 
 def _poll_job(server: str, job_id: str, interval: float) -> dict:
@@ -723,9 +741,7 @@ def _poll_job(server: str, job_id: str, interval: float) -> dict:
 
     last_state = None
     while True:
-        status, doc = _http(server, "GET", f"/jobs/{job_id}")
-        if status != 200:
-            raise SystemExit(f"error: {doc.get('error', status)}")
+        _, doc = _call(server, "GET", f"/jobs/{job_id}")
         if doc["state"] != last_state:
             last_state = doc["state"]
             print(f"  job {job_id}: {last_state} (attempt {doc['attempt']})")
@@ -753,17 +769,9 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
             "checkpoint_every": args.checkpoint_every,
             "certificate": args.certificate,
         }
-        status, doc = _http(server, "POST", "/jobs", payload)
-        if status == 429:
-            print(
-                f"error: queue full ({doc.get('queue_depth')}/{doc.get('queue_limit')}); "
-                "retry later",
-                file=sys.stderr,
-            )
-            return 1
-        if status != 202:
-            print(f"error: {doc.get('error', status)}", file=sys.stderr)
-            return 1
+        _, doc = _call(
+            server, "POST", "/jobs", payload, ok=(202,), refusals={429: _queue_full}
+        )
         print(f"submitted job {doc['job_id']}")
         if args.wait:
             final = _poll_job(server, doc["job_id"], args.poll_interval)
@@ -773,33 +781,22 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         if args.wait:
             doc = _poll_job(server, args.job_id, args.poll_interval)
         else:
-            status, doc = _http(server, "GET", f"/jobs/{args.job_id}")
-            if status != 200:
-                print(f"error: {doc.get('error', status)}", file=sys.stderr)
-                return 1
+            _, doc = _call(server, "GET", f"/jobs/{args.job_id}")
         doc.pop("result", None)
         doc.pop("spec", None)
         print(json.dumps(doc, indent=2))
         return 0
     if args.jobs_command == "result":
-        status, doc = _http(server, "GET", f"/jobs/{args.job_id}")
-        if status != 200:
-            print(f"error: {doc.get('error', status)}", file=sys.stderr)
-            return 1
+        _, doc = _call(server, "GET", f"/jobs/{args.job_id}")
         if doc["state"] != "SUCCEEDED":
-            print(
-                f"error: job {args.job_id} is {doc['state']}"
-                + (f" ({doc['error']})" if doc.get("error") else ""),
-                file=sys.stderr,
+            raise CommandFailed(
+                f"job {args.job_id} is {doc['state']}"
+                + (f" ({doc['error']})" if doc.get("error") else "")
             )
-            return 1
         print(json.dumps(doc["result"], indent=2))
         return 0
     if args.jobs_command == "cancel":
-        status, doc = _http(server, "DELETE", f"/jobs/{args.job_id}")
-        if status != 200:
-            print(f"error: {doc.get('error', status)}", file=sys.stderr)
-            return 1
+        _, doc = _call(server, "DELETE", f"/jobs/{args.job_id}")
         verb = "cancelled" if doc.get("cancelled") else "not cancellable"
         print(f"job {args.job_id}: {verb} (state {doc.get('state')})")
         return 0
@@ -810,10 +807,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         if args.tenant:
             query.append(f"tenant={args.tenant}")
         suffix = "?" + "&".join(query) if query else ""
-        status, doc = _http(server, "GET", f"/jobs{suffix}")
-        if status != 200:
-            print(f"error: {doc.get('error', status)}", file=sys.stderr)
-            return 1
+        _, doc = _call(server, "GET", f"/jobs{suffix}")
         print(f"{'job id':<18} {'tenant':<12} {'state':<10} {'attempt':>7}  error")
         for job in doc["jobs"]:
             print(
@@ -822,10 +816,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
             )
         return 0
     # stats
-    status, doc = _http(server, "GET", "/stats")
-    if status != 200:
-        print(f"error: {doc.get('error', status)}", file=sys.stderr)
-        return 1
+    _, doc = _call(server, "GET", "/stats")
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -838,15 +829,9 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
     if args.tenants_command == "upload":
         with open(args.instance_file, "r", encoding="utf-8") as fh:
             instance_doc = json.load(fh)
-        status, doc = _http(
-            server,
-            "PUT",
-            f"{base}/instances/{args.instance_id}",
-            {"instance": instance_doc},
-        )
-        if status not in (200, 201):
-            print(f"error: {doc.get('error', status)}", file=sys.stderr)
-            return 1
+        path = f"{base}/instances/{args.instance_id}"
+        payload = {"instance": instance_doc}
+        status, doc = _call(server, "PUT", path, payload, ok=(200, 201))
         meta = doc["stored"]
         verb = "created" if status == 201 else "updated"
         print(
@@ -855,10 +840,7 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
         )
         return 0
     if args.tenants_command == "list":
-        status, doc = _http(server, "GET", f"{base}/instances")
-        if status != 200:
-            print(f"error: {doc.get('error', status)}", file=sys.stderr)
-            return 1
+        _, doc = _call(server, "GET", f"{base}/instances")
         print(f"{'instance id':<32} {'version':>7} {'bytes':>12}")
         for meta in doc["instances"]:
             print(
@@ -867,17 +849,11 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
             )
         return 0
     if args.tenants_command == "rm":
-        status, doc = _http(server, "DELETE", f"{base}/instances/{args.instance_id}")
-        if status != 200:
-            print(f"error: {doc.get('error', status)}", file=sys.stderr)
-            return 1
+        _call(server, "DELETE", f"{base}/instances/{args.instance_id}")
         print(f"deleted {args.tenant}/{args.instance_id}")
         return 0
     # stats
-    status, doc = _http(server, "GET", f"{base}/stats")
-    if status != 200:
-        print(f"error: {doc.get('error', status)}", file=sys.stderr)
-        return 1
+    _, doc = _call(server, "GET", f"{base}/stats")
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -939,10 +915,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
             "target_recall": args.target_recall,
             "solve": not args.no_solve,
         }
-        status, doc = _http(server, "POST", f"{base}/live", payload)
-        if status != 201:
-            print(f"error: {doc.get('error', status)}", file=sys.stderr)
-            return 1
+        _, doc = _call(server, "POST", f"{base}/live", payload, ok=(201,))
         build = doc["build"]
         print(
             f"created live {args.tenant}/{args.instance_id} version "
@@ -958,10 +931,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
             "embeddings": embeddings,
             "resolve": args.resolve,
         }
-        status, doc = _http(server, "POST", f"{base}/photos", payload)
-        if status != 200:
-            print(f"error: {doc.get('error', status)}", file=sys.stderr)
-            return 1
+        _, doc = _call(server, "POST", f"{base}/photos", payload)
         delta = doc["delta"]
         print(
             f"ingested {delta['n_added']} photos into "
@@ -974,18 +944,9 @@ def _cmd_live(args: argparse.Namespace) -> int:
         _print_live_solution(doc)
         return 0
     if args.live_command == "recurate":
-        status, doc = _http(
-            server, "POST", f"{base}/recurate", {"kind": args.kind}
-        )
-        if status == 409:
-            print(
-                "error: a concurrent ingest moved the instance; retry",
-                file=sys.stderr,
-            )
-            return 1
-        if status != 200:
-            print(f"error: {doc.get('error', status)}", file=sys.stderr)
-            return 1
+        conflict = {409: lambda d: "a concurrent ingest moved the instance; retry"}
+        payload = {"kind": args.kind}
+        _, doc = _call(server, "POST", f"{base}/recurate", payload, refusals=conflict)
         print(
             f"recurated {args.tenant}/{args.instance_id} "
             f"({args.kind}, version {doc['version']})"
@@ -993,10 +954,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
         _print_live_solution(doc)
         return 0
     # status
-    status, doc = _http(server, "GET", f"{base}/live")
-    if status != 200:
-        print(f"error: {doc.get('error', status)}", file=sys.stderr)
-        return 1
+    _, doc = _call(server, "GET", f"{base}/live")
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -1127,6 +1085,15 @@ def _cmd_scale(args) -> int:
     return 0
 
 
+def _print_endpoints(context) -> None:
+    """The ``serve`` banner's route list: every route the service answers."""
+    from repro.system.service import served_routes
+
+    print("endpoints:")
+    for method, pattern in served_routes(context):
+        print(f"  {method:<6} {pattern}")
+
+
 #: glibc's ``M_ARENA_MAX`` mallopt parameter (``<malloc.h>``).
 _M_ARENA_MAX = -8
 
@@ -1169,12 +1136,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         for line in analyze_instance(instance).summary_lines():
             print(line)
         return 0
-    if args.command == "jobs":
-        return _cmd_jobs(args)
-    if args.command == "tenants":
-        return _cmd_tenants(args)
-    if args.command == "live":
-        return _cmd_live(args)
+    client = {"jobs": _cmd_jobs, "tenants": _cmd_tenants, "live": _cmd_live}
+    if args.command in client:
+        try:
+            return client[args.command](args)
+        except CommandFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if args.command == "scale":
         return _cmd_scale(args)
     if args.command == "obs":
@@ -1243,21 +1211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             recuration_regret=args.recuration_regret,
         ).start()
         print(f"PHOcus solver service listening on http://{service.address}")
-        print(
-            "endpoints: GET /health(z), GET /readyz, GET /version, GET /algorithms,\n"
-            "           POST /solve, POST /score, POST /jobs, GET /jobs,\n"
-            "           GET /jobs/<id>, DELETE /jobs/<id>, GET /stats"
-            + (", GET /metrics" if args.metrics else "")
-            + (
-                ",\n           PUT/GET/DELETE /tenants/<t>/instances/<i>, "
-                "GET /tenants/<t>/stats,\n"
-                "           POST/GET .../instances/<i>/live, "
-                "POST .../instances/<i>/photos,\n"
-                "           POST .../instances/<i>/recurate"
-                if args.tenants_root
-                else ""
-            )
-        )
+        _print_endpoints(service.context)
         # SIGTERM triggers the graceful drain (stop accepting → checkpoint
         # running jobs → release leases → flush journal); SIGINT / Ctrl-C
         # stays a fast exit.  The handler only sets an event — the drain

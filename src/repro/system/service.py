@@ -3,85 +3,103 @@
 Section 5.1: "Solver is implemented using Python and Flask."  Flask is a
 third-party dependency this offline reproduction avoids, so the service
 is built on the standard library's threading HTTP server with the same
-tiny JSON API a Flask app would expose:
+tiny JSON API a Flask app would expose.  The routes are declared once,
+in :data:`ROUTES`:
 
-================  =======  ================================================
-endpoint          method   behaviour
-================  =======  ================================================
-``/health``       GET      liveness + library version
-``/healthz``      GET      bare liveness (no locks, no subsystems)
-``/readyz``       GET      readiness — 503 while the service drains or
-                           the admission controller saturates, so load
-                           balancers stop routing here; 200 otherwise
-``/version``      GET      library version only
-``/algorithms``   GET      the registered solver names
-``/solve``        POST     synchronous fast path: body ``{"instance": …,
-                           "algorithm"?, "tau"?, "sparsify_method"?,
-                           "certificate"?}`` → solution + diagnostics
-``/score``        POST     body ``{"instance": …, "selection": [...]}`` →
-                           objective value and per-subset breakdown
-``/jobs``         POST     submit an async solve job (same body as
-                           ``/solve`` plus ``tenant``/``priority``/
-                           ``timeout_seconds``/``max_attempts``/
-                           ``checkpoint_every``) → 202 with the job id;
-                           429 when the queue is full
-``/jobs``         GET      list jobs (``?state=``/``?tenant=`` filters)
-``/jobs/<id>``    GET      job status, including the result when done
-                           and ``checkpoint_progress`` while running
-``/jobs/<id>``    DELETE   cancel a queued or running job
-``/stats``        GET      queue depth, per-state counts, worker
-                           utilisation, solve-latency percentiles,
-                           failure-classification tallies
-``/metrics``      GET      Prometheus text exposition (format 0.0.4) of
-                           the process metrics registry — solver, jobs,
-                           checkpoint, tenants, and HTTP series; 404 when
-                           the service runs with metrics disabled
-================  =======  ================================================
+======================  =======  ==========================================
+endpoint                method   behaviour
+======================  =======  ==========================================
+``/health``             GET      liveness + library version
+``/healthz``            GET      bare liveness (no locks, no subsystems)
+``/readyz``             GET      readiness — 503 while the service drains
+                                 or the admission controller saturates,
+                                 so load balancers stop routing here; 200
+                                 otherwise
+``/version``            GET      library version only
+``/algorithms``         GET      the registered solver names
+``/solve``              POST     synchronous fast path: body ``{"instance":
+                                 …, "algorithm"?, "tau"?,
+                                 "sparsify_method"?, "certificate"?}`` →
+                                 solution + diagnostics
+``/score``              POST     body ``{"instance": …, "selection": [...]}``
+                                 → objective value and per-subset
+                                 breakdown
+``/fidelity/frontier``  POST     budget-vs-quality sweep of the
+                                 multi-fidelity solver: body ``{"instance":
+                                 …, "budgets": [...], "fidelity"?}``
+``/jobs``               POST     submit an async solve job (same body as
+                                 ``/solve`` plus ``tenant``/``priority``/
+                                 ``timeout_seconds``/``max_attempts``/
+                                 ``checkpoint_every``) → 202 with the job
+                                 id; 429 when the queue is full
+``/jobs``               GET      list jobs (``?state=``/``?tenant=``
+                                 filters)
+``/jobs/<id>``          GET      job status, including the result when
+                                 done and ``checkpoint_progress`` while
+                                 running
+``/jobs/<id>``          DELETE   cancel a queued or running job
+``/stats``              GET      queue depth, per-state counts, worker
+                                 utilisation, solve-latency percentiles,
+                                 failure-classification tallies
+``/metrics``            GET      Prometheus text exposition (format 0.0.4)
+                                 of the process metrics registry — solver,
+                                 jobs, checkpoint, tenants, and HTTP
+                                 series; 404 when the service runs with
+                                 metrics disabled
+======================  =======  ==========================================
 
 With a tenant store configured (``tenants_root=...``), the multi-tenant
 archive API is also served:
 
-=================================  ==========  ===========================
-``/tenants/<t>/instances/<i>``     PUT         upload/overwrite a stored
-                                               instance (201 on create);
-                                               413 over quota, 429 over
-                                               rate
-``/tenants/<t>/instances/<i>``     GET/DELETE  fetch / remove the stored
-                                               envelope
-``/tenants/<t>/instances``         GET         list stored instance
-                                               metadata
-``/tenants/<t>/stats``             GET         store + warm-cache + quota
-                                               view for one tenant
-``.../instances/<i>/live``         POST        build + store (and cold
-                                               solve) a *live* archive
-                                               from costs/embeddings
-``.../instances/<i>/live``         GET         curation status: version,
-                                               pending deltas,
-                                               ``recurated_at``,
-                                               ``regret_bound``, solution
-``.../instances/<i>/photos``       POST        ingest a photo delta as
-                                               one atomic version bump;
-                                               warm re-solve inline
-                                               (``resolve="warm"``) or
-                                               defer to the sweep; 409
-                                               if a ``PUT`` raced it
-``.../instances/<i>/recurate``     POST        force a warm/full
-                                               re-solve; 409 if a
-                                               write raced it
-=================================  ==========  ===========================
+=======================================  ==========  ======================
+``/tenants/<id>/instances/<iid>``        PUT         upload/overwrite a
+                                                     stored instance (201
+                                                     on create); 413 over
+                                                     quota, 429 over rate
+``/tenants/<id>/instances/<iid>``        GET/DELETE  fetch / remove the
+                                                     stored envelope
+``/tenants/<id>/instances``              GET         list stored instance
+                                                     metadata
+``/tenants/<id>/stats``                  GET         store + warm-cache +
+                                                     quota view for one
+                                                     tenant
+``.../instances/<iid>/live``             POST        build + store (and
+                                                     cold solve) a *live*
+                                                     archive from
+                                                     costs/embeddings
+``.../instances/<iid>/live``             GET         curation status:
+                                                     version, pending
+                                                     deltas,
+                                                     ``recurated_at``,
+                                                     ``regret_bound``,
+                                                     solution
+``.../instances/<iid>/photos``           POST        ingest a photo delta
+                                                     as one atomic version
+                                                     bump; warm re-solve
+                                                     inline
+                                                     (``resolve="warm"``)
+                                                     or defer to the
+                                                     sweep; 409 if a
+                                                     ``PUT`` raced it
+``.../instances/<iid>/recurate``         POST        force a warm/full
+                                                     re-solve; 409 if a
+                                                     write raced it
+=======================================  ==========  ======================
 
-and ``POST /solve``, ``/score``, and ``/jobs`` accept ``{"by_ref":
-{"tenant", "instance_id", "version"?}}`` in place of ``"instance"`` —
-the instance is resolved from the store through the shared-memory warm
-cache, so repeated solves of the same stored instance skip both
-deserialisation and packing (``/solve`` responses report
+and ``POST /solve``, ``/score``, ``/fidelity/frontier`` and ``/jobs``
+accept ``{"by_ref": {"tenant", "instance_id", "version"?}}`` in place of
+``"instance"`` — the instance is resolved from the store through the
+shared-memory warm cache, so repeated solves of the same stored instance
+skip both deserialisation and packing (``/solve`` responses report
 ``warm_cache_hit``).
 
-Instances travel in the :mod:`repro.core.serialize` wire format.  Errors
-return ``4xx`` with ``{"error": message}`` (plus structured fields for
-404/413/429); a wrong method on a known path yields ``405`` with the
-allowed methods in the body's ``allow`` field; unexpected failures
-``500``.
+Instances travel in the :mod:`repro.core.serialize` wire format.  An
+unknown path answers ``404`` and a wrong method on a known one ``405``
+with the allowed methods in the body's ``allow`` field (and the
+``Allow`` header).  Errors answer with the status and body the
+:class:`~repro.errors.ReproError` subclass carries (``{"error":
+message}`` plus structured fields for 409/413/429/503/504/507);
+unexpected failures answer ``500``.
 
 Overload resilience is opt-in via ``resilience=Resilience(...)``
 (:mod:`repro.resilience`): request deadlines (``X-Phocus-Deadline-Ms``
@@ -98,11 +116,11 @@ before.
 Observability: constructing a service with ``metrics=True`` (the
 default) arms :mod:`repro.obs.probes` process-wide, so solver and job
 telemetry flows into the registry ``GET /metrics`` serves.  Every
-request is also counted/timed per route
-(:func:`repro.obs.middleware.observe_request`), and ``access_log=True``
-replaces the historically silent ``log_message`` with one structured
-JSON line per request on stderr (off by default — the service stays
-quiet unless asked).
+request is also counted/timed under its route pattern
+(:func:`route_label`, :func:`repro.obs.middleware.observe_request`), and
+``access_log=True`` replaces the historically silent ``log_message``
+with one structured JSON line per request on stderr (off by default —
+the service stays quiet unless asked).
 
 Use :class:`PhocusService` as a context manager for an ephemeral server::
 
@@ -116,12 +134,14 @@ import json
 import math
 import threading
 import time
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from contextlib import ExitStack, contextmanager
-
+from repro import __version__
 from repro.core.instance import as_ids
 from repro.core.objective import score, score_breakdown
 from repro.core.serialize import (
@@ -130,18 +150,15 @@ from repro.core.serialize import (
     loads,
     loads_request,
     number_field,
+    numbers_field,
 )
 from repro.core.solver import available_algorithms
 from repro.errors import (
-    DeadlineExceeded,
-    InstanceNotFound,
-    QuotaExceeded,
-    RateLimited,
+    BadRequest,
     ReproError,
+    RequestTooLarge,
     ServiceOverloaded,
-    StorageExhausted,
     ValidationError,
-    VersionConflict,
 )
 from repro.jobs import JobManager, JobState, QueueFull, execute_solve_payload
 from repro.jobs.spec import JobSpec, new_job_id
@@ -154,7 +171,14 @@ from repro.obs.prom import render_registry
 from repro.resilience import Resilience, deadline_scope, solve_cache_key
 from repro.tenants import TenantQuota, Tenants, parse_ref
 
-__all__ = ["PhocusService", "handle_request"]
+__all__ = [
+    "ROUTES",
+    "PhocusService",
+    "ServiceContext",
+    "handle_request",
+    "route_label",
+    "served_routes",
+]
 
 _DEADLINE_HEADER = "X-Phocus-Deadline-Ms"
 
@@ -165,45 +189,60 @@ RAW_CONTENT_TYPE = "__content_type__"
 
 _MAX_BODY = 64 * 1024 * 1024  # 64 MiB — generous for serialised instances
 
-# Route table: exact path (or the /jobs/<id> prefix) → allowed methods.
-# Wrong method on a known path is a 405 with these in the "allow" field.
-_ALLOWED_METHODS: Dict[str, Tuple[str, ...]] = {
-    "/health": ("GET",),
-    "/healthz": ("GET",),
-    "/readyz": ("GET",),
-    "/version": ("GET",),
-    "/algorithms": ("GET",),
-    "/solve": ("POST",),
-    "/score": ("POST",),
-    "/fidelity/frontier": ("POST",),
-    "/jobs": ("GET", "POST"),
-    "/jobs/<id>": ("DELETE", "GET"),
-    "/stats": ("GET",),
-    "/metrics": ("GET",),
-    "/tenants/<id>/instances": ("GET",),
-    "/tenants/<id>/instances/<iid>": ("DELETE", "GET", "PUT"),
-    "/tenants/<id>/instances/<iid>/live": ("GET", "POST"),
-    "/tenants/<id>/instances/<iid>/photos": ("POST",),
-    "/tenants/<id>/instances/<iid>/recurate": ("POST",),
-    "/tenants/<id>/stats": ("GET",),
-}
 
-# Live-curation sub-resources under /tenants/<id>/instances/<iid>/.
-_LIVE_TAILS = ("live", "photos", "recurate")
+@dataclass(frozen=True)
+class ServiceContext:
+    """The collaborators one service's routes answer from; any may be absent.
+
+    ``jobs`` backs ``/jobs`` and ``/stats``; ``instruments`` backs ``GET
+    /metrics``; ``tenants`` backs the ``/tenants/...`` family and
+    ``by_ref`` bodies; ``resilience`` is the overload bundle (without
+    one, every resilience feature is inert); ``live`` backs the
+    ``.../live``, ``.../photos`` and ``.../recurate`` sub-resources;
+    ``sweeper`` is told to track every instance the live routes touch.
+    """
+
+    jobs: Optional[JobManager] = None
+    instruments: Optional["obs_probes.Instruments"] = None
+    tenants: Optional[Tenants] = None
+    resilience: Optional[Resilience] = None
+    live: Optional[LiveManager] = None
+    sweeper: Optional[RecurationScheduler] = None
 
 
-def _tenants_route_key(path: str) -> Optional[str]:
-    """Map a ``/tenants/...`` path to its route-table key (None = no route)."""
-    tail = path.split("/")[2:]  # ["<tid>", ...]
-    if len(tail) == 2 and tail[1] == "stats":
-        return "/tenants/<id>/stats"
-    if len(tail) == 2 and tail[1] == "instances":
-        return "/tenants/<id>/instances"
-    if len(tail) == 3 and tail[1] == "instances":
-        return "/tenants/<id>/instances/<iid>"
-    if len(tail) == 4 and tail[1] == "instances" and tail[3] in _LIVE_TAILS:
-        return f"/tenants/<id>/instances/<iid>/{tail[3]}"
-    return None
+_NO_CONTEXT = ServiceContext()
+
+
+@dataclass(frozen=True)
+class Request:
+    """One request as a route handler sees it.
+
+    ``params`` holds the matched pattern's placeholders (``id``,
+    ``iid``); ``query`` the last value of each query parameter.
+    """
+
+    params: Dict[str, str]
+    query: Dict[str, str]
+    body: Optional[bytes]
+    headers: Optional[Any]
+
+    def json(self, parse: Callable[[bytes], Any] = loads) -> Dict[str, Any]:
+        """The body as a JSON object; :class:`~repro.errors.BadRequest` otherwise."""
+        if not self.body:
+            raise BadRequest("empty request body")
+        try:
+            payload = parse(self.body)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and integers longer than
+            # int()'s digit limit; RecursionError, nesting deeper than json's.
+            raise BadRequest(f"invalid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise BadRequest("request body must be a JSON object")
+        return payload
+
+
+Answer = Tuple[int, Dict[str, Any]]
+Handler = Callable[[ServiceContext, Request], Answer]
 
 
 @contextmanager
@@ -284,13 +323,20 @@ def _brownout_cache_key(
         return None
 
 
-def _solve_endpoint(
-    payload: Dict[str, Any],
-    tenants: Optional[Tenants],
-    resilience: Optional[Resilience] = None,
-) -> Dict[str, Any]:
+def _require(payload: Dict[str, Any], key: str, kind) -> Any:
+    value = payload.get(key)
+    if not isinstance(value, kind):
+        raise ValidationError(f"request body needs {key!r} of type {kind.__name__}")
+    return value
+
+
+# ------------------------------------------------------------ inline solves
+
+
+def _solve_endpoint(payload: Dict[str, Any], ctx: ServiceContext) -> Dict[str, Any]:
     # The synchronous fast path and background jobs share one executor
     # (repro.jobs.worker.execute_solve_payload) so they can never drift.
+    tenants, resilience = ctx.tenants, ctx.resilience
     degraded_ok = bool(payload.pop("degraded_ok", False))
     brownout = resilience.brownout if resilience is not None else None
     pressure = resilience.pressure() if resilience is not None else 0.0
@@ -316,13 +362,11 @@ def _solve_endpoint(
     return doc
 
 
-def _score_endpoint(
-    payload: Dict[str, Any], tenants: Optional[Tenants]
-) -> Dict[str, Any]:
+def _score_endpoint(payload: Dict[str, Any], ctx: ServiceContext) -> Dict[str, Any]:
     fidelity = payload.get("fidelity")
     if fidelity is None:
         selection = _require(payload, "selection", list)
-    with _resolved_instance(payload, tenants) as (instance, _hit):
+    with _resolved_instance(payload, ctx.tenants) as (instance, _hit):
         if instance is None:
             instance = instance_from_dict(_require(payload, "instance", dict))
         if fidelity is not None:
@@ -340,7 +384,7 @@ def _score_endpoint(
 
 
 def _fidelity_frontier_endpoint(
-    payload: Dict[str, Any], tenants: Optional[Tenants]
+    payload: Dict[str, Any], ctx: ServiceContext
 ) -> Dict[str, Any]:
     """``POST /fidelity/frontier`` — a budget-vs-quality sweep.
 
@@ -358,41 +402,96 @@ def _fidelity_frontier_endpoint(
         raise ValidationError("frontier sweep needs a 'budgets' list")
     from repro.fidelity.policy import execute_fidelity_payload
 
-    with _resolved_instance(payload, tenants) as (instance, _hit):
+    with _resolved_instance(payload, ctx.tenants) as (instance, _hit):
         if instance is None:
             instance = instance_from_dict(_require(payload, "instance", dict))
         return execute_fidelity_payload(policy, instance=instance)
 
 
-def _require(payload: Dict[str, Any], key: str, kind) -> Any:
-    value = payload.get(key)
-    if not isinstance(value, kind):
-        raise ValidationError(f"request body needs {key!r} of type {kind.__name__}")
-    return value
+def _inline(endpoint: Callable[[Dict[str, Any], ServiceContext], Any]) -> Handler:
+    """The handler of an inline-solve route answering ``endpoint(payload, ctx)``.
+
+    Inline instances keep their float arrays as ndarrays from the scan to
+    the decode (:func:`loads_request`); every other key parses as json
+    does.  The header deadline beats the body's ``deadline_ms``.
+    """
+
+    def handler(ctx: ServiceContext, req: Request) -> Answer:
+        payload = req.json(loads_request)
+        deadline_ms = _deadline_ms_from(req.headers, payload)
+        payload.pop("deadline_ms", None)
+        resilience = ctx.resilience
+        if resilience is None:
+            if deadline_ms is not None:
+                # execute_solve_payload arms the scope on its own thread
+                payload["deadline_ms"] = deadline_ms
+            return 200, endpoint(payload, ctx)
+        request_deadline = resilience.request_deadline(deadline_ms)
+        with ExitStack() as stack:
+            stack.enter_context(deadline_scope(request_deadline))
+            if resilience.admission is not None:
+                stack.enter_context(
+                    resilience.admission.admit(
+                        _request_tenant(payload), deadline=request_deadline
+                    )
+                )
+            return 200, endpoint(payload, ctx)
+
+    return handler
 
 
-def _parse_body(
-    body: Optional[bytes], parse=loads
-) -> Tuple[Optional[Dict[str, Any]], Optional[Tuple[int, Dict[str, Any]]]]:
-    if not body:
-        return None, (400, {"error": "empty request body"})
-    try:
-        payload = parse(body)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and integers longer than
-        # int()'s digit limit; RecursionError, nesting deeper than json's.
-        return None, (400, {"error": f"invalid JSON: {exc}"})
-    if not isinstance(payload, dict):
-        return None, (400, {"error": "request body must be a JSON object"})
-    return payload, None
+# ------------------------------------------------------------ plain reads
 
 
-def _submit_job(
-    payload: Dict[str, Any],
-    jobs: JobManager,
-    tenants: Optional[Tenants],
-    resilience: Optional[Resilience] = None,
-) -> Tuple[int, Dict[str, Any]]:
+def _health(ctx: ServiceContext, req: Request) -> Answer:
+    return 200, {"status": "ok", "version": __version__}
+
+
+def _healthz(ctx: ServiceContext, req: Request) -> Answer:
+    # Pure liveness: no locks, no subsystem calls — safe for tight
+    # orchestrator probe loops even while the service is degraded.
+    return 200, {"status": "ok"}
+
+
+def _readyz(ctx: ServiceContext, req: Request) -> Answer:
+    # Readiness (vs /healthz liveness): load balancers should stop
+    # routing here while the service drains or saturates.
+    resilience = ctx.resilience
+    if resilience is None or resilience.ready():
+        return 200, {"status": "ready"}
+    doc: Dict[str, Any] = {
+        "status": "unready",
+        "draining": resilience.drain.draining(),
+    }
+    if resilience.admission is not None:
+        doc["overloaded"] = resilience.admission.overloaded()
+    return 503, doc
+
+
+def _version(ctx: ServiceContext, req: Request) -> Answer:
+    return 200, {"version": __version__}
+
+
+def _algorithms(ctx: ServiceContext, req: Request) -> Answer:
+    return 200, {"algorithms": available_algorithms()}
+
+
+def _metrics(ctx: ServiceContext, req: Request) -> Answer:
+    return 200, {
+        RAW_BODY: render_registry(ctx.instruments.registry),
+        RAW_CONTENT_TYPE: _PROM_CONTENT_TYPE,
+    }
+
+
+# ------------------------------------------------------------ jobs
+
+
+def _submit_job(ctx: ServiceContext, req: Request) -> Answer:
+    payload = req.json()
+    header_deadline = _deadline_ms_from(req.headers)
+    if header_deadline is not None and payload.get("deadline_ms") is None:
+        payload["deadline_ms"] = header_deadline
+    jobs, tenants = ctx.jobs, ctx.tenants
     by_ref_doc = payload.get("by_ref")
     if by_ref_doc is not None:
         if "instance" in payload:
@@ -415,47 +514,27 @@ def _submit_job(
     else:
         instance_doc = _require(payload, "instance", dict)
         default_tenant = "default"
-    timeout_seconds = payload.get("timeout_seconds")
-    deadline_ms = payload.get("deadline_ms")
-    try:
-        spec = JobSpec(
-            job_id=new_job_id(),
-            instance=instance_doc,
-            by_ref=by_ref_doc,
-            tenant=str(payload.get("tenant") or default_tenant),
-            algorithm=str(payload.get("algorithm") or "phocus"),
-            tau=float(payload.get("tau") or 0.0),
-            sparsify_method=str(payload.get("sparsify_method") or "exact"),
-            certificate=bool(payload.get("certificate", False)),
-            seed=number_field(payload, "seed", integer=True, minimum=0),
-            priority=int(payload.get("priority") or 0),
-            timeout_seconds=(
-                float(timeout_seconds) if timeout_seconds is not None else None
-            ),
-            deadline_ms=(float(deadline_ms) if deadline_ms is not None else None),
-            max_attempts=int(payload.get("max_attempts") or 3),
-            checkpoint_every=(
-                int(payload["checkpoint_every"])
-                if payload.get("checkpoint_every") is not None
-                else None
-            ),
-            budgets=(
-                tuple(float(b) for b in payload["budgets"])
-                if payload.get("budgets") is not None
-                else None
-            ),
-            parallel_workers=(
-                int(payload["parallel_workers"])
-                if payload.get("parallel_workers") is not None
-                else None
-            ),
-            fidelity=payload.get("fidelity"),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"malformed job parameters: {exc}") from exc
-    admission = resilience.admission if resilience is not None else None
+    field = partial(number_field, payload)
+    spec = JobSpec(
+        job_id=new_job_id(),
+        instance=instance_doc,
+        by_ref=by_ref_doc,
+        tenant=str(payload.get("tenant") or default_tenant),
+        algorithm=str(payload.get("algorithm") or "phocus"),
+        tau=field("tau", 0.0),
+        sparsify_method=str(payload.get("sparsify_method") or "exact"),
+        certificate=bool(payload.get("certificate", False)),
+        seed=field("seed", integer=True, minimum=0),
+        priority=field("priority", 0, integer=True),
+        timeout_seconds=field("timeout_seconds"),
+        deadline_ms=field("deadline_ms"),
+        max_attempts=field("max_attempts", 3, integer=True, minimum=1),
+        checkpoint_every=field("checkpoint_every", integer=True, minimum=1),
+        budgets=numbers_field(payload, "budgets"),
+        parallel_workers=field("parallel_workers", integer=True, minimum=1),
+        fidelity=payload.get("fidelity"),
+    )
+    admission = ctx.resilience.admission if ctx.resilience is not None else None
     if admission is not None:
         # Shed *before* the hard 429 bound: predicted queue wait and the
         # shed_queue_fraction watermark both fire as 503 + Retry-After.
@@ -465,50 +544,97 @@ def _submit_job(
     try:
         job_id = jobs.submit(spec)
     except QueueFull as exc:
-        return 429, {
-            "error": str(exc),
-            "queue_depth": exc.depth,
-            "queue_limit": exc.maxsize,
-            "retry_after": (
-                admission.snapshot()["retry_after_seconds"]
-                if admission is not None
-                else 1.0
-            ),
-        }
+        if admission is not None:
+            exc.retry_after = admission.snapshot()["retry_after_seconds"]
+        raise
     return 202, {"job_id": job_id, "state": JobState.QUEUED.value}
 
 
-def _tenants_routes(
-    method: str,
-    path: str,
-    body: Optional[bytes],
-    tenants: Optional[Tenants],
-) -> Tuple[int, Dict[str, Any]]:
-    if tenants is None:
-        return 503, {"error": "no tenant store configured on this service"}
-    tail = path.split("/")[2:]
-    tenant = tail[0]
-    if tail[1] == "stats":
-        return 200, tenants.stats(tenant)
-    if len(tail) == 2:  # GET /tenants/<id>/instances
-        return 200, {
-            "tenant": tenant,
-            "instances": [m.to_dict() for m in tenants.list_instances(tenant)],
+def _list_jobs(ctx: ServiceContext, req: Request) -> Answer:
+    state = req.query.get("state")
+    if state is not None and state not in JobState.__members__:
+        return 400, {
+            "error": f"unknown state {state!r}; one of {sorted(JobState.__members__)}"
         }
-    instance_id = tail[2]
-    tenants.check_rate(tenant)
-    if method == "PUT":
-        payload, err = _parse_body(body)
-        if err is not None:
-            return err
-        instance_doc = _require(payload, "instance", dict)
-        meta = tenants.put_instance(tenant, instance_id, instance_doc)
-        return (201 if meta.version == 1 else 200), {"stored": meta.to_dict()}
-    if method == "GET":
-        return 200, tenants.get_instance(tenant, instance_id)
-    # DELETE
-    meta = tenants.delete_instance(tenant, instance_id)
+    return 200, {"jobs": ctx.jobs.jobs(state=state, tenant=req.query.get("tenant"))}
+
+
+def _job_status(ctx: ServiceContext, req: Request) -> Answer:
+    job_id = req.params["id"]
+    doc = ctx.jobs.status(job_id)
+    if doc is None:
+        return 404, {"error": f"no job {job_id!r}"}
+    if doc["state"] == JobState.SUCCEEDED.value:
+        doc["result"] = ctx.jobs.result(job_id)
+    return 200, doc
+
+
+def _cancel_job(ctx: ServiceContext, req: Request) -> Answer:
+    job_id = req.params["id"]
+    try:
+        cancelled = ctx.jobs.cancel(job_id)
+    except KeyError:
+        return 404, {"error": f"no job {job_id!r}"}
+    doc = ctx.jobs.status(job_id)
+    return 200, {
+        "job_id": job_id,
+        "cancelled": cancelled,
+        "state": doc["state"] if doc else None,
+    }
+
+
+def _stats(ctx: ServiceContext, req: Request) -> Answer:
+    stats = ctx.jobs.stats()
+    if ctx.resilience is not None:
+        stats["resilience"] = ctx.resilience.snapshot()
+    return 200, stats
+
+
+# ------------------------------------------------------------ tenants
+
+
+def _tenant_stats(ctx: ServiceContext, req: Request) -> Answer:
+    return 200, ctx.tenants.stats(req.params["id"])
+
+
+def _list_instances(ctx: ServiceContext, req: Request) -> Answer:
+    tenant = req.params["id"]
+    return 200, {
+        "tenant": tenant,
+        "instances": [m.to_dict() for m in ctx.tenants.list_instances(tenant)],
+    }
+
+
+def _instance_ref(ctx: ServiceContext, req: Request) -> Tuple[str, str]:
+    """``(tenant, instance_id)`` of a per-instance route, rate-checked."""
+    tenant = req.params["id"]
+    ctx.tenants.check_rate(tenant)
+    return tenant, req.params["iid"]
+
+
+def _put_instance(ctx: ServiceContext, req: Request) -> Answer:
+    tenant, instance_id = _instance_ref(ctx, req)
+    instance_doc = _require(req.json(), "instance", dict)
+    meta = ctx.tenants.put_instance(tenant, instance_id, instance_doc)
+    return (201 if meta.version == 1 else 200), {"stored": meta.to_dict()}
+
+
+def _get_instance(ctx: ServiceContext, req: Request) -> Answer:
+    return 200, ctx.tenants.get_instance(*_instance_ref(ctx, req))
+
+
+def _delete_instance(ctx: ServiceContext, req: Request) -> Answer:
+    meta = ctx.tenants.delete_instance(*_instance_ref(ctx, req))
     return 200, {"deleted": meta.to_dict()}
+
+
+# ------------------------------------------------------------ live curation
+#
+# POST .../live builds + stores (and by default cold-solves) a live
+# archive; GET .../live reports curation status including the current
+# solution, recurated_at and regret_bound; POST .../photos ingests a delta
+# as one atomic version bump; POST .../recurate forces a warm or full
+# re-solve (409 when a concurrent ingest moved the version underneath it).
 
 
 def _parse_photos(payload: Dict[str, Any]):
@@ -529,206 +655,224 @@ def _parse_photos(payload: Dict[str, Any]):
     return costs_arr, emb_arr
 
 
-def _live_routes(
-    method: str,
-    path: str,
-    body: Optional[bytes],
-    tenants: Optional[Tenants],
-    live,
-    sweeper=None,
-) -> Tuple[int, Dict[str, Any]]:
-    """The online-curation sub-resources of a stored instance.
+def _track(ctx: ServiceContext, tenant: str, instance_id: str) -> None:
+    if ctx.sweeper is not None:
+        ctx.sweeper.track(tenant, instance_id)
 
-    ``POST .../live`` builds + stores (and by default cold-solves) a live
-    archive; ``GET .../live`` reports curation status including the
-    current solution, ``recurated_at`` and ``regret_bound``;
-    ``POST .../photos`` ingests a delta as one atomic version bump;
-    ``POST .../recurate`` forces a warm or full re-solve (409 when a
-    concurrent ingest moved the version underneath it).
-    """
-    if tenants is None:
-        return 503, {"error": "no tenant store configured on this service"}
-    if live is None:
-        return 503, {"error": "live curation is not enabled on this service"}
-    tail = path.split("/")[2:]
-    tenant, instance_id, action = tail[0], tail[2], tail[3]
-    tenants.check_rate(tenant)
-    if action == "live" and method == "GET":
-        status = live.status(tenant, instance_id)
-        doc = status.to_dict()
-        doc["solution"] = status.solution
-        return 200, doc
-    if action == "recurate":
-        payload: Dict[str, Any] = {}
-        if body:
-            parsed, err = _parse_body(body)
-            if err is not None:
-                return err
-            payload = parsed
-        doc = live.recurate(
-            tenant, instance_id, kind=str(payload.get("kind", "warm"))
-        )
-        if doc is None:
-            return 409, {
-                "error": "instance version moved during the re-solve; retry"
-            }
-        return 200, doc
-    payload, err = _parse_body(body)
-    if err is not None:
-        return err
+
+def _create_live(ctx: ServiceContext, req: Request) -> Answer:
+    tenant, instance_id = _instance_ref(ctx, req)
+    payload = req.json()
     costs, embeddings = _parse_photos(payload)
-    if action == "live":  # POST — create the live archive
-        budget = number_field(payload, "budget")
-        tau = number_field(payload, "tau")
-        if budget is None or not budget > 0:
-            raise ValidationError("request body needs a positive 'budget'")
-        if tau is None:
-            raise ValidationError("request body needs a numeric 'tau'")
-        n_bits = payload.get("n_bits")
-        if n_bits != "auto":
-            n_bits = number_field(payload, "n_bits", "auto", integer=True, minimum=1)
-        retained = payload.get("retained", [])
-        if not isinstance(retained, list):
-            raise ValidationError(
-                f"'retained' must be a list of photo ids, got {retained!r}"
-            )
-        doc = live.create(
-            tenant,
-            instance_id,
-            costs,
-            embeddings,
-            budget,
-            tau=tau,
-            seed=number_field(payload, "seed", 0, integer=True, minimum=0),
-            n_bits=n_bits,
-            target_recall=number_field(payload, "target_recall", 0.95),
-            retained=as_ids(retained, "'retained'").tolist(),
-            solve=bool(payload.get("solve", True)),
+    budget = number_field(payload, "budget")
+    tau = number_field(payload, "tau")
+    if budget is None or not budget > 0:
+        raise ValidationError("request body needs a positive 'budget'")
+    if tau is None:
+        raise ValidationError("request body needs a numeric 'tau'")
+    n_bits = payload.get("n_bits")
+    if n_bits != "auto":
+        n_bits = number_field(payload, "n_bits", "auto", integer=True, minimum=1)
+    retained = payload.get("retained", [])
+    if not isinstance(retained, list):
+        raise ValidationError(
+            f"'retained' must be a list of photo ids, got {retained!r}"
         )
-        if sweeper is not None:
-            sweeper.track(tenant, instance_id)
-        return 201, doc
-    # POST .../photos — delta ingestion
-    doc = live.ingest(
+    doc = ctx.live.create(
+        tenant,
+        instance_id,
+        costs,
+        embeddings,
+        budget,
+        tau=tau,
+        seed=number_field(payload, "seed", 0, integer=True, minimum=0),
+        n_bits=n_bits,
+        target_recall=number_field(payload, "target_recall", 0.95),
+        retained=as_ids(retained, "'retained'").tolist(),
+        solve=bool(payload.get("solve", True)),
+    )
+    _track(ctx, tenant, instance_id)
+    return 201, doc
+
+
+def _live_status(ctx: ServiceContext, req: Request) -> Answer:
+    status = ctx.live.status(*_instance_ref(ctx, req))
+    doc = status.to_dict()
+    doc["solution"] = status.solution
+    return 200, doc
+
+
+def _ingest_photos(ctx: ServiceContext, req: Request) -> Answer:
+    tenant, instance_id = _instance_ref(ctx, req)
+    payload = req.json()
+    costs, embeddings = _parse_photos(payload)
+    doc = ctx.live.ingest(
         tenant,
         instance_id,
         costs,
         embeddings,
         resolve=str(payload.get("resolve", "warm")),
     )
-    if sweeper is not None:
-        sweeper.track(tenant, instance_id)
+    _track(ctx, tenant, instance_id)
     return 200, doc
 
 
-def _jobs_routes(
-    method: str,
-    path: str,
-    query: Dict[str, Any],
-    body: Optional[bytes],
-    jobs: Optional[JobManager],
-    tenants: Optional[Tenants],
-    headers: Optional[Any] = None,
-    resilience: Optional[Resilience] = None,
-) -> Tuple[int, Dict[str, Any]]:
-    if jobs is None:
-        return 503, {"error": "job manager not running on this service"}
-    if path == "/jobs" and method == "POST":
-        payload, err = _parse_body(body)
-        if err is not None:
-            return err
-        header_deadline = _deadline_ms_from(headers)
-        if header_deadline is not None and payload.get("deadline_ms") is None:
-            payload["deadline_ms"] = header_deadline
-        return _submit_job(payload, jobs, tenants, resilience=resilience)
-    if path == "/jobs" and method == "GET":
-        state = query.get("state")
-        tenant = query.get("tenant")
-        if state is not None and state not in JobState.__members__:
-            return 400, {
-                "error": f"unknown state {state!r}; one of {sorted(JobState.__members__)}"
-            }
-        return 200, {"jobs": jobs.jobs(state=state, tenant=tenant)}
-    job_id = path[len("/jobs/") :]
-    if method == "GET":
-        doc = jobs.status(job_id)
-        if doc is None:
-            return 404, {"error": f"no job {job_id!r}"}
-        if doc["state"] == JobState.SUCCEEDED.value:
-            doc["result"] = jobs.result(job_id)
-        return 200, doc
-    # DELETE /jobs/<id>
+def _recurate(ctx: ServiceContext, req: Request) -> Answer:
+    tenant, instance_id = _instance_ref(ctx, req)
+    payload = req.json() if req.body else {}
+    doc = ctx.live.recurate(tenant, instance_id, kind=str(payload.get("kind", "warm")))
+    if doc is None:
+        return 409, {"error": "instance version moved during the re-solve; retry"}
+    return 200, doc
+
+
+# ------------------------------------------------------------ the route table
+
+_INSTANCE = "/tenants/<id>/instances/<iid>"
+
+#: ``(method, pattern, handler, needs)`` for every request the service
+#: answers.  A ``<name>`` segment matches any one path segment and reaches
+#: the handler as ``req.params[name]``.  ``needs`` names the
+#: :class:`ServiceContext` collaborator the route cannot answer without.
+#: 404, 405 and its ``allow`` list, the metrics ``route`` label, the
+#: absent-collaborator answers and the ``phocus serve`` banner all derive
+#: from this table.
+ROUTES: Tuple[Tuple[str, str, Handler, Optional[str]], ...] = (
+    ("GET", "/health", _health, None),
+    ("GET", "/healthz", _healthz, None),
+    ("GET", "/readyz", _readyz, None),
+    ("GET", "/version", _version, None),
+    ("GET", "/algorithms", _algorithms, None),
+    ("POST", "/solve", _inline(_solve_endpoint), None),
+    ("POST", "/score", _inline(_score_endpoint), None),
+    ("POST", "/fidelity/frontier", _inline(_fidelity_frontier_endpoint), None),
+    ("POST", "/jobs", _submit_job, "jobs"),
+    ("GET", "/jobs", _list_jobs, "jobs"),
+    ("GET", "/jobs/<id>", _job_status, "jobs"),
+    ("DELETE", "/jobs/<id>", _cancel_job, "jobs"),
+    ("GET", "/stats", _stats, "jobs"),
+    ("GET", "/metrics", _metrics, "instruments"),
+    ("GET", "/tenants/<id>/stats", _tenant_stats, "tenants"),
+    ("GET", "/tenants/<id>/instances", _list_instances, "tenants"),
+    ("PUT", _INSTANCE, _put_instance, "tenants"),
+    ("GET", _INSTANCE, _get_instance, "tenants"),
+    ("DELETE", _INSTANCE, _delete_instance, "tenants"),
+    ("POST", _INSTANCE + "/live", _create_live, "live"),
+    ("GET", _INSTANCE + "/live", _live_status, "live"),
+    ("POST", _INSTANCE + "/photos", _ingest_photos, "live"),
+    ("POST", _INSTANCE + "/recurate", _recurate, "live"),
+)
+
+#: What a route answers when ``needs`` is absent from the context.
+#: ``/metrics`` without instruments is "not found": metrics are off.
+_ABSENT: Dict[str, Answer] = {
+    "instruments": (404, {"error": "metrics are disabled on this service"}),
+    "jobs": (503, {"error": "job manager not running on this service"}),
+    "tenants": (503, {"error": "no tenant store configured on this service"}),
+    "live": (503, {"error": "live curation is not enabled on this service"}),
+}
+
+
+def _compile(routes) -> List[Tuple[str, List[str], Dict[str, Any]]]:
+    """``(pattern, segments, {method: (handler, needs)})`` in table order."""
+    methods: Dict[str, Dict[str, Any]] = {}
+    for method, pattern, handler, needs in routes:
+        methods.setdefault(pattern, {})[method] = (handler, needs)
+    return [(pattern, pattern.split("/"), each) for pattern, each in methods.items()]
+
+
+_PATTERNS = _compile(ROUTES)
+
+
+def _normalise(path: str) -> Tuple[str, str]:
+    """``(path, query)`` of a request target, trailing slashes stripped."""
     try:
-        cancelled = jobs.cancel(job_id)
-    except KeyError:
-        return 404, {"error": f"no job {job_id!r}"}
-    doc = jobs.status(job_id)
-    return 200, {
-        "job_id": job_id,
-        "cancelled": cancelled,
-        "state": doc["state"] if doc else None,
-    }
+        parts = urlsplit(path)
+    except ValueError:  # "//[" reads as a malformed IPv6 host: no route
+        return path, ""
+    return parts.path.rstrip("/") or "/", parts.query
+
+
+def _match(path: str):
+    """``(pattern, methods, params)`` of the route ``path`` matches, or ``None``."""
+    segments = path.split("/")
+    for pattern, shape, methods in _PATTERNS:
+        if len(shape) == len(segments) and all(
+            s == p or s[:1] == "<" for s, p in zip(shape, segments)
+        ):
+            params = {s[1:-1]: p for s, p in zip(shape, segments) if s[:1] == "<"}
+            return pattern, methods, params
+    return None
+
+
+def route_label(path: str) -> str:
+    """The metrics ``route`` label of a request target: its pattern, or ``<other>``.
+
+    Labels are bounded by the table, so ids in paths never mint series.
+    """
+    match = _match(_normalise(path)[0])
+    return match[0] if match is not None else "<other>"
+
+
+def _absent(ctx: ServiceContext, needs: Optional[str]) -> Optional[Answer]:
+    """The answer for a missing collaborator, or ``None`` when ``ctx`` has it.
+
+    A live route without a tenant store answers the tenant store's 503.
+    """
+    if needs == "live" and ctx.tenants is None:
+        needs = "tenants"
+    if needs is None or getattr(ctx, needs) is not None:
+        return None
+    status, doc = _ABSENT[needs]
+    return status, dict(doc)
+
+
+def served_routes(context: ServiceContext) -> List[Tuple[str, str]]:
+    """``(method, pattern)`` of every route ``context`` can answer, in table order."""
+    return [(m, p) for m, p, _, needs in ROUTES if _absent(context, needs) is None]
 
 
 def handle_request(
     method: str,
     path: str,
     body: Optional[bytes],
-    jobs: Optional[JobManager] = None,
-    instruments: Optional["obs_probes.Instruments"] = None,
-    tenants: Optional[Tenants] = None,
+    context: Optional[ServiceContext] = None,
     *,
     headers: Optional[Any] = None,
-    resilience: Optional[Resilience] = None,
-    live=None,
-    sweeper=None,
-) -> Tuple[int, Dict[str, Any]]:
+) -> Answer:
     """Pure request dispatcher (transport-independent, directly testable).
 
-    ``jobs`` is the service's :class:`~repro.jobs.JobManager`; without
-    one, the ``/jobs`` and ``/stats`` routes answer 503.  ``instruments``
-    backs ``GET /metrics``; without them the route answers 404 (metrics
-    disabled).  ``tenants`` backs the ``/tenants/...`` family and the
-    ``by_ref`` solve path; without it those answer 503 / 422.
-    ``headers`` is any ``.get``-able view of the request headers (the
-    ``X-Phocus-Deadline-Ms`` deadline); ``resilience`` is the service's
-    :class:`~repro.resilience.Resilience` bundle — without one, every
-    resilience feature is inert and behaviour is unchanged.  ``live`` is
-    the service's :class:`~repro.live.LiveManager` backing the
-    ``.../live``, ``.../photos`` and ``.../recurate`` sub-resources
-    (503 without one); ``sweeper`` is the optional
-    :class:`~repro.live.RecurationScheduler`, told to track every
-    instance the live routes touch.  Returns
-    ``(http_status, json_payload)`` — for ``/metrics`` the payload
+    ``path`` is looked up in :data:`ROUTES`: no pattern answers 404, a
+    method outside the pattern's set 405 with the table's methods in
+    ``allow``.  While ``context.resilience`` drains, POST and PUT shed
+    503 ``draining``; then a route whose collaborator ``context`` lacks
+    answers 503 (``/metrics``: 404, metrics disabled).  Otherwise the
+    route's handler answers, and a :class:`~repro.errors.ReproError` it
+    raises becomes that error's ``http_status`` and ``to_doc()`` body;
+    anything else is a 500.  ``headers`` is any ``.get``-able view of the
+    request headers (the ``X-Phocus-Deadline-Ms`` deadline).
+
+    Returns ``(http_status, json_payload)`` — for ``/metrics`` the payload
     carries the exposition text under the ``RAW_BODY`` key, which the
     transport serves verbatim with the ``RAW_CONTENT_TYPE`` content type
     instead of JSON-encoding it.
     """
-    parts = urlsplit(path)
-    path = parts.path.rstrip("/") or "/"
-    query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
-
-    if path.startswith("/jobs/"):
-        route_key: Optional[str] = "/jobs/<id>"
-    elif path.startswith("/tenants/"):
-        route_key = _tenants_route_key(path)
-    else:
-        route_key = path
-    allowed = _ALLOWED_METHODS.get(route_key) if route_key else None
-    if allowed is None:
+    path, query = _normalise(path)
+    match = _match(path)
+    if match is None:
         return 404, {"error": f"no route for {method} {path}"}
-    if method not in allowed:
+    _, methods, params = match
+    if method not in methods:
         return 405, {
             "error": f"method {method} not allowed for {path}",
-            "allow": list(allowed),
+            "allow": sorted(methods),
         }
-
+    handler, needs = methods[method]
+    ctx = context if context is not None else _NO_CONTEXT
     try:
-        if (
-            resilience is not None
-            and method in ("POST", "PUT")
-            and resilience.drain.draining()
-        ):
+        resilience = ctx.resilience
+        writes = method in ("POST", "PUT")
+        if writes and resilience is not None and resilience.drain.draining():
             # Stop accepting mutations the moment a drain begins; reads
             # (status polling, /metrics) keep working until the socket
             # closes.
@@ -736,155 +880,19 @@ def handle_request(
                 "service is draining; retry against another instance",
                 reason="draining",
             )
-        if path == "/metrics":
-            if instruments is None:
-                return 404, {"error": "metrics are disabled on this service"}
-            return 200, {
-                RAW_BODY: render_registry(instruments.registry),
-                RAW_CONTENT_TYPE: _PROM_CONTENT_TYPE,
-            }
-        if path == "/health":
-            from repro import __version__
-
-            return 200, {"status": "ok", "version": __version__}
-        if path == "/healthz":
-            # Pure liveness: no locks, no subsystem calls — safe for tight
-            # orchestrator probe loops even while the service is degraded.
-            return 200, {"status": "ok"}
-        if path == "/readyz":
-            # Readiness (vs /healthz liveness): load balancers should stop
-            # routing here while the service drains or saturates.
-            if resilience is None or resilience.ready():
-                return 200, {"status": "ready"}
-            doc: Dict[str, Any] = {
-                "status": "unready",
-                "draining": resilience.drain.draining(),
-            }
-            if resilience.admission is not None:
-                doc["overloaded"] = resilience.admission.overloaded()
-            return 503, doc
-        if path == "/version":
-            from repro import __version__
-
-            return 200, {"version": __version__}
-        if path == "/algorithms":
-            return 200, {"algorithms": available_algorithms()}
-        if path in ("/solve", "/score", "/fidelity/frontier"):
-            # Inline instances keep their float arrays as ndarrays from
-            # the scan to the decode; every other key parses as json does.
-            payload, err = _parse_body(body, loads_request)
-            if err is not None:
-                return err
-            deadline_ms = _deadline_ms_from(headers, payload)
-            payload.pop("deadline_ms", None)
-            if resilience is None:
-                if deadline_ms is not None:
-                    # execute_solve_payload arms the scope on its own thread
-                    payload["deadline_ms"] = deadline_ms
-                if path == "/solve":
-                    return 200, _solve_endpoint(payload, tenants)
-                if path == "/fidelity/frontier":
-                    return 200, _fidelity_frontier_endpoint(payload, tenants)
-                return 200, _score_endpoint(payload, tenants)
-            request_deadline = resilience.request_deadline(deadline_ms)
-            with ExitStack() as stack:
-                stack.enter_context(deadline_scope(request_deadline))
-                if resilience.admission is not None:
-                    stack.enter_context(
-                        resilience.admission.admit(
-                            _request_tenant(payload), deadline=request_deadline
-                        )
-                    )
-                if path == "/solve":
-                    return 200, _solve_endpoint(payload, tenants, resilience)
-                if path == "/fidelity/frontier":
-                    return 200, _fidelity_frontier_endpoint(payload, tenants)
-                return 200, _score_endpoint(payload, tenants)
-        if path == "/stats":
-            if jobs is None:
-                return 503, {"error": "job manager not running on this service"}
-            stats = jobs.stats()
-            if resilience is not None:
-                stats["resilience"] = resilience.snapshot()
-            return 200, stats
-        if path.startswith("/tenants/"):
-            if route_key and route_key.startswith(
-                "/tenants/<id>/instances/<iid>/"
-            ):
-                return _live_routes(
-                    method, path, body, tenants, live, sweeper
-                )
-            return _tenants_routes(method, path, body, tenants)
-        # /jobs and /jobs/<id>
-        return _jobs_routes(
-            method,
-            path,
-            query,
-            body,
-            jobs,
-            tenants,
-            headers=headers,
-            resilience=resilience,
-        )
-    except RateLimited as exc:
-        return 429, {
-            "error": str(exc),
-            "tenant": exc.tenant,
-            "retry_after": exc.retry_after,
-        }
-    except QuotaExceeded as exc:
-        return 413, {
-            "error": str(exc),
-            "tenant": exc.tenant,
-            "kind": exc.kind,
-            "used": exc.used,
-            "limit": exc.limit,
-        }
-    except InstanceNotFound as exc:
-        return 404, {"error": str(exc)}
-    except VersionConflict as exc:
-        return 409, {
-            "error": str(exc),
-            "tenant": exc.tenant,
-            "instance_id": exc.instance_id,
-            "expected_version": exc.expected,
-            "version": exc.actual,
-        }
-    except ServiceOverloaded as exc:
-        shed_doc: Dict[str, Any] = {
-            "error": str(exc),
-            "reason": exc.reason,
-            "retry_after": exc.retry_after,
-        }
-        if exc.tenant is not None:
-            shed_doc["tenant"] = exc.tenant
-        return 503, shed_doc
-    except DeadlineExceeded as exc:
-        return 504, {
-            "error": str(exc),
-            "reason": exc.reason,
-            "deadline_seconds": exc.deadline_seconds,
-            "elapsed_seconds": exc.elapsed_seconds,
-            "progress": exc.progress(),
-        }
-    except StorageExhausted as exc:
-        return 507, {
-            "error": str(exc),
-            "kind": exc.kind,
-            "path": exc.path,
-            "errno": exc.errno_value,
-        }
+        absent = _absent(ctx, needs)
+        if absent is not None:
+            return absent
+        query_args = {k: v[-1] for k, v in parse_qs(query).items()}
+        return handler(ctx, Request(params, query_args, body, headers))
     except ReproError as exc:
-        return 422, {"error": str(exc)}
+        return exc.http_status, exc.to_doc()
     except Exception as exc:  # noqa: BLE001 - service boundary
         return 500, {"error": f"internal error: {exc}"}
 
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "PHOcus/1.0"
-
-    def _jobs(self) -> Optional[JobManager]:
-        return getattr(self.server, "phocus_jobs", None)
 
     def _reply(self, status: int, payload: Dict[str, Any]) -> None:
         if RAW_BODY in payload:
@@ -910,49 +918,51 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _dispatch(self, method: str, body: Optional[bytes]) -> None:
+    def _read_body(self) -> bytes:
+        """The request body; :class:`BadRequest` for a bad ``Content-Length``."""
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            raise BadRequest(f"invalid Content-Length header {raw!r}")
+        length = int(raw)
+        if length > _MAX_BODY:
+            raise RequestTooLarge("request body too large")
+        return self.rfile.read(length) if length else b""
+
+    def _dispatch(self, method: str) -> None:
+        # Every answer, a refused body included, is replied and observed
+        # here, so /metrics and the access log count each request once.
         start = time.perf_counter()
-        status, payload = handle_request(
-            method,
-            self.path,
-            body,
-            self._jobs(),
-            instruments=getattr(self.server, "phocus_obs", None),
-            tenants=getattr(self.server, "phocus_tenants", None),
-            headers=self.headers,
-            resilience=getattr(self.server, "phocus_resilience", None),
-            live=getattr(self.server, "phocus_live", None),
-            sweeper=getattr(self.server, "phocus_sweeper", None),
-        )
+        context = self.server.context
+        try:
+            body = self._read_body() if method in ("POST", "PUT") else None
+        except BadRequest as exc:
+            status, payload = exc.http_status, exc.to_doc()
+        else:
+            status, payload = handle_request(
+                method, self.path, body, context, headers=self.headers
+            )
         self._reply(status, payload)
         observe_request(
-            getattr(self.server, "phocus_obs", None),
-            getattr(self.server, "phocus_access_log", None),
+            context.instruments,
+            self.server.access_log,
             method,
             self.path,
+            route_label(self.path),
             status,
             time.perf_counter() - start,
         )
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET", None)
+        self._dispatch("GET")
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("DELETE", None)
+        self._dispatch("DELETE")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch_with_body("POST")
+        self._dispatch("POST")
 
     def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch_with_body("PUT")
-
-    def _dispatch_with_body(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY:
-            self._reply(413, {"error": "request body too large"})
-            return
-        body = self.rfile.read(length) if length else b""
-        self._dispatch(method, body)
+        self._dispatch("PUT")
 
     def log_message(self, *args) -> None:
         # http.server's default per-request stderr line is replaced by the
@@ -965,6 +975,9 @@ class _Server(ThreadingHTTPServer):
     # socketserver's default listen backlog (5) drops simultaneous
     # connects with RST under tenant fan-out; size it for a load burst.
     request_queue_size = 128
+    # What every request handler reads; PhocusService sets both.
+    context = _NO_CONTEXT
+    access_log: Optional[AccessLog] = None
 
 
 class PhocusService:
@@ -1040,9 +1053,6 @@ class PhocusService:
                 else None
             ),
         )
-        self._server.phocus_jobs = self.jobs
-        self._server.phocus_tenants = self.tenants
-        self._server.phocus_resilience = resilience
         # Live curation rides the tenant store: the manager is always
         # available when tenants are configured; the background
         # re-curation sweep is opt-in (``recuration=True``) and submits
@@ -1064,14 +1074,19 @@ class PhocusService:
                 regret_threshold=recuration_regret,
             )
             self.sweeper.start()
-        self._server.phocus_live = self.live
-        self._server.phocus_sweeper = self.sweeper
         # Arm (or reuse already-armed) process instruments; re-arming with
         # no arguments keeps an existing registry so multiple services in
         # one process share a single exposition.
         self.instruments = obs_probes.arm() if metrics else None
-        self._server.phocus_obs = self.instruments
-        self._server.phocus_access_log = AccessLog() if access_log else None
+        self._server.context = ServiceContext(
+            jobs=self.jobs,
+            instruments=self.instruments,
+            tenants=self.tenants,
+            resilience=resilience,
+            live=self.live,
+            sweeper=self.sweeper,
+        )
+        self._server.access_log = AccessLog() if access_log else None
 
     @contextmanager
     def _lease_by_ref(self, by_ref: Dict[str, Any]):
@@ -1079,6 +1094,11 @@ class PhocusService:
         # lease spans the job's solve so eviction cannot unmap it mid-run.
         with self.tenants.lease_for_solve(by_ref) as (instance, _hit):
             yield instance
+
+    @property
+    def context(self) -> ServiceContext:
+        """The collaborators this service's routes answer from."""
+        return self._server.context
 
     @property
     def address(self) -> str:

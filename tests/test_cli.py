@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import socket
+
 import pytest
 
+from repro.core.paper_example import figure1_instance
+from repro.core.serialize import instance_to_dict
 from repro.datasets.io import save_dataset
 from repro.datasets.public import generate_public_dataset
+from repro.obs import probes
+from repro.system import cli
 from repro.system.cli import build_parser, main
+from repro.system.service import ROUTES, PhocusService
 
 
 class TestParser:
@@ -112,3 +120,76 @@ def test_serve_arena_policy_is_a_no_op_without_mallopt(monkeypatch):
     monkeypatch.setattr(cli.ctypes, "CDLL", _NoMallopt)
     cli._single_malloc_arena()  # non-glibc platforms: nothing to call
     assert calls == [(cli._M_ARENA_MAX, 1)]
+
+
+class TestTenantsCli:
+    def test_upload_list_stats_rm_round_trip(self, tmp_path, capsys):
+        instance_file = tmp_path / "instance.json"
+        instance_file.write_text(json.dumps(instance_to_dict(figure1_instance(4.0))))
+        with PhocusService(workers=0, metrics=False, tenants_root=str(tmp_path / "t")) as svc:
+            base = ["tenants", "--server", f"http://{svc.address}"]
+            upload = base + ["upload", "--tenant", "acme", "--id", "fig1",
+                             "--instance-file", str(instance_file)]
+            assert main(upload) == 0
+            assert "created acme/fig1 (version 1," in capsys.readouterr().out
+            assert main(upload) == 0
+            assert "updated acme/fig1 (version 2," in capsys.readouterr().out
+
+            assert main(base + ["list", "--tenant", "acme"]) == 0
+            rows = capsys.readouterr().out.splitlines()
+            assert rows[1].split()[:2] == ["fig1", "2"]
+
+            assert main(base + ["stats", "--tenant", "acme"]) == 0
+            assert json.loads(capsys.readouterr().out)["store"]["instances"] == 1
+
+            assert main(base + ["rm", "--tenant", "acme", "--id", "fig1"]) == 0
+            assert capsys.readouterr().out.strip() == "deleted acme/fig1"
+            assert main(base + ["list", "--tenant", "acme"]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 1  # header only
+
+    def test_rm_of_a_missing_instance_fails(self, tmp_path, capsys):
+        with PhocusService(workers=0, metrics=False, tenants_root=str(tmp_path)) as svc:
+            code = main(
+                ["tenants", "--server", f"http://{svc.address}",
+                 "rm", "--tenant", "acme", "--id", "ghost"]
+            )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert "ghost" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("metrics", [True, False])
+@pytest.mark.parametrize("with_tenants", [True, False])
+def test_serve_banner_lists_exactly_the_served_routes(tmp_path, capsys, metrics, with_tenants):
+    probes.disarm()
+    try:
+        with PhocusService(
+            workers=0,
+            metrics=metrics,
+            tenants_root=str(tmp_path) if with_tenants else None,
+        ) as svc:
+            cli._print_endpoints(svc.context)
+    finally:
+        probes.disarm()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "endpoints:"
+    listed = [tuple(line.split()) for line in lines[1:]]
+    expected = [
+        (method, pattern)
+        for method, pattern, _, _ in ROUTES
+        if (metrics or pattern != "/metrics")
+        and (with_tenants or not pattern.startswith("/tenants/"))
+    ]
+    assert listed == expected
+
+
+def test_a_client_command_against_an_unreachable_server_fails_cleanly(capsys):
+    with socket.socket() as sock:  # a local port nobody listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    code = main(["jobs", "--server", f"http://127.0.0.1:{port}", "stats"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: cannot reach http://127.0.0.1:{port}/stats")

@@ -28,7 +28,7 @@ from repro.jobs import JobManager
 from repro.live import LiveManager
 from repro.scale import synthetic_archive
 from repro.sparsify.threshold import threshold_sparsify
-from repro.system.service import handle_request
+from repro.system.service import ServiceContext, handle_request
 from repro.tenants import Tenants
 
 from tests.conftest import random_instance
@@ -67,7 +67,7 @@ def _answer(doc):
 
 def _post(path, doc, **collaborators):
     body = json.dumps(doc, default=json_default).encode("utf-8")
-    status, payload = handle_request("POST", path, body, **collaborators)
+    status, payload = handle_request("POST", path, body, ServiceContext(**collaborators))
     assert status in (200, 201, 202), payload
     return payload
 
@@ -90,7 +90,7 @@ def test_every_path_gives_the_same_answer(service, monkeypatch, name):
         "PUT",
         f"/tenants/acme/instances/{name}",
         json.dumps({"instance": doc}).encode("utf-8"),
-        tenants=service["tenants"],
+        ServiceContext(tenants=service["tenants"]),
     )
     assert status in (200, 201)
     by_ref = {"by_ref": {"tenant": "acme", "instance_id": name}}
@@ -123,8 +123,10 @@ def test_live_cold_resolve_equals_inline_solve_of_its_document(service):
         live=service["live"],
     )
     status, envelope = handle_request(
-        "GET", "/tenants/acme/instances/live-archive", None,
-        tenants=service["tenants"],
+        "GET",
+        "/tenants/acme/instances/live-archive",
+        None,
+        ServiceContext(tenants=service["tenants"]),
     )
     assert status == 200
     cold = created["solution"]  # cold_resolve's answer, in pick order
@@ -157,7 +159,7 @@ def test_live_by_ref_with_a_logged_upload_equals_inline_solve_of_get(service):
     meta = service["tenants"].store.meta("acme", "live-logged")
     assert meta.log_records == 2  # the last two versions live in the log
     status, envelope = handle_request(
-        "GET", base, None, tenants=service["tenants"]
+        "GET", base, None, ServiceContext(tenants=service["tenants"])
     )
     assert status == 200 and envelope["version"] == meta.version
     by_ref = {"by_ref": {"tenant": "acme", "instance_id": "live-logged"}}

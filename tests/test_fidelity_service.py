@@ -13,7 +13,7 @@ from repro.fidelity.policy import execute_fidelity_payload
 from repro.jobs import JobManager
 from repro.scale import build_streamed_instance, synthetic_archive
 from repro.system.cli import main
-from repro.system.service import handle_request
+from repro.system.service import ServiceContext, handle_request
 
 
 def _body(payload) -> bytes:
@@ -210,7 +210,7 @@ class TestJobs:
                 "POST",
                 "/jobs",
                 _body({"instance": archive_doc, "fidelity": {}}),
-                manager,
+                ServiceContext(jobs=manager),
             )
             assert status == 202
             final = manager.wait(payload["job_id"], timeout=60)
@@ -227,7 +227,7 @@ class TestJobs:
                 "POST",
                 "/jobs",
                 _body({"instance": archive_doc, "fidelity": "nope"}),
-                manager,
+                ServiceContext(jobs=manager),
             )
         assert status == 422
 
@@ -285,7 +285,6 @@ class TestCli:
 class TestObservability:
     def test_fidelity_metric_families_are_exported(self, archive):
         from repro.obs import probes
-        from repro.obs.middleware import route_label
         from repro.obs.prom import render_registry
 
         instruments = probes.arm()
@@ -306,6 +305,3 @@ class TestObservability:
             "phocus_fidelity_frontier_points_total",
         ):
             assert family in text
-        # The new endpoint keeps a bounded route label.
-        assert route_label("/fidelity/frontier") == "/fidelity/frontier"
-        assert route_label("/fidelity/unknown") == "<other>"

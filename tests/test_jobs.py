@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import copy
+import sys
 import threading
 import time
 from collections import defaultdict
@@ -640,6 +642,150 @@ class TestJournalBeforePublish:
         finally:
             second.shutdown()
         assert executions == ["k1", "k1"]
+
+
+# ------------------------------------------------------- journal revisions
+
+
+class _LateQueuedStore(JournalJobStore):
+    """Appends each job's first QUEUED snapshot 0.3 s late.
+
+    The delay widens the real window between a submit's snapshot and its
+    append: the worker journals RUNNING and SUCCEEDED in between.
+    """
+
+    def __init__(self, path: str) -> None:
+        super().__init__(path)
+        self._delayed: set = set()
+
+    def save(self, record: JobRecord) -> None:
+        if record.state is JobState.QUEUED and record.job_id not in self._delayed:
+            self._delayed.add(record.job_id)
+            record = copy.copy(record)
+            time.sleep(0.3)
+        super().save(record)
+
+
+class _HeldOutcomeStore(JournalJobStore):
+    """After appending a terminal line, holds the saver until ``resume``."""
+
+    def __init__(self, path: str) -> None:
+        super().__init__(path)
+        self.outcome_written = threading.Event()
+        self.resume = threading.Event()
+
+    def save(self, record: JobRecord) -> None:
+        super().save(record)
+        if record.terminal:
+            self.outcome_written.set()
+            assert self.resume.wait(10)
+
+
+def _replayed(journal: str) -> JobManager:
+    """A manager that replays ``journal`` and runs nothing."""
+    return JobManager(workers=0, journal_path=journal, autostart=False)
+
+
+class TestJournalRevisions:
+    def test_a_queued_line_appended_late_does_not_replay_a_finished_job(self, tmp_path):
+        journal = str(tmp_path / "jobs.jsonl")
+        executions = []
+
+        def solve_fn(spec):
+            executions.append(spec.job_id)
+            return {"ok": 1}
+
+        first = JobManager(workers=1, store=_LateQueuedStore(journal), solve_fn=solve_fn)
+        try:
+            job_id = first.submit(_spec("late"))
+            assert first.wait(job_id, timeout=10)["state"] == "SUCCEEDED"
+        finally:
+            first.shutdown()
+        second = _replayed(journal)
+        try:
+            assert second.status(job_id)["state"] == "SUCCEEDED"
+            assert second.queue_depth == 0
+        finally:
+            second.shutdown()
+        assert executions == ["late"]
+
+    def test_an_abandoned_solve_cannot_checkpoint_after_its_outcome(self, tmp_path):
+        journal = str(tmp_path / "jobs.jsonl")
+        store = _HeldOutcomeStore(journal)
+        sink_calls = []
+
+        def solve_fn(spec, *, checkpoint_sink=None, resume_from=None):
+            # Outlive the timeout, then checkpoint once the FAILED line is
+            # journalled but before the manager publishes it.
+            assert store.outcome_written.wait(10)
+            sink_calls.append(1)
+            checkpoint_sink({"progress": {"phase": "UC", "picks": 1}})
+            store.resume.set()
+            return {"ok": 1}
+
+        with JobManager(workers=1, store=store, solve_fn=solve_fn) as first:
+            job_id = first.submit(_spec("slow", timeout_seconds=0.2))
+            final = first.wait(job_id, timeout=10)
+        assert final["state"] == "FAILED" and final["error_kind"] == "timeout"
+        assert sink_calls == [1]
+        second = _replayed(journal)
+        try:
+            assert second.status(job_id)["state"] == "FAILED"
+            assert second.queue_depth == 0
+        finally:
+            second.shutdown()
+
+    def test_no_finished_job_replays_under_thread_contention(self, tmp_path):
+        journal = str(tmp_path / "jobs.jsonl")
+        store = JournalJobStore(journal, fsync_policy="never")
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with JobManager(workers=4, store=store, solve_fn=lambda spec: {"ok": 1}) as m:
+                ids = [m.submit(_spec(f"s{i}")) for i in range(200)]
+                for job_id in ids:
+                    assert m.wait(job_id, timeout=30)["state"] == "SUCCEEDED"
+        finally:
+            sys.setswitchinterval(previous)
+        second = _replayed(journal)
+        try:
+            assert second.queue_depth == 0
+            assert {second.status(j)["state"] for j in ids} == {"SUCCEEDED"}
+        finally:
+            second.shutdown()
+
+    def test_a_job_refused_with_queue_full_never_replays(self, tmp_path):
+        journal = str(tmp_path / "jobs.jsonl")
+        with JobManager(
+            workers=0, queue_depth=1, journal_path=journal, autostart=False
+        ) as m:
+            m.submit(_spec("fits"))
+            with pytest.raises(QueueFull):
+                m.submit(_spec("refused"))
+        second = _replayed(journal)
+        try:
+            assert second.status("refused") is None
+            assert [j["job_id"] for j in second.jobs()] == ["fits"]
+        finally:
+            second.shutdown()
+
+    def test_replay_keeps_the_highest_revision_and_line_order_among_equals(self, tmp_path):
+        journal = str(tmp_path / "jobs.jsonl")
+        store = JournalJobStore(journal)
+        newer = JobRecord(spec=_spec("r"), revision=3)
+        newer.transition(JobState.RUNNING)
+        newer.transition(JobState.SUCCEEDED)
+        older = JobRecord(spec=_spec("r"), revision=1)
+        legacy_first = JobRecord(spec=_spec("legacy"))
+        legacy_last = JobRecord(spec=_spec("legacy"))
+        legacy_last.transition(JobState.RUNNING)
+        for record in (newer, older, legacy_first, legacy_last):
+            store.save(record)
+        assert store.load_all()["r"].state is JobState.SUCCEEDED
+        store.close()
+        replayed = JournalJobStore(journal).load_all()
+        assert replayed["r"].state is JobState.SUCCEEDED
+        assert replayed["legacy"].state is JobState.RUNNING
 
 
 # ------------------------------------------------------------------- stats

@@ -13,7 +13,7 @@ from repro.core.serialize import instance_to_dict
 from repro.core.solver import solve
 from repro.jobs import JobManager
 from repro.system.cli import main
-from repro.system.service import PhocusService, handle_request
+from repro.system.service import PhocusService, ServiceContext, handle_request
 
 from tests.conftest import random_instance
 
@@ -67,7 +67,10 @@ class TestJobsDispatcher:
 
     def test_submit_and_poll_round_trip(self, manager, figure1):
         status, payload = handle_request(
-            "POST", "/jobs", _body({"instance": instance_to_dict(figure1)}), manager
+            "POST",
+            "/jobs",
+            _body({"instance": instance_to_dict(figure1)}),
+            ServiceContext(jobs=manager),
         )
         assert status == 202
         job_id = payload["job_id"]
@@ -75,14 +78,18 @@ class TestJobsDispatcher:
 
         final = manager.wait(job_id, timeout=30)
         assert final["state"] == "SUCCEEDED"
-        status, doc = handle_request("GET", f"/jobs/{job_id}", None, manager)
+        status, doc = handle_request(
+            "GET", f"/jobs/{job_id}", None, ServiceContext(jobs=manager)
+        )
         assert status == 200
         local = solve(figure1, "phocus")
         assert doc["result"]["selection"] == local.selection
         assert doc["result"]["value"] == pytest.approx(local.value)
 
     def test_submit_requires_instance(self, manager):
-        status, payload = handle_request("POST", "/jobs", _body({}), manager)
+        status, payload = handle_request(
+            "POST", "/jobs", _body({}), ServiceContext(jobs=manager)
+        )
         assert status == 422
         assert "instance" in payload["error"]
 
@@ -91,19 +98,29 @@ class TestJobsDispatcher:
             "POST",
             "/jobs",
             _body({"instance": instance_to_dict(figure1), "tau": "lots"}),
-            manager,
+            ServiceContext(jobs=manager),
         )
         assert status == 422
 
     def test_unknown_job_is_404(self, manager):
-        assert handle_request("GET", "/jobs/missing", None, manager)[0] == 404
-        assert handle_request("DELETE", "/jobs/missing", None, manager)[0] == 404
+        assert handle_request(
+            "GET", "/jobs/missing", None, ServiceContext(jobs=manager)
+        )[0] == 404
+        assert handle_request(
+            "DELETE", "/jobs/missing", None, ServiceContext(jobs=manager)
+        )[0] == 404
 
     def test_queue_full_is_429_with_depth(self, parked_manager, figure1):
         body = _body({"instance": instance_to_dict(figure1)})
-        assert handle_request("POST", "/jobs", body, parked_manager)[0] == 202
-        assert handle_request("POST", "/jobs", body, parked_manager)[0] == 202
-        status, payload = handle_request("POST", "/jobs", body, parked_manager)
+        assert handle_request(
+            "POST", "/jobs", body, ServiceContext(jobs=parked_manager)
+        )[0] == 202
+        assert handle_request(
+            "POST", "/jobs", body, ServiceContext(jobs=parked_manager)
+        )[0] == 202
+        status, payload = handle_request(
+            "POST", "/jobs", body, ServiceContext(jobs=parked_manager)
+        )
         assert status == 429
         assert payload["queue_depth"] == 2
         assert payload["queue_limit"] == 2
@@ -111,29 +128,42 @@ class TestJobsDispatcher:
 
     def test_cancel_queued_job(self, parked_manager, figure1):
         _, payload = handle_request(
-            "POST", "/jobs", _body({"instance": instance_to_dict(figure1)}), parked_manager
+            "POST",
+            "/jobs",
+            _body({"instance": instance_to_dict(figure1)}),
+            ServiceContext(jobs=parked_manager),
         )
         job_id = payload["job_id"]
-        status, doc = handle_request("DELETE", f"/jobs/{job_id}", None, parked_manager)
+        status, doc = handle_request(
+            "DELETE", f"/jobs/{job_id}", None, ServiceContext(jobs=parked_manager)
+        )
         assert status == 200
         assert doc["cancelled"] is True
         assert doc["state"] == "CANCELLED"
 
     def test_list_filters(self, parked_manager, figure1):
         body = _body({"instance": instance_to_dict(figure1), "tenant": "alice"})
-        handle_request("POST", "/jobs", body, parked_manager)
-        status, doc = handle_request("GET", "/jobs?tenant=alice", None, parked_manager)
+        handle_request("POST", "/jobs", body, ServiceContext(jobs=parked_manager))
+        status, doc = handle_request(
+            "GET", "/jobs?tenant=alice", None, ServiceContext(jobs=parked_manager)
+        )
         assert status == 200
         assert len(doc["jobs"]) == 1
-        status, doc = handle_request("GET", "/jobs?tenant=bob", None, parked_manager)
+        status, doc = handle_request(
+            "GET", "/jobs?tenant=bob", None, ServiceContext(jobs=parked_manager)
+        )
         assert doc["jobs"] == []
-        status, doc = handle_request("GET", "/jobs?state=QUEUED", None, parked_manager)
+        status, doc = handle_request(
+            "GET", "/jobs?state=QUEUED", None, ServiceContext(jobs=parked_manager)
+        )
         assert len(doc["jobs"]) == 1
-        status, doc = handle_request("GET", "/jobs?state=bogus", None, parked_manager)
+        status, doc = handle_request(
+            "GET", "/jobs?state=bogus", None, ServiceContext(jobs=parked_manager)
+        )
         assert status == 400
 
     def test_stats_shape(self, manager):
-        status, doc = handle_request("GET", "/stats", None, manager)
+        status, doc = handle_request("GET", "/stats", None, ServiceContext(jobs=manager))
         assert status == 200
         # "failures" appears only while observability probes are armed
         # (tests/test_obs_service.py covers it).

@@ -24,7 +24,7 @@ from repro.errors import ValidationError
 from repro.jobs import JobManager
 from repro.live import LiveArchive, LiveManager, RecurationScheduler
 from repro.scale import synthetic_archive
-from repro.system.service import PhocusService, handle_request
+from repro.system.service import PhocusService, ServiceContext, handle_request
 from repro.tenants import Tenants
 from repro.tenants import store as store_mod
 
@@ -155,7 +155,7 @@ def test_by_ref_solve_works_on_live_documents(tenants):
         json.dumps(
             {"by_ref": {"tenant": "acme", "instance_id": "a1"}}
         ).encode(),
-        tenants=tenants,
+        ServiceContext(tenants=tenants),
     )
     assert status == 200
     assert doc["selection"]
@@ -275,8 +275,10 @@ def test_scheduler_thread_start_stop(tenants):
 def _live_request(svc, method, path, payload=None):
     body = json.dumps(payload).encode() if payload is not None else None
     return handle_request(
-        method, path, body, tenants=svc.tenants, live=svc.live,
-        sweeper=svc.sweeper,
+        method,
+        path,
+        body,
+        ServiceContext(tenants=svc.tenants, live=svc.live, sweeper=svc.sweeper),
     )
 
 
@@ -376,11 +378,7 @@ def test_live_routes_503_without_live_manager(tmp_path):
     tenants = Tenants(str(tmp_path), sweep=False)
     try:
         status, doc = handle_request(
-            "GET",
-            "/tenants/acme/instances/a1/live",
-            None,
-            tenants=tenants,
-            live=None,
+            "GET", "/tenants/acme/instances/a1/live", None, ServiceContext(tenants=tenants)
         )
         assert status == 503
         assert "live curation" in doc["error"]

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import probes, trace
-from repro.obs.middleware import AccessLog, observe_request, route_label
+from repro.obs.middleware import AccessLog, observe_request
 from repro.obs.prom import CONTENT_TYPE, render, render_registry
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
@@ -420,20 +420,15 @@ class TestProbes:
 
 
 class TestMiddleware:
-    def test_route_label_bounds_cardinality(self):
-        assert route_label("/health") == "/health"
-        assert route_label("/jobs/abc123") == "/jobs/<id>"
-        assert route_label("/jobs/") == "/jobs"
-        assert route_label("/etc/passwd") == "<other>"
-        assert route_label("/metrics/") == "/metrics"
-
     def test_observe_request_records_both(self):
         import io
 
         stream = io.StringIO()
         log = AccessLog(stream)
         with probes.armed() as instruments:
-            observe_request(instruments, log, "GET", "/jobs/42", 200, 0.012)
+            observe_request(
+                instruments, log, "GET", "/jobs/42", "/jobs/<id>", 200, 0.012
+            )
             assert (
                 instruments.registry.get_sample(
                     "phocus_http_requests_total",

@@ -13,7 +13,7 @@ import pytest
 from repro.core.serialize import instance_to_dict
 from repro.obs import probes
 from repro.obs.prom import CONTENT_TYPE
-from repro.system.service import RAW_BODY, RAW_CONTENT_TYPE, PhocusService, handle_request
+from repro.system.service import RAW_BODY, RAW_CONTENT_TYPE, PhocusService, ServiceContext, handle_request
 
 from tests.conftest import random_instance
 from tests.test_obs import check_exposition
@@ -33,21 +33,21 @@ class TestMetricsDispatch:
         probes.disarm()
 
     def test_metrics_disabled_is_404(self):
-        status, payload = handle_request("GET", "/metrics", None, None)
+        status, payload = handle_request("GET", "/metrics", None)
         assert status == 404
         assert "disabled" in payload["error"]
 
     def test_metrics_returns_raw_exposition(self):
         instruments = probes.arm()
         status, payload = handle_request(
-            "GET", "/metrics", None, None, instruments=instruments
+            "GET", "/metrics", None, ServiceContext(instruments=instruments)
         )
         assert status == 200
         assert payload[RAW_CONTENT_TYPE] == CONTENT_TYPE
         check_exposition(payload[RAW_BODY])
 
     def test_post_metrics_is_405(self):
-        status, payload = handle_request("POST", "/metrics", None, None)
+        status, payload = handle_request("POST", "/metrics", None)
         assert status == 405
         assert payload["allow"] == ["GET"]
 
@@ -198,7 +198,7 @@ class TestAccessLog:
         stream = io.StringIO()
         with PhocusService(workers=0, access_log=True) as svc:
             # swap the default stderr stream for an inspectable one
-            svc._server.phocus_access_log._stream = stream
+            svc._server.access_log._stream = stream
             urllib.request.urlopen(f"http://{svc.address}/health").read()
         lines = [l for l in stream.getvalue().splitlines() if l]
         assert len(lines) == 1
@@ -211,5 +211,5 @@ class TestAccessLog:
 
     def test_off_by_default(self):
         with PhocusService(workers=0) as svc:
-            assert svc._server.phocus_access_log is None
+            assert svc._server.access_log is None
             urllib.request.urlopen(f"http://{svc.address}/health").read()

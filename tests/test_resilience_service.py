@@ -19,7 +19,7 @@ from repro.resilience import (
     BrownoutPolicy,
     Resilience,
 )
-from repro.system.service import PhocusService, handle_request
+from repro.system.service import PhocusService, ServiceContext, handle_request
 
 from tests.conftest import random_instance
 
@@ -52,7 +52,7 @@ class TestReadiness:
     def test_unready_while_draining(self):
         res = _resilience()
         res.drain.begin()
-        status, doc = handle_request("GET", "/readyz", None, resilience=res)
+        status, doc = handle_request("GET", "/readyz", None, ServiceContext(resilience=res))
         assert status == 503
         assert doc["status"] == "unready" and doc["draining"] is True
 
@@ -61,13 +61,15 @@ class TestReadiness:
             admission=AdmissionController(1, target_wait_seconds=1.0)
         )
         res.admission.observe_wait(10.0)
-        status, doc = handle_request("GET", "/readyz", None, resilience=res)
+        status, doc = handle_request("GET", "/readyz", None, ServiceContext(resilience=res))
         assert status == 503 and doc["overloaded"] is True
 
     def test_healthz_stays_alive_during_drain(self):
         res = _resilience()
         res.drain.begin()
-        status, doc = handle_request("GET", "/healthz", None, resilience=res)
+        status, doc = handle_request(
+            "GET", "/healthz", None, ServiceContext(resilience=res)
+        )
         assert status == 200  # liveness never gates on drain
 
 
@@ -76,7 +78,10 @@ class TestShedding:
         res = _resilience()
         with res.admission.admit("x"), res.admission.admit("y"):
             status, doc = handle_request(
-                "POST", "/solve", _body({"instance": instance_doc}), resilience=res
+                "POST",
+                "/solve",
+                _body({"instance": instance_doc}),
+                ServiceContext(resilience=res),
             )
         assert status == 503
         assert doc["reason"] == "capacity"
@@ -86,10 +91,13 @@ class TestShedding:
         res = _resilience()
         res.drain.begin()
         status, doc = handle_request(
-            "POST", "/solve", _body({"instance": instance_doc}), resilience=res
+            "POST",
+            "/solve",
+            _body({"instance": instance_doc}),
+            ServiceContext(resilience=res),
         )
         assert status == 503 and doc["reason"] == "draining"
-        status, _ = handle_request("GET", "/version", None, resilience=res)
+        status, _ = handle_request("GET", "/version", None, ServiceContext(resilience=res))
         assert status == 200
 
     def test_job_submission_shed_before_hard_bound(self, instance_doc):
@@ -99,22 +107,32 @@ class TestShedding:
         with JobManager(workers=0, queue_depth=4, autostart=False) as jobs:
             for _ in range(2):  # fill to the 0.5 watermark of 4
                 handle_request(
-                    "POST", "/jobs", _body({"instance": instance_doc}), jobs
+                    "POST",
+                    "/jobs",
+                    _body({"instance": instance_doc}),
+                    ServiceContext(jobs=jobs),
                 )
             status, doc = handle_request(
                 "POST",
                 "/jobs",
                 _body({"instance": instance_doc}),
-                jobs,
-                resilience=res,
+                ServiceContext(jobs=jobs, resilience=res),
             )
         assert status == 503 and doc["reason"] == "queue_full_soon"
 
     def test_queue_full_429_carries_retry_after(self, instance_doc):
         with JobManager(workers=0, queue_depth=1, autostart=False) as jobs:
-            handle_request("POST", "/jobs", _body({"instance": instance_doc}), jobs)
+            handle_request(
+                "POST",
+                "/jobs",
+                _body({"instance": instance_doc}),
+                ServiceContext(jobs=jobs),
+            )
             status, doc = handle_request(
-                "POST", "/jobs", _body({"instance": instance_doc}), jobs
+                "POST",
+                "/jobs",
+                _body({"instance": instance_doc}),
+                ServiceContext(jobs=jobs),
             )
         assert status == 429
         assert doc["retry_after"] > 0
@@ -127,7 +145,7 @@ class TestShedding:
             "POST",
             "/solve",
             _body({"instance": instance_doc, "deadline_ms": 1.0}),
-            resilience=res,
+            ServiceContext(resilience=res),
         )
         assert status == 503 and doc["reason"] == "deadline_unmeetable"
 
@@ -189,11 +207,11 @@ class TestDeadline504:
                 "POST",
                 "/jobs",
                 _body({"instance": instance_doc, "deadline_ms": 60000}),
-                jobs,
+                ServiceContext(jobs=jobs),
             )
             assert status == 202
             status, doc = handle_request(
-                "GET", f"/jobs/{doc['job_id']}", None, jobs
+                "GET", f"/jobs/{doc['job_id']}", None, ServiceContext(jobs=jobs)
             )
             assert doc["spec"]["deadline_ms"] == 60000
 
@@ -212,7 +230,10 @@ class TestStorageExhausted507:
             journal_path=str(tmp_path / "j.jsonl"),
         ) as jobs:
             status, doc = handle_request(
-                "POST", "/jobs", _body({"instance": instance_doc}), jobs
+                "POST",
+                "/jobs",
+                _body({"instance": instance_doc}),
+                ServiceContext(jobs=jobs),
             )
         assert status == 507
         assert doc["kind"] == "storage_exhausted"
@@ -227,7 +248,10 @@ class TestStorageExhausted507:
             journal_path=str(tmp_path / "j.jsonl"),
         ) as jobs:
             status, doc = handle_request(
-                "POST", "/jobs", _body({"instance": instance_doc}), jobs
+                "POST",
+                "/jobs",
+                _body({"instance": instance_doc}),
+                ServiceContext(jobs=jobs),
             )
         assert status == 500  # no errno: not a disk-full signal
 
@@ -248,7 +272,7 @@ class TestBrownoutService:
             "PUT",
             "/tenants/acme/instances/i1",
             _body({"instance": instance_doc}),
-            tenants=svc.tenants,
+            ServiceContext(tenants=svc.tenants),
         )
         yield svc, res
         svc.stop()
@@ -257,7 +281,10 @@ class TestBrownoutService:
 
     def _solve(self, svc, res, payload):
         return handle_request(
-            "POST", "/solve", _body(payload), tenants=svc.tenants, resilience=res
+            "POST",
+            "/solve",
+            _body(payload),
+            ServiceContext(tenants=svc.tenants, resilience=res),
         )
 
     def test_not_opted_in_never_degrades(self, stack):
@@ -307,7 +334,7 @@ class TestBrownoutService:
     def test_stats_exposes_resilience_snapshot(self, stack):
         svc, res = stack
         status, doc = handle_request(
-            "GET", "/stats", None, svc.jobs, resilience=res
+            "GET", "/stats", None, ServiceContext(jobs=svc.jobs, resilience=res)
         )
         assert status == 200
         assert "admission" in doc["resilience"]

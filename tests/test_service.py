@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import socket
+import time
 import urllib.request
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from repro.core.serialize import instance_to_dict
 from repro.core.solver import solve
+from repro.obs import probes
 from repro.system.service import PhocusService, handle_request
 
 from tests.conftest import random_instance
@@ -175,3 +178,58 @@ class TestLiveServer:
         svc = PhocusService().start()
         svc.stop()
         svc.stop()
+
+
+class TestRequestFraming:
+    """A body the transport cannot read is answered, not dropped or hung."""
+
+    @pytest.fixture
+    def service(self):
+        probes.disarm()
+        try:
+            with PhocusService(workers=0) as svc:
+                yield svc
+        finally:
+            probes.disarm()
+
+    @staticmethod
+    def _raw_post(service, content_length: str) -> bytes:
+        host, port = service.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                (
+                    "POST /solve HTTP/1.1\r\nHost: test\r\n"
+                    f"Content-Length: {content_length}\r\n"
+                    "Connection: close\r\n\r\n"
+                ).encode("ascii")
+            )
+            answer = b""
+            while True:  # the server closes after one answer (HTTP/1.0)
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return answer
+                answer += chunk
+
+    @pytest.mark.parametrize(
+        "content_length,status",
+        [("-1", 400), ("abc", 400), ("1e3", 400), (str(64 * 1024 * 1024 + 1), 413)],
+    )
+    def test_bad_content_length_is_answered_and_counted(
+        self, service, content_length, status
+    ):
+        answer = self._raw_post(service, content_length)
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+        assert "error" in json.loads(body)
+        line = (
+            'phocus_http_requests_total{method="POST",route="/solve",'
+            f'status="{status}"}} 1'
+        )
+        deadline = time.monotonic() + 5
+        while True:  # a request is observed just after its answer is written
+            url = f"http://{service.address}/metrics"
+            text = urllib.request.urlopen(url).read().decode()
+            if line in text or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert line in text

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.jobs import JobManager
 from repro.live import LiveManager
 from repro.scale import synthetic_archive
-from repro.system.service import _ALLOWED_METHODS, handle_request
+from repro.system.service import ROUTES, ServiceContext, handle_request
 from repro.tenants import Tenants
 
 from tests.conftest import (
@@ -105,8 +105,10 @@ def test_malformed_csr_put_is_422_and_stores_nothing(tmp_path, case):
     try:
         body = json.dumps({"instance": csr_instance_doc(**MALFORMED_CSR[case])})
         status, payload = handle_request(
-            "PUT", "/tenants/acme/instances/p", body.encode("utf-8"),
-            tenants=tenants,
+            "PUT",
+            "/tenants/acme/instances/p",
+            body.encode("utf-8"),
+            ServiceContext(tenants=tenants),
         )
         assert status == 422, payload
         assert tenants.list_instances("acme") == []
@@ -137,8 +139,10 @@ def test_non_integral_or_non_finite_put_is_422_and_stores_nothing(tmp_path, case
     try:
         body = json.dumps({"instance": _MALFORMED_DOCS[case]()})
         status, payload = handle_request(
-            "PUT", "/tenants/acme/instances/p", body.encode("utf-8"),
-            tenants=tenants,
+            "PUT",
+            "/tenants/acme/instances/p",
+            body.encode("utf-8"),
+            ServiceContext(tenants=tenants),
         )
         assert status == 422, payload
         assert tenants.list_instances("acme") == []
@@ -163,8 +167,10 @@ def test_non_finite_embedding_live_create_is_422_and_stores_nothing(tmp_path, ca
         embeddings[7, 2] = _NON_FINITE_EMBEDDING[case]
         body = _live_body(costs, embeddings, budget=float(costs.sum()) * 0.3, tau=0.6)
         status, payload = handle_request(
-            "POST", "/tenants/acme/instances/a1/live", body,
-            tenants=tenants, live=LiveManager(tenants),
+            "POST",
+            "/tenants/acme/instances/a1/live",
+            body,
+            ServiceContext(tenants=tenants, live=LiveManager(tenants)),
         )
         assert status == 422, payload
         assert tenants.list_instances("acme") == []
@@ -182,15 +188,19 @@ def test_non_finite_embedding_upload_is_422_and_keeps_the_version(tmp_path, case
             costs[:40], embeddings[:40], budget=float(costs.sum()) * 0.3, tau=0.6
         )
         status, payload = handle_request(
-            "POST", "/tenants/acme/instances/a1/live", body,
-            tenants=tenants, live=live,
+            "POST",
+            "/tenants/acme/instances/a1/live",
+            body,
+            ServiceContext(tenants=tenants, live=live),
         )
         assert status == 201, payload
         delta = embeddings[40:].copy()
         delta[1, 0] = _NON_FINITE_EMBEDDING[case]
         status, payload = handle_request(
-            "POST", "/tenants/acme/instances/a1/photos",
-            _live_body(costs[40:], delta), tenants=tenants, live=live,
+            "POST",
+            "/tenants/acme/instances/a1/photos",
+            _live_body(costs[40:], delta),
+            ServiceContext(tenants=tenants, live=live),
         )
         assert status == 422, payload
         assert tenants.store.meta("acme", "a1").version == 1
@@ -227,9 +237,8 @@ UNPARSABLE_BODIES = {
 
 #: Every route that reads a body, from the dispatcher's own table.
 BODY_ROUTES = sorted(
-    (method, key.replace("<id>", "acme").replace("<iid>", "p"))
-    for key, methods in _ALLOWED_METHODS.items()
-    for method in methods
+    (method, pattern.replace("<id>", "acme").replace("<iid>", "p"))
+    for method, pattern, _, _ in ROUTES
     if method in ("POST", "PUT")
 )
 
@@ -249,7 +258,7 @@ def collaborators(tmp_path_factory):
 @pytest.mark.parametrize("method,path", BODY_ROUTES)
 def test_unparsable_body_is_400_on_every_body_route(collaborators, method, path, case):
     status, payload = handle_request(
-        method, path, UNPARSABLE_BODIES[case], **collaborators
+        method, path, UNPARSABLE_BODIES[case], ServiceContext(**collaborators)
     )
     assert status == 400, payload
     assert payload["error"].startswith("invalid JSON: ")
@@ -269,6 +278,16 @@ BAD_OPTIONS = [
     *(("solve", "tau", v) for v in ("x", [1])),
     *(("solve", "seed", v) for v in ("x", -1, 1.5)),
     *(("jobs", "seed", v) for v in ("x", -1, 1.5)),
+    *(
+        ("jobs", f, 1e400)  # parses as inf: int() raised OverflowError
+        for f in ("priority", "max_attempts", "checkpoint_every", "parallel_workers")
+    ),
+    ("jobs", "max_attempts", 0),
+    ("jobs", "priority", 1.5),
+    ("jobs", "checkpoint_every", 2.7),
+    ("jobs", "tau", ""),
+    ("jobs", "timeout_seconds", "x"),
+    ("jobs", "deadline_ms", "x"),
     *(("by_ref", "budget", v) for v in ("x", [], {})),
     *(("frontier", "fidelity", v) for v in ("x", 5, [1])),
 ]
@@ -280,9 +299,10 @@ def option_service(tmp_path_factory):
     jobs = JobManager(workers=0)
     try:
         status, payload = handle_request(
-            "PUT", "/tenants/acme/instances/p",
+            "PUT",
+            "/tenants/acme/instances/p",
             json.dumps({"instance": csr_instance_doc()}).encode("utf-8"),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 201, payload
         yield {"tenants": tenants, "live": LiveManager(tenants), "jobs": jobs}
@@ -318,7 +338,7 @@ def _option_request(route, field, value):
 def test_malformed_option_field_is_422_naming_it(option_service, route, field, value):
     path, doc = _option_request(route, field, value)
     status, payload = handle_request(
-        "POST", path, json.dumps(doc).encode("utf-8"), **option_service
+        "POST", path, json.dumps(doc).encode("utf-8"), ServiceContext(**option_service)
     )
     assert status == 422, payload
     assert repr(field) in payload["error"]

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.live import LiveArchive, LiveManager, warm_resolve
 from repro.scale import synthetic_archive
-from repro.system.service import handle_request
+from repro.system.service import ServiceContext, handle_request
 from repro.tenants import Tenants, TenantQuota, parse_ref, validate_id
 from repro.tenants import store as store_mod
 from repro.tenants.cache import WarmCache, sweep_leaked_segments
@@ -394,13 +394,13 @@ def test_hostile_blob_is_quarantined_at_scan_and_get(tmp_path, live_blob, case):
         tenants.store.put("acme", "p", {"format": 1})
         (tmp_path / "get" / "acme" / "p.inst").write_bytes(bad)
         status, payload = handle_request(
-            "GET", "/tenants/acme/instances/p", None, tenants=tenants
+            "GET", "/tenants/acme/instances/p", None, ServiceContext(tenants=tenants)
         )
         assert status == 404 and "error" in payload
         assert tenants.store.quarantined_count == 1
         assert (tmp_path / "get" / "acme" / "p.inst.quarantine").exists()
         status, _ = handle_request(
-            "GET", "/tenants/acme/instances/p", None, tenants=tenants
+            "GET", "/tenants/acme/instances/p", None, ServiceContext(tenants=tenants)
         )
         assert status == 404
     finally:
@@ -438,11 +438,11 @@ def test_document_content_cannot_forge_an_array_reference(tmp_path):
         doc["photos"][1]["metadata"] = {"nested": [ref, {store_mod._REF_KEY: 1}]}
         body = json.dumps({"instance": doc}).encode()
         status, _ = handle_request(
-            "PUT", "/tenants/acme/instances/p", body, tenants=tenants
+            "PUT", "/tenants/acme/instances/p", body, ServiceContext(tenants=tenants)
         )
         assert status == 201
         status, got = handle_request(
-            "GET", "/tenants/acme/instances/p", None, tenants=tenants
+            "GET", "/tenants/acme/instances/p", None, ServiceContext(tenants=tenants)
         )
         assert status == 200 and got["instance"] == doc
 

@@ -33,7 +33,7 @@ from repro.errors import ValidationError, VersionConflict
 from repro.live import LiveArchive, LiveManager
 from repro.live import manager as live_manager
 from repro.scale import synthetic_archive
-from repro.system.service import handle_request
+from repro.system.service import ServiceContext, handle_request
 from repro.tenants import Tenants, TenantQuota
 from repro.tenants import store as store_mod
 
@@ -281,12 +281,16 @@ def _read_all(tenants, first):
     by_ref = json.dumps({"by_ref": {"tenant": "acme", "instance_id": "a1"}}).encode()
     readers = {
         "get": lambda: handle_request(
-            "GET", "/tenants/acme/instances/a1", None, tenants=tenants
+            "GET", "/tenants/acme/instances/a1", None, ServiceContext(tenants=tenants)
         ),
-        "solve": lambda: handle_request("POST", "/solve", by_ref, tenants=tenants),
+        "solve": lambda: handle_request(
+            "POST", "/solve", by_ref, ServiceContext(tenants=tenants)
+        ),
         "live": lambda: handle_request(
-            "GET", "/tenants/acme/instances/a1/live", None,
-            tenants=tenants, live=LiveManager(tenants),
+            "GET",
+            "/tenants/acme/instances/a1/live",
+            None,
+            ServiceContext(tenants=tenants, live=LiveManager(tenants)),
         ),
     }
     for name in [first, *(r for r in readers if r != first)]:
@@ -399,8 +403,7 @@ def test_quota_counts_the_log_and_an_append_over_it_writes_nothing(tmp_path):
             json.dumps(
                 {"costs": costs[N0 + K :].tolist(), "embeddings": emb[N0 + K :].tolist()}
             ).encode(),
-            tenants=t,
-            live=manager,
+            ServiceContext(tenants=t, live=manager),
         )
         assert status == 413, doc
         assert t.store.meta("acme", "a1") == meta
@@ -468,7 +471,7 @@ def test_put_during_a_live_upload_wins_and_the_upload_answers_409(
             "PUT",
             "/tenants/acme/instances/a1",
             json.dumps({"instance": plain}).encode(),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 200
         return real(instance, previous)
@@ -478,8 +481,10 @@ def test_put_during_a_live_upload_wins_and_the_upload_answers_409(
         {"costs": costs[N0:].tolist(), "embeddings": emb[N0:].tolist()}
     ).encode()
     status, doc = handle_request(
-        "POST", "/tenants/acme/instances/a1/photos", body,
-        tenants=tenants, live=manager,
+        "POST",
+        "/tenants/acme/instances/a1/photos",
+        body,
+        ServiceContext(tenants=tenants, live=manager),
     )
     assert status == 409, doc
     assert (doc["expected_version"], doc["version"]) == (1, 2)

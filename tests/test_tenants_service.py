@@ -22,7 +22,7 @@ import pytest
 from repro.core.serialize import instance_to_dict
 from repro.core.solver import solve
 from repro.obs import probes
-from repro.system.service import PhocusService, handle_request
+from repro.system.service import PhocusService, ServiceContext, handle_request
 from repro.tenants import TenantQuota, Tenants
 from repro.tenants import cache as cache_mod
 
@@ -81,7 +81,7 @@ class TestTenantRoutes:
             "PUT",
             "/tenants/acme/instances/p",
             _body({"instance": doc}),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 201
         assert payload["stored"]["version"] == 1
@@ -90,38 +90,38 @@ class TestTenantRoutes:
             "PUT",
             "/tenants/acme/instances/p",
             _body({"instance": doc}),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 200  # overwrite, not create
         assert payload["stored"]["version"] == 2
 
         status, payload = handle_request(
-            "GET", "/tenants/acme/instances/p", None, tenants=tenants
+            "GET", "/tenants/acme/instances/p", None, ServiceContext(tenants=tenants)
         )
         assert status == 200
         assert payload["instance"] == doc
         assert payload["version"] == 2
 
         status, payload = handle_request(
-            "GET", "/tenants/acme/instances", None, tenants=tenants
+            "GET", "/tenants/acme/instances", None, ServiceContext(tenants=tenants)
         )
         assert status == 200
         assert [m["instance_id"] for m in payload["instances"]] == ["p"]
 
         status, payload = handle_request(
-            "GET", "/tenants/acme/stats", None, tenants=tenants
+            "GET", "/tenants/acme/stats", None, ServiceContext(tenants=tenants)
         )
         assert status == 200
         assert payload["store"]["instances"] == 1
 
         status, payload = handle_request(
-            "DELETE", "/tenants/acme/instances/p", None, tenants=tenants
+            "DELETE", "/tenants/acme/instances/p", None, ServiceContext(tenants=tenants)
         )
         assert status == 200
         assert payload["deleted"]["version"] == 2
 
         status, payload = handle_request(
-            "GET", "/tenants/acme/instances/p", None, tenants=tenants
+            "GET", "/tenants/acme/instances/p", None, ServiceContext(tenants=tenants)
         )
         assert status == 404
 
@@ -130,36 +130,39 @@ class TestTenantRoutes:
             "PUT",
             "/tenants/acme/instances/p",
             _body({"instance": {"format": 1, "nonsense": True}}),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 422
         assert tenants.list_instances("acme") == []
 
     def test_bad_identifier_is_422(self, tenants):
         status, payload = handle_request(
-            "GET", "/tenants/.evil/instances", None, tenants=tenants
+            "GET", "/tenants/.evil/instances", None, ServiceContext(tenants=tenants)
         )
         # Path validation happens inside store calls via validate_id on
         # by_ref; plain listings of a nonexistent tenant are just empty.
         assert status == 200
         status, payload = handle_request(
-            "POST", "/solve",
+            "POST",
+            "/solve",
             _body({"by_ref": {"tenant": "../up", "instance_id": "p"}}),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 422
 
     def test_unknown_tenant_subroute_is_404(self, tenants):
-        status, _ = handle_request("GET", "/tenants/acme", None, tenants=tenants)
+        status, _ = handle_request(
+            "GET", "/tenants/acme", None, ServiceContext(tenants=tenants)
+        )
         assert status == 404
         status, _ = handle_request(
-            "GET", "/tenants/acme/instances/p/extra", None, tenants=tenants
+            "GET", "/tenants/acme/instances/p/extra", None, ServiceContext(tenants=tenants)
         )
         assert status == 404
 
     def test_stats_rejects_write_methods(self, tenants):
         status, payload = handle_request(
-            "DELETE", "/tenants/acme/stats", None, tenants=tenants
+            "DELETE", "/tenants/acme/stats", None, ServiceContext(tenants=tenants)
         )
         assert status == 405
 
@@ -172,13 +175,17 @@ class TestTenantRoutes:
         )
         doc = instance_to_dict(random_instance(1, n_photos=10))
         status, _ = handle_request(
-            "PUT", "/tenants/acme/instances/a", _body({"instance": doc}),
-            tenants=tenants,
+            "PUT",
+            "/tenants/acme/instances/a",
+            _body({"instance": doc}),
+            ServiceContext(tenants=tenants),
         )
         assert status == 201
         status, payload = handle_request(
-            "PUT", "/tenants/acme/instances/b", _body({"instance": doc}),
-            tenants=tenants,
+            "PUT",
+            "/tenants/acme/instances/b",
+            _body({"instance": doc}),
+            ServiceContext(tenants=tenants),
         )
         assert status == 413
         assert payload["tenant"] == "acme"
@@ -195,21 +202,27 @@ class TestTenantRoutes:
         )
         doc = instance_to_dict(random_instance(1, n_photos=10))
         status, _ = handle_request(
-            "PUT", "/tenants/acme/instances/a", _body({"instance": doc}),
-            tenants=tenants,
+            "PUT",
+            "/tenants/acme/instances/a",
+            _body({"instance": doc}),
+            ServiceContext(tenants=tenants),
         )
         assert status == 201
         status, payload = handle_request(
-            "PUT", "/tenants/acme/instances/a", _body({"instance": doc}),
-            tenants=tenants,
+            "PUT",
+            "/tenants/acme/instances/a",
+            _body({"instance": doc}),
+            ServiceContext(tenants=tenants),
         )
         assert status == 429
         assert payload["tenant"] == "acme"
         assert payload["retry_after"] > 0
         # Other tenants keep their own bucket.
         status, _ = handle_request(
-            "PUT", "/tenants/globex/instances/a", _body({"instance": doc}),
-            tenants=tenants,
+            "PUT",
+            "/tenants/globex/instances/a",
+            _body({"instance": doc}),
+            ServiceContext(tenants=tenants),
         )
         assert status == 201
         tenants.close()
@@ -222,7 +235,7 @@ class TestSolveByRef:
             "PUT",
             f"/tenants/{tenant}/instances/{instance_id}",
             _body({"instance": doc}),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status in (200, 201)
         return doc
@@ -232,14 +245,17 @@ class TestSolveByRef:
         doc = self._upload(tenants, inst)
 
         status, inline = handle_request(
-            "POST", "/solve", _body({"instance": doc, "seed": 3}),
-            tenants=tenants,
+            "POST",
+            "/solve",
+            _body({"instance": doc, "seed": 3}),
+            ServiceContext(tenants=tenants),
         )
         assert status == 200
         status, by_ref = handle_request(
-            "POST", "/solve",
+            "POST",
+            "/solve",
             _body({"by_ref": {"tenant": "acme", "instance_id": "p"}, "seed": 3}),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 200
         assert by_ref["selection"] == inline["selection"]
@@ -262,9 +278,13 @@ class TestSolveByRef:
         monkeypatch.setattr(cache_mod, "SharedInstance", counting_shared)
 
         body = _body({"by_ref": {"tenant": "acme", "instance_id": "p"}})
-        status, cold = handle_request("POST", "/solve", body, tenants=tenants)
+        status, cold = handle_request(
+            "POST", "/solve", body, ServiceContext(tenants=tenants)
+        )
         assert status == 200 and cold["warm_cache_hit"] is False
-        status, warm = handle_request("POST", "/solve", body, tenants=tenants)
+        status, warm = handle_request(
+            "POST", "/solve", body, ServiceContext(tenants=tenants)
+        )
         assert status == 200 and warm["warm_cache_hit"] is True
         assert warm["selection"] == cold["selection"]
         assert len(packs) == 1  # the warm solve neither deserialised nor packed
@@ -276,12 +296,13 @@ class TestSolveByRef:
         self._upload(tenants, inst)
         tight = inst.budget * 0.4
         status, payload = handle_request(
-            "POST", "/solve",
+            "POST",
+            "/solve",
             _body({
                 "by_ref": {"tenant": "acme", "instance_id": "p"},
                 "budget": tight,
             }),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 200
         assert payload["cost"] <= tight
@@ -298,21 +319,23 @@ class TestSolveByRef:
     def test_by_ref_plus_inline_is_422(self, tenants, small_instance):
         doc = self._upload(tenants, small_instance)
         status, payload = handle_request(
-            "POST", "/solve",
+            "POST",
+            "/solve",
             _body({
                 "instance": doc,
                 "by_ref": {"tenant": "acme", "instance_id": "p"},
             }),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 422
         assert "not both" in payload["error"]
 
     def test_by_ref_missing_instance_is_404(self, tenants):
         status, payload = handle_request(
-            "POST", "/solve",
+            "POST",
+            "/solve",
             _body({"by_ref": {"tenant": "acme", "instance_id": "ghost"}}),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 404
 
@@ -321,18 +344,20 @@ class TestSolveByRef:
         doc = self._upload(tenants, inst)
         selection = solve(inst).selection
         status, inline = handle_request(
-            "POST", "/score",
+            "POST",
+            "/score",
             _body({"instance": doc, "selection": selection}),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 200
         status, by_ref = handle_request(
-            "POST", "/score",
+            "POST",
+            "/score",
             _body({
                 "by_ref": {"tenant": "acme", "instance_id": "p"},
                 "selection": selection,
             }),
-            tenants=tenants,
+            ServiceContext(tenants=tenants),
         )
         assert status == 200
         assert by_ref == inline
