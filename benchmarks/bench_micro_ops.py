@@ -9,11 +9,18 @@ Useful for catching performance regressions in the incremental evaluator.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.greedy import CB, lazy_greedy
 from repro.core.objective import CoverageState, score
 from repro.sparsify.threshold import threshold_sparsify
+
+# The reference evaluation is a test oracle; it lives under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles.coverage import ReferenceCoverageState  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +83,8 @@ def test_micro_sparse_all_gains_kernel_vs_reference(benchmark, micro_instance):
 
     sparse, _ = threshold_sparsify(micro_instance, 0.5)
     seeded = range(0, sparse.n, 7)
-    kernel = CoverageState(sparse, seeded, backend="kernel")
-    reference = CoverageState(sparse, seeded, backend="reference")
+    kernel = CoverageState(sparse, seeded)
+    reference = ReferenceCoverageState(sparse, seeded)
 
     benchmark(kernel.all_gains)
 

@@ -16,8 +16,8 @@ repo root:
 * ``checks`` — the gates CI enforces: the largest fused scale completes,
   fused peak memory grows sub-quadratically, the fused build needs ≥ 5×
   less peak RSS than dense-then-sparsify at the largest common scale,
-  and fused picks are bit-identical to the unfused LSH pipeline at a
-  matched seed and signature width.
+  and fused picks are bit-identical to the unfused LSH pipeline
+  (``tests/oracles/lsh.py``) at a matched seed and signature width.
 
 ``--smoke`` mode (the CI ``million-smoke`` job) re-runs the fused build
 at one mid scale and gates its peak RSS / wall-clock against the
@@ -119,7 +119,11 @@ def run_worker(mode: str, photos: int, n_bits: Optional[int]) -> Dict[str, objec
         }
     elif mode == "unfused":
         from repro.core.instance import SparseSimilarity
-        from repro.sparsify.simhash import lsh_similar_pairs, recommended_bits
+        from repro.sparsify.simhash import recommended_bits
+
+        # The unfused pipeline is a test oracle; it lives under tests/.
+        sys.path.insert(0, str(REPO_ROOT))
+        from tests.oracles.lsh import lsh_similar_pairs
 
         width = n_bits if n_bits is not None else recommended_bits(photos, TAU)
         result = lsh_similar_pairs(

@@ -2,16 +2,17 @@
 """Kernel vs reference performance trajectory for the objective hot path.
 
 A standalone script (``make bench-kernels``), not a pytest-benchmark
-target: it measures the flat-CSR kernel backend of
-:class:`repro.core.objective.CoverageState` against the ``reference``
-oracle on a Fig 5c-scale synthetic instance (EC-Fashion shape), dense and
-τ-sparsified, and writes the machine-readable trajectory to
-``BENCH_solver_kernels.json`` at the repo root:
+target: it measures the flat-CSR kernel of
+:class:`repro.core.objective.CoverageState` against the per-subset
+``reference`` oracle of ``tests/oracles/coverage.py`` on a Fig 5c-scale
+synthetic instance (EC-Fashion shape), dense and τ-sparsified, and writes
+the machine-readable trajectory to ``BENCH_solver_kernels.json`` at the
+repo root:
 
 * ``micro`` — ops/sec for ``gain`` / ``add`` / ``all_gains`` per backend,
   with speed-up ratios;
-* ``end_to_end`` — ``main_algorithm`` wall-clock per backend (selected via
-  ``PHOCUS_COVERAGE_BACKEND``), with speed-ups;
+* ``end_to_end`` — wall-clock per backend of ``main_algorithm`` (kernel)
+  and of the oracle's ``reference_main_algorithm``, with speed-ups;
 * ``parallel`` — ``solve_many`` budget-sweep throughput at 1/2/4 workers
   plus scaling efficiency (read alongside ``meta.cpus``: efficiency is
   bounded by the CPUs actually visible to the process);
@@ -42,8 +43,18 @@ from repro.core.parallel import SolveTask, solve_batch
 from repro.sparsify.threshold import threshold_sparsify
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# The reference evaluation is a test oracle; it lives under tests/.
+sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles.coverage import (  # noqa: E402
+    ReferenceCoverageState,
+    reference_main_algorithm,
+)
+
 DEFAULT_OUT = REPO_ROOT / "BENCH_solver_kernels.json"
 BACKENDS = ("kernel", "reference")
+#: Per backend: the coverage state class and the Algorithm 1 solver.
+STATES = {"kernel": CoverageState, "reference": ReferenceCoverageState}
+SOLVERS = {"kernel": main_algorithm, "reference": reference_main_algorithm}
 WORKER_COUNTS = (1, 2, 4)
 
 
@@ -64,7 +75,7 @@ def _best_seconds(fn: Callable[[], None], repeats: int) -> float:
 
 def _bench_gain(instance, backend: str, repeats: int) -> float:
     """ops/sec for marginal-gain queries on a partially filled state."""
-    state = CoverageState(instance, range(0, instance.n, 5), backend=backend)
+    state = STATES[backend](instance, range(0, instance.n, 5))
     sample = [p for p in range(instance.n) if p not in state][: max(64, instance.n // 2)]
 
     def run() -> None:
@@ -79,7 +90,7 @@ def _bench_add(instance, backend: str, repeats: int) -> float:
     picks = list(range(0, instance.n, 2))
 
     def run() -> None:
-        state = CoverageState(instance, backend=backend)
+        state = STATES[backend](instance)
         for p in picks:
             state.add(p)
 
@@ -89,7 +100,7 @@ def _bench_add(instance, backend: str, repeats: int) -> float:
 
 
 def _bench_all_gains(instance, backend: str, repeats: int) -> float:
-    state = CoverageState(instance, range(0, instance.n, 5), backend=backend)
+    state = STATES[backend](instance, range(0, instance.n, 5))
 
     def run() -> None:
         state.all_gains()
@@ -142,17 +153,10 @@ def _bench_micro(instance, repeats: int) -> Dict[str, Dict[str, float]]:
 
 
 def _bench_end_to_end(instance, repeats: int) -> Dict[str, float]:
-    seconds: Dict[str, float] = {}
-    saved = os.environ.get("PHOCUS_COVERAGE_BACKEND")
-    try:
-        for backend in BACKENDS:
-            os.environ["PHOCUS_COVERAGE_BACKEND"] = backend
-            seconds[backend] = _best_seconds(lambda: main_algorithm(instance), repeats)
-    finally:
-        if saved is None:
-            os.environ.pop("PHOCUS_COVERAGE_BACKEND", None)
-        else:
-            os.environ["PHOCUS_COVERAGE_BACKEND"] = saved
+    seconds = {
+        backend: _best_seconds(lambda: SOLVERS[backend](instance), repeats)
+        for backend in BACKENDS
+    }
     return {
         "kernel_seconds": seconds["kernel"],
         "reference_seconds": seconds["reference"],
@@ -196,8 +200,8 @@ def _check_divergence(instance) -> Dict[str, object]:
     problems: List[str] = []
 
     # Incremental state agreement on a deterministic interleaved add order.
-    kernel = CoverageState(instance, backend="kernel")
-    reference = CoverageState(instance, backend="reference")
+    kernel = CoverageState(instance)
+    reference = ReferenceCoverageState(instance)
     order = list(range(0, instance.n, 3)) + list(range(1, instance.n, 3))
     for p in order:
         if kernel.gain(p) != reference.gain(p):
@@ -212,18 +216,7 @@ def _check_divergence(instance) -> Dict[str, object]:
             break
 
     # End-to-end agreement of the paper's main algorithm.
-    runs = {}
-    saved = os.environ.get("PHOCUS_COVERAGE_BACKEND")
-    try:
-        for backend in BACKENDS:
-            os.environ["PHOCUS_COVERAGE_BACKEND"] = backend
-            runs[backend] = main_algorithm(instance)
-    finally:
-        if saved is None:
-            os.environ.pop("PHOCUS_COVERAGE_BACKEND", None)
-        else:
-            os.environ["PHOCUS_COVERAGE_BACKEND"] = saved
-    k, r = runs["kernel"], runs["reference"]
+    k, r = main_algorithm(instance), reference_main_algorithm(instance)
     if k.selection != r.selection:
         problems.append("main_algorithm selections differ between backends")
     if k.value != r.value:

@@ -410,7 +410,7 @@ def _record_run_metrics(
     evals_done = run.evaluations - evals_prior
     refreshes = max(0, evals_done - seeded)
     pops = refreshes + picks_done
-    obs.solver_runs.labels(mode=mode, backend=state.backend).inc()
+    obs.solver_runs.labels(mode=mode, backend=state.served_by).inc()
     if evals_done:
         obs.solver_evaluations.labels(mode=mode).inc(evals_done)
     if picks_done:

@@ -6,8 +6,8 @@ out-of-line ABI mode, lazily, on first use — ``import repro`` never pays
 for it.
 
 * ``native_coverage.c`` runs :class:`~repro.core.objective.CoverageState`'s
-  per-evaluation work (``backend="kernel"``) whenever this module can
-  serve it, and the numpy kernel serves otherwise.  Answers are
+  per-evaluation work whenever this module can serve it, and the numpy
+  kernel serves otherwise.  Answers are
   bit-identical to the numpy kernel.  Its masked dot products are
   numpy's ``a @ b``, which calls the ``cblas_ddot`` of the BLAS numpy
   links; a hand-written loop would sum in a different order, so the C

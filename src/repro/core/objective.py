@@ -14,28 +14,23 @@ array per subset, which makes
   size of ``p``'s neighbour lists (sparse), and
 * an update ``add(p)`` the same.
 
-Two interchangeable evaluation backends are provided:
+The state runs on the flat incidence CSR precomputed by
+:class:`~repro.core.instance.PARInstance`
+(:class:`~repro.core.instance.IncidenceCSR`): per-photo contiguous slices
+of (slot, similarity, weighted relevance).  ``gain``/``add`` run in C
+(:mod:`repro.core.native`) whenever the compiled kernel loads, and
+otherwise as a handful of vectorised numpy slice ops per membership (the
+numpy kernel).  ``all_gains`` is one pass of ``np.maximum`` +
+``np.add.reduceat`` over the whole entry array, or one BLAS product per
+subset when every subset is dense.
 
-* ``backend="kernel"`` (default) — runs on the flat incidence CSR
-  precomputed by :class:`~repro.core.instance.PARInstance`
-  (:class:`~repro.core.instance.IncidenceCSR`): per-photo contiguous slices
-  of (slot, similarity, weighted relevance).  ``gain``/``add`` run in C
-  (:mod:`repro.core.native`) whenever the compiled kernel loads, and
-  otherwise as a handful of vectorised numpy slice ops per membership;
-  ``all_gains`` is one pass of ``np.maximum`` + ``np.add.reduceat`` over
-  the whole entry array, with no per-member Python loop and no sparse
-  special-casing;
-* ``backend="reference"`` — the original per-subset ``neighbors()`` loop,
-  kept as the correctness oracle.
-
-Both backends, and the C kernel, accumulate floats in the *same order*
-(per membership, in ascending subset order, with identical masked dot
-products), so a kernel state and a reference state fed the same add order
-agree bit for bit on ``value`` and the coverage vectors — which is what
-keeps the checkpoint resume proofs of :mod:`repro.core.checkpoint` valid
-on either backend.
-The default backend can be forced globally with the
-``PHOCUS_COVERAGE_BACKEND`` environment variable.
+Both kernels accumulate floats in the *same order* as the seed's
+per-subset ``neighbors()`` loop (per membership, in ascending subset
+order, with identical masked dot products), so states fed the same add
+order agree bit for bit on ``value`` and the coverage vectors — which is
+what keeps the checkpoint resume proofs of :mod:`repro.core.checkpoint`
+valid on either kernel.  That loop survives as the test oracle
+``tests/oracles/coverage.py``, which proves the agreement.
 
 All solvers in :mod:`repro.core` are built on this structure.  The module
 also exposes :func:`score`, a from-scratch evaluator used by tests to verify
@@ -44,32 +39,20 @@ the incremental state, and :func:`score_breakdown` for per-subset reporting.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import native as _native
 from repro.core.instance import PARInstance
-from repro.errors import ConfigurationError
 from repro.obs import probes as _obs_probes
 
 __all__ = [
     "CoverageState",
-    "KERNEL",
-    "REFERENCE",
     "score",
     "score_breakdown",
     "max_score",
 ]
-
-KERNEL = "kernel"
-REFERENCE = "reference"
-_BACKENDS = (KERNEL, REFERENCE)
-
-
-def _default_backend() -> str:
-    return os.environ.get("PHOCUS_COVERAGE_BACKEND", KERNEL)
 
 
 class CoverageState:
@@ -92,58 +75,28 @@ class CoverageState:
         The PAR instance whose objective is tracked.
     selection:
         Optional initial selection (e.g. the retention set ``S0``).
-    backend:
-        ``"kernel"`` (flat CSR kernels, default) or ``"reference"`` (the
-        original per-subset loop).  ``None`` reads
-        ``PHOCUS_COVERAGE_BACKEND`` and falls back to the kernel.
     """
 
-    def __init__(
-        self,
-        instance: PARInstance,
-        selection: Iterable[int] = (),
-        *,
-        backend: Optional[str] = None,
-    ) -> None:
-        if backend is None:
-            backend = _default_backend()
-        if backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown coverage backend {backend!r}; expected one of {_BACKENDS}"
-            )
-        self.backend = backend
+    def __init__(self, instance: PARInstance, selection: Iterable[int] = ()) -> None:
         self.instance = instance
         self._has_sparse = any(q.similarity.is_sparse for q in instance.subsets)
         self._weighted_rel: List[np.ndarray] = [
             q.weight * q.relevance for q in instance.subsets
         ]
-        if backend == KERNEL:
-            inc = instance.incidence
-            self._best_flat: Optional[np.ndarray] = np.zeros(
-                inc.total_slots, dtype=np.float64
-            )
-            # best[qi][j] = max similarity of member j of subset qi to the
-            # selection — views into the flat slot vector, so kernel writes
-            # and the per-subset accessors always agree.
-            off = inc.subset_offsets
-            self._best: List[np.ndarray] = [
-                self._best_flat[off[qi] : off[qi + 1]]
-                for qi in range(len(instance.subsets))
-            ]
-            # The compiled gain/add, writing into _best_flat; None when the
-            # numpy kernel serves (no compiled kernel, or a float32 CSR).
-            self._native = _native.bind(inc, self._best_flat)
-        else:
-            self._best_flat = None
-            self._best = [np.zeros(len(q), dtype=np.float64) for q in instance.subsets]
-            self._native = None
+        inc = instance.incidence
+        self._best_flat = np.zeros(inc.total_slots, dtype=np.float64)
+        # best[qi][j] = max similarity of member j of subset qi to the
+        # selection — views into the flat slot vector, so kernel writes
+        # and the per-subset accessors always agree.
+        self._best = self._subset_views(self._best_flat)
+        # The compiled gain/add, writing into _best_flat; None when the
+        # numpy kernel serves (no compiled kernel, or a float32 CSR).
+        self._native = _native.bind(inc, self._best_flat)
         _obs = _obs_probes.active()
         if _obs is not None:
             # What actually serves the workload — construction-time only,
-            # so gain()/add() stay probe-free.  "native" marks the compiled
-            # kernel; "kernel" then means the numpy fallback.
-            label = "native" if self._native is not None else backend
-            _obs.objective_states.labels(backend=label).inc()
+            # so gain()/add() stay probe-free.
+            _obs.objective_states.labels(backend=self.served_by).inc()
         self._value = 0.0
         self._selected: set = set()
         # Fidelity of every photo inserted below 1 (multi-fidelity solves);
@@ -180,6 +133,12 @@ class CoverageState:
         return len(self._selected)
 
     @property
+    def served_by(self) -> str:
+        """What runs ``gain``/``add``: ``"native"`` (the compiled kernel)
+        or ``"kernel"`` (the numpy kernel)."""
+        return "native" if self._native is not None else "kernel"
+
+    @property
     def order(self) -> List[int]:
         """The photos in the exact order they were added (copy); replayable
         bit for bit only if every insertion was at full fidelity."""
@@ -204,10 +163,8 @@ class CoverageState:
             # segments=None: the coverage writes wait inside the native
             # context for add() to commit.
             total, segments = native.gain(p, phi), None
-        elif self.backend == KERNEL:
-            total, segments = self._evaluate_kernel(p, phi)
         else:
-            total, segments = self._evaluate_reference(p, phi)
+            total, segments = self._evaluate(p, phi)
         self._gain_cache = (p, phi, len(self._order), total, segments)
         return total
 
@@ -231,19 +188,12 @@ class CoverageState:
                 native.commit()
         elif native is not None and 0 <= p < native.n:
             realized, segments = native.add(p, phi), None
-        elif self.backend == KERNEL:
-            realized, segments = self._evaluate_kernel(p, phi)
         else:
-            realized, segments = self._evaluate_reference(p, phi)
-        if segments is None:
-            pass  # the native kernel has written the coverage already
-        elif self.backend == KERNEL:
+            realized, segments = self._evaluate(p, phi)
+        if segments is not None:  # else the native kernel has written them
             best = self._best_flat
             for slots, sims, positive in segments:
                 best[slots[positive]] = sims[positive]
-        else:
-            for qi, idx, sims, positive in segments:
-                self._best[qi][idx[positive]] = sims[positive]
         self._gain_cache = None
         self._selected.add(p)
         if phi != 1.0:
@@ -256,15 +206,18 @@ class CoverageState:
 
     # ----------------------------------------------------------- kernels
 
-    def _evaluate_kernel(self, p: int, phi: float) -> Tuple[float, list]:
-        """Marginal gain of ``p`` on the flat CSR plus replayable segments.
+    def _evaluate(self, p: int, phi: float) -> Tuple[float, list]:
+        """Marginal gain of ``p`` on the flat CSR plus replayable segments
+        ``(slots, sims, positive)``: ``add`` writes ``sims[positive]`` into
+        ``_best_flat[slots[positive]]``.
 
         One gather/subtract/compare pass over the photo's whole entry
         range, then one masked dot per membership.  Accumulation matches
-        the reference backend bit for bit: delta values are elementwise
-        identical however the range is sliced, each dot runs on the same
-        extracted operands in the same (ascending-subset) order, and
-        all-zero segments contribute exactly nothing either way.  At
+        the per-subset ``neighbors()`` loop bit for bit: delta values are
+        elementwise identical however the range is sliced, each dot runs
+        on the same extracted operands in the same (ascending-subset)
+        order, and all-zero segments contribute exactly nothing either
+        way.  At
         ``phi == 1`` the stored similarities are used unscaled, so full
         fidelity accumulates the very same floats as a plain insertion.
         """
@@ -303,55 +256,31 @@ class CoverageState:
         # collide and one masked assignment equals the per-segment writes.
         return total, [(slots, sims, positive)]
 
-    def _evaluate_reference(self, p: int, phi: float) -> Tuple[float, list]:
-        """The original per-subset ``neighbors()`` evaluation (oracle)."""
-        total = 0.0
-        segments: list = []
-        for qi, local in self.instance.membership[p]:
-            subset = self.instance.subsets[qi]
-            best = self._best[qi]
-            wrel = self._weighted_rel[qi]
-            idx, sims = subset.similarity.neighbors(local)
-            if phi != 1.0:
-                sims = phi * sims
-            delta = sims - best[idx]
-            positive = delta > 0
-            if np.any(positive):
-                total += float(wrel[idx[positive]] @ delta[positive])
-                segments.append((qi, idx, sims, positive))
-        return total, segments
-
     def all_gains(self) -> np.ndarray:
         """Marginal gains of every photo at once (vectorised).
 
         Equivalent to ``[self.gain(p) for p in range(n)]`` but computed in
         bulk, which is substantially faster when many candidates must be
         ranked (online bounds, branch-and-bound root ordering, batch
-        heuristics).  The kernel backend runs one masked
-        multiply + ``np.add.reduceat`` pass over the flat entry array —
-        dense and sparse instances take the identical code path; the
-        reference backend keeps the original per-subset evaluation.
+        heuristics).  One masked multiply + ``np.add.reduceat`` pass over
+        the flat entry array serves every instance with a sparse subset;
+        all-dense instances take one BLAS product per subset instead.
         Selected photos report 0.
         """
-        if self.backend == KERNEL:
-            gains = self._all_gains_kernel()
+        inc = self.instance.incidence
+        if inc.slots.size == 0:
+            gains = np.zeros(self.instance.n, dtype=np.float64)
+        elif self._has_sparse:
+            gains = self._all_gains_flat()
         else:
-            gains = self._all_gains_reference()
+            gains = self._all_gains_dense()
         if self._selected:
             gains[list(self._selected)] = 0.0
         return gains
 
-    def _all_gains_kernel(self) -> np.ndarray:
+    def _all_gains_flat(self) -> np.ndarray:
         inc = self.instance.incidence
         gains = np.zeros(self.instance.n, dtype=np.float64)
-        if inc.slots.size == 0:
-            return gains
-        if not self._has_sparse:
-            # All-dense instances: the per-subset BLAS matmul beats the
-            # flat gather+reduceat pass (contiguous SIMD vs indexed loads),
-            # so delegate to it.  Sparse/mixed instances take the flat
-            # path, which has no per-row Python loop.
-            return self._all_gains_reference()
         delta = inc.sims - self._best_flat[inc.slots]
         np.maximum(delta, 0.0, out=delta)
         delta *= inc.slot_wrel[inc.slots]
@@ -363,61 +292,41 @@ class CoverageState:
         gains[nonempty] = np.add.reduceat(delta, starts[nonempty])
         return gains
 
-    def _all_gains_reference(self) -> np.ndarray:
+    def _all_gains_dense(self) -> np.ndarray:
+        # The per-subset BLAS matmul beats the flat gather+reduceat pass
+        # (contiguous SIMD vs indexed loads) when every subset is dense.
         gains = np.zeros(self.instance.n, dtype=np.float64)
         for qi, subset in enumerate(self.instance.subsets):
-            best = self._best[qi]
-            wrel = self._weighted_rel[qi]
-            sim = subset.similarity
-            if not sim.is_sparse:
-                delta = sim.matrix - best[None, :]
-                np.maximum(delta, 0.0, out=delta)
-                local_gains = delta @ wrel
-            else:
-                local_gains = np.empty(len(subset))
-                for local in range(len(subset)):
-                    idx, sims = sim.neighbors(local)
-                    diff = sims - best[idx]
-                    positive = diff > 0
-                    local_gains[local] = (
-                        float(wrel[idx[positive]] @ diff[positive])
-                        if np.any(positive)
-                        else 0.0
-                    )
-            np.add.at(gains, subset.members, local_gains)
+            delta = subset.similarity.matrix - self._best[qi][None, :]
+            np.maximum(delta, 0.0, out=delta)
+            np.add.at(gains, subset.members, delta @ self._weighted_rel[qi])
         return gains
 
     # ------------------------------------------------------------------
 
     def copy(self) -> "CoverageState":
         """Deep copy (shares the immutable instance, copies mutable state)."""
-        clone = CoverageState.__new__(CoverageState)
-        clone.backend = self.backend
+        clone = type(self).__new__(type(self))
         clone.instance = self.instance
         clone._has_sparse = self._has_sparse
         clone._weighted_rel = self._weighted_rel
-        if self.backend == KERNEL:
-            clone._best_flat = self._best_flat.copy()
-            off = self.instance.incidence.subset_offsets
-            clone._best = [
-                clone._best_flat[off[qi] : off[qi + 1]]
-                for qi in range(len(self.instance.subsets))
-            ]
-            clone._native = (
-                None
-                if self._native is None
-                else _native.bind(self.instance.incidence, clone._best_flat)
-            )
-        else:
-            clone._best_flat = None
-            clone._best = [b.copy() for b in self._best]
-            clone._native = None
+        clone._best_flat = self._best_flat.copy()
+        clone._best = self._subset_views(clone._best_flat)
+        clone._native = (
+            None
+            if self._native is None
+            else _native.bind(self.instance.incidence, clone._best_flat)
+        )
         clone._value = self._value
         clone._selected = set(self._selected)
         clone._fidelity = dict(self._fidelity)
         clone._order = list(self._order)
         clone._gain_cache = None
         return clone
+
+    def _subset_views(self, flat: np.ndarray) -> List[np.ndarray]:
+        off = self.instance.incidence.subset_offsets
+        return [flat[off[q] : off[q + 1]] for q in range(len(self.instance.subsets))]
 
     def subset_value(self, qi: int) -> float:
         """Weighted score contribution ``W(q) · G(q, S)`` of subset ``qi``."""

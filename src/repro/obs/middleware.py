@@ -1,7 +1,9 @@
 """HTTP-layer observability: route metrics and an opt-in access log.
 
 The service's request handler calls :func:`observe_request` once per
-request, after the response is written.  It does two independent things:
+request, after the answer is encoded and before it is written, so a
+client that scrapes ``/metrics`` after reading an answer finds that
+request counted.  It does two independent things:
 
 * **Metrics** — when probes are armed, bump
   ``phocus_http_requests_total{method,route,status}`` and observe

@@ -9,7 +9,7 @@ single-global-``None``-check pattern exactly: instrumented code does
 
     obs = probes.active()
     if obs is not None:
-        obs.solver_runs.labels(mode=mode, backend=backend).inc()
+        obs.solver_runs.labels(mode=mode, backend=state.served_by).inc()
 
 so the disarmed cost at every site is a single module-global load plus a
 ``None`` test.  No metric names, label sets, or registry lookups are
@@ -67,7 +67,8 @@ class Instruments:
         # ----------------------------------------------------------- solver
         self.solver_runs = reg.counter(
             "phocus_solver_runs_total",
-            "completed greedy passes",
+            "completed greedy passes, by the kernel that served them "
+            "(native or the numpy kernel)",
             ("mode", "backend"),
         )
         self.solver_picks = reg.counter(
@@ -115,7 +116,8 @@ class Instruments:
         # -------------------------------------------------------- objective
         self.objective_states = reg.counter(
             "phocus_objective_state_inits_total",
-            "CoverageState constructions per evaluation backend",
+            "CoverageState constructions, by the kernel that serves them "
+            "(native or the numpy kernel)",
             ("backend",),
         )
 

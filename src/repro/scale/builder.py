@@ -9,14 +9,15 @@ observability is armed (``phocus_scalebuild_*`` families):
     with ``n_bits="auto"`` the width scales so candidate counts stay
     sub-quadratic (:func:`repro.sparsify.simhash.recommended_bits`).
 ``candidates``
-    Per LSH band, that band's signature bits are computed in photo chunks
+    :func:`lsh_candidate_keys`, the repository's one LSH pair emitter:
+    per LSH band, that band's signature bits are computed in photo chunks
     and collapsed to one integer bucket key per photo (a single ``uint64``
     for ``rows ≤ 64``, packed bytes above) — the full ``(n, n_bits)``
     signature matrix is never held.  Photos sharing a key become candidate
     pairs, generated vectorised in batches of at most ``chunk_pairs``
     pairs, deduplicated across bands with sorted-unique merges.  The
-    resulting candidate set provably equals
-    :func:`repro.sparsify.simhash.candidate_pairs` on the same signatures.
+    resulting candidate set equals the per-band bucket loop of
+    ``tests/oracles/lsh.py`` on the same signatures.
 ``verify``
     Exact cosines for the sorted candidate pairs via the shared
     :func:`repro.sparsify.simhash.verify_candidate_pairs` kernel in
@@ -63,7 +64,12 @@ from repro.sparsify.simhash import (
     verify_candidate_pairs,
 )
 
-__all__ = ["ScaleBuildReport", "build_streamed_instance", "save_streamed_instance"]
+__all__ = [
+    "ScaleBuildReport",
+    "build_streamed_instance",
+    "lsh_candidate_keys",
+    "save_streamed_instance",
+]
 
 #: Photos whose signatures are computed per chunk (bounds the matmul
 #: temporary to O(signature_chunk · n_bits)).
@@ -134,9 +140,9 @@ def _band_keys(band: np.ndarray) -> np.ndarray:
     """Collapse one band's signature bits to one sortable key per photo.
 
     For ``rows ≤ 64`` the bits pack into a single ``uint64`` (equal key ⟺
-    equal band bits, exactly the bucket equivalence of
-    :func:`repro.sparsify.simhash.candidate_pairs`).  Wider bands pack to
-    bytes and are relabelled with dense group ids via ``np.unique``.
+    equal band bits, exactly the bucket equivalence of banded LSH).  Wider
+    bands pack to bytes and are relabelled with dense group ids via
+    ``np.unique``.
     """
     rows = band.shape[1]
     if rows <= 64:
@@ -256,6 +262,68 @@ def _emit_band_pairs(
     return np.concatenate(parts)
 
 
+def lsh_candidate_keys(
+    embeddings: np.ndarray,
+    planes: np.ndarray,
+    bands: int,
+    rows: int,
+    *,
+    chunk_pairs: int = DEFAULT_VERIFY_CHUNK,
+    signature_chunk: int = DEFAULT_SIGNATURE_CHUNK,
+    on_signature_chunk: Optional[Callable[[], None]] = None,
+    on_pair_batch: Optional[Callable[[int], None]] = None,
+) -> Tuple[np.ndarray, float]:
+    """Banded SimHash candidate pairs of ``embeddings``, as sorted keys.
+
+    Band ``b`` hashes with ``planes[b*rows:(b+1)*rows]``.  Photos whose
+    bits agree on a whole band pair up.  A pair ``(i, j)`` with ``i < j``
+    is the key ``i * n + j``, where ``n = len(embeddings)``.  The keys
+    come back sorted and unique, which is the ascending ``(i, j)`` order.
+
+    This is the one LSH pair emitter: the fused builder and
+    ``sparsify_instance(method="lsh")`` both call it.  One band is held
+    at a time: its signatures come in photo chunks of ``signature_chunk``
+    (``on_signature_chunk()`` fires before each), and its pairs come in
+    batches of about ``chunk_pairs`` (``on_pair_batch(count)`` fires
+    before each).  Sorted merges on a geometric schedule keep temporary
+    memory near twice the unique candidate count, never the bands-fold
+    blow-up of one collect-then-unique.  Results do not depend on either chunk
+    size.
+
+    Returns ``(keys, signature_seconds)``, the second being the time
+    spent computing signatures.
+    """
+    n = embeddings.shape[0]
+    sig_seconds = 0.0
+    keys = np.zeros(0, dtype=np.int64)
+    pending: List[np.ndarray] = []
+    pending_count = 0
+    for b in range(bands):
+        ts = time.perf_counter()
+        band_keys = _streamed_band_keys(
+            embeddings,
+            planes[b * rows : (b + 1) * rows],
+            signature_chunk,
+            on_signature_chunk,
+        )
+        sig_seconds += time.perf_counter() - ts
+        band_pair_keys = _emit_band_pairs(band_keys, n, chunk_pairs, on_pair_batch)
+        if band_pair_keys.size:
+            pending.append(band_pair_keys)
+            pending_count += band_pair_keys.size
+        # Geometric merge schedule: fold the pending band outputs into
+        # the sorted accumulator only once they rival its size, so the
+        # whole pass costs O(log bands) full sorts instead of one per
+        # band, while temporary memory stays within ~2x the unique
+        # candidates plus a bounded pending buffer.
+        if pending and pending_count >= max(keys.size, 8 * chunk_pairs):
+            keys = _sorted_dedup(np.concatenate([keys] + pending))
+            pending, pending_count = [], 0
+    if pending:
+        keys = _sorted_dedup(np.concatenate([keys] + pending))
+    return keys, sig_seconds
+
+
 def build_streamed_instance(
     costs: np.ndarray,
     embeddings: np.ndarray,
@@ -356,42 +424,16 @@ def build_streamed_instance(
 
             return _inc
 
-        # One band at a time: signatures for the band's bits only (chunked
-        # over photos), then vectorised within-bucket pair generation.
-        # Sorted-merge accumulation keeps peak scratch at ~2x the unique
-        # candidate count instead of the bands-fold blow-up a
-        # collect-then-unique would pay; a full (n, n_bits) signature
-        # matrix is never held.
-        sig_seconds = 0.0
-        count_sig = _count_chunk("signatures")
-        count_cand = _count_chunk("candidates")
-        keys = np.zeros(0, dtype=np.int64)
-        pending: List[np.ndarray] = []
-        pending_count = 0
-        for b in range(bands):
-            ts = time.perf_counter()
-            band_keys = _streamed_band_keys(
-                embeddings,
-                hasher.planes[b * rows : (b + 1) * rows],
-                signature_chunk,
-                count_sig,
-            )
-            sig_seconds += time.perf_counter() - ts
-            band_pair_keys = _emit_band_pairs(band_keys, n, chunk_pairs, count_cand)
-            if band_pair_keys.size:
-                pending.append(band_pair_keys)
-                pending_count += band_pair_keys.size
-            # Geometric merge schedule: fold the pending band outputs into
-            # the sorted accumulator only once they rival its size, so the
-            # whole phase costs O(log bands) full sorts instead of one per
-            # band, while scratch stays within ~2x the unique candidates
-            # plus a bounded pending buffer.
-            if pending and pending_count >= max(keys.size, 8 * chunk_pairs):
-                keys = _sorted_dedup(np.concatenate([keys] + pending))
-                pending, pending_count = [], 0
-        if pending:
-            keys = _sorted_dedup(np.concatenate([keys] + pending))
-            del pending
+        keys, sig_seconds = lsh_candidate_keys(
+            embeddings,
+            hasher.planes,
+            bands,
+            rows,
+            chunk_pairs=chunk_pairs,
+            signature_chunk=signature_chunk,
+            on_signature_chunk=_count_chunk("signatures"),
+            on_pair_batch=_count_chunk("candidates"),
+        )
         ii = keys // np.int64(n)
         jj = keys % np.int64(n)
         del keys

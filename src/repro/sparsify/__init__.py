@@ -4,9 +4,7 @@ from repro.sparsify.pipeline import SparsifyReport, sparsify_instance
 from repro.sparsify.simhash import (
     SimHasher,
     bit_agreement_probability,
-    candidate_pairs,
     candidate_probability,
-    lsh_similar_pairs,
     tune_bands,
 )
 from repro.sparsify.threshold import SparsifyStats, sparsify_subset, threshold_sparsify
@@ -20,7 +18,5 @@ __all__ = [
     "SimHasher",
     "bit_agreement_probability",
     "candidate_probability",
-    "candidate_pairs",
-    "lsh_similar_pairs",
     "tune_bands",
 ]

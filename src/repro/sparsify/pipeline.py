@@ -8,6 +8,8 @@ lazy greedy (Section 4.3): replace every subset's similarity with its
 * ``method="lsh"`` — SimHash the member embeddings, verify only colliding
   pairs, and keep those at or above τ; roughly linear-time per subset and
   the preferred mode "when there are many large predefined subsets".
+  Candidates come from :func:`repro.scale.lsh_candidate_keys`, the same
+  pair emitter the fused archive builder runs.
 
 The LSH mode reads pair similarities from the subset's own (contextual)
 similarity backend, so the surviving values are identical to exact
@@ -30,7 +32,7 @@ from repro.core.instance import (
     SparseSimilarity,
 )
 from repro.errors import ConfigurationError
-from repro.sparsify.simhash import SimHasher, candidate_pairs, tune_bands
+from repro.sparsify.simhash import SimHasher, tune_bands
 from repro.sparsify.threshold import sparsify_subset
 
 __all__ = ["SparsifyReport", "sparsify_instance"]
@@ -63,26 +65,25 @@ class SparsifyReport:
         return self.pairs_checked / self.pairs_possible
 
 
-def _lsh_sparsify_subset(
+def _lsh_sparsify(
     subset: PredefinedSubset,
-    member_vectors: np.ndarray,
+    vectors: np.ndarray,
     tau: float,
-    n_bits: int,
-    target_recall: float,
-    rng: np.random.Generator,
+    bands: int,
+    rows: int,
+    planes: np.ndarray,
 ) -> Tuple[PredefinedSubset, int]:
     """Sparsify one subset via SimHash candidates; returns pairs checked."""
-    m = len(subset)
-    bands, rows = tune_bands(tau, n_bits, target_recall)
-    hasher = SimHasher(member_vectors.shape[1], n_bits, rng)
-    sigs = hasher.signatures(member_vectors)
-    candidates = candidate_pairs(sigs, bands, rows)
+    # A local import: repro.scale imports repro.sparsify.simhash.
+    from repro.scale.builder import lsh_candidate_keys
 
-    # Iterate candidates in sorted order so the surviving-pair arrays (and
-    # therefore the CSR layout and every downstream float accumulation) are
-    # deterministic rather than set-iteration-order dependent.
+    m = len(subset)
+    keys, _ = lsh_candidate_keys(vectors, planes, bands, rows)
+    # Candidates in ascending (i, j) order, so the surviving-pair arrays
+    # (and therefore the CSR layout and every downstream float
+    # accumulation) are deterministic.
     kept: List[Tuple[int, int, float]] = []
-    for i, j in sorted(candidates):
+    for i, j in zip((keys // m).tolist(), (keys % m).tolist()):
         s = subset.similarity.pair(i, j)
         if s >= tau:
             kept.append((i, j, s))
@@ -90,7 +91,7 @@ def _lsh_sparsify_subset(
     jj = np.fromiter((k[1] for k in kept), dtype=np.int64, count=len(kept))
     vv = np.fromiter((k[2] for k in kept), dtype=np.float64, count=len(kept))
     sparse = SparseSimilarity.from_pairs(m, ii, jj, vv, validate=False)
-    return subset.with_similarity(sparse), len(candidates)
+    return subset.with_similarity(sparse), int(keys.size)
 
 
 def sparsify_instance(
@@ -135,13 +136,15 @@ def sparsify_instance(
                 "LSH sparsification requires instance embeddings"
             )
         rng = rng or np.random.default_rng()
+        bands, rows = tune_bands(tau, n_bits, target_recall)
         new_subsets = []
         pairs_checked = 0
         for q in instance.subsets:
-            vectors = instance.embeddings[q.members]
-            sparse_q, checked = _lsh_sparsify_subset(
-                q, vectors, tau, n_bits, target_recall, rng
-            )
+            vectors = np.asarray(instance.embeddings[q.members], dtype=np.float64)
+            # One hasher per subset, in subset order: the rng stream
+            # hands every subset its own hyperplanes.
+            planes = SimHasher(vectors.shape[1], n_bits, rng).planes
+            sparse_q, checked = _lsh_sparsify(q, vectors, tau, bands, rows, planes)
             new_subsets.append(sparse_q)
             pairs_checked += checked
 

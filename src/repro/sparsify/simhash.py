@@ -17,14 +17,13 @@ Maths used for tuning:
 
 :func:`tune_bands` inverts the S-curve to pick ``(b, r)`` achieving a
 target recall at τ while keeping ``r`` as large as possible (fewer spurious
-candidates).
+candidates).  The banded candidate pairs themselves come from
+:func:`repro.scale.lsh_candidate_keys`, the one pair emitter.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,10 +35,8 @@ __all__ = [
     "recommended_bits",
     "tune_bands",
     "SimHasher",
-    "candidate_pairs",
     "unit_normalize",
     "verify_candidate_pairs",
-    "lsh_similar_pairs",
 ]
 
 #: Default number of candidate pairs verified per chunk.  At embedding
@@ -160,37 +157,6 @@ class SimHasher:
         return (vectors @ self.planes.T) >= 0.0
 
 
-def candidate_pairs(
-    signatures: np.ndarray,
-    bands: int,
-    rows: int,
-) -> Set[Tuple[int, int]]:
-    """Banded LSH candidate pairs from boolean signatures.
-
-    Vectors whose signature agrees on every bit of at least one band are
-    returned as candidate pairs ``(i, j)`` with ``i < j``.
-    """
-    n, n_bits = signatures.shape
-    if bands * rows > n_bits:
-        raise ConfigurationError(
-            f"bands*rows = {bands * rows} exceeds signature width {n_bits}"
-        )
-    pairs: Set[Tuple[int, int]] = set()
-    for b in range(bands):
-        band = signatures[:, b * rows : (b + 1) * rows]
-        buckets: Dict[bytes, List[int]] = defaultdict(list)
-        packed = np.packbits(band, axis=1)
-        for i in range(n):
-            buckets[packed[i].tobytes()].append(i)
-        for members in buckets.values():
-            if len(members) < 2:
-                continue
-            for a in range(len(members)):
-                for c in range(a + 1, len(members)):
-                    pairs.add((members[a], members[c]))
-    return pairs
-
-
 def unit_normalize(vectors: np.ndarray) -> np.ndarray:
     """Rows scaled to unit L2 norm (zero rows pass through unchanged)."""
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -214,9 +180,10 @@ def verify_candidate_pairs(
     raw cosine ≥ τ are kept, their stored value clipped to ``min(1, s)``.
     Each pair's dot product is a per-row ``einsum`` reduction, so the value
     for a given ``(i, j)`` is bit-identical regardless of chunk size or
-    position — the fused streamed builder (:mod:`repro.scale`) and the
-    unfused pipeline share this function precisely so their surviving pairs
-    and values match bit for bit.
+    position — the fused streamed builder (:mod:`repro.scale`), live
+    uploads and the unfused oracle of ``tests/oracles/lsh.py`` share this
+    function precisely so their surviving pairs and values match bit for
+    bit.
 
     ``on_chunk(start, end)`` fires before each chunk (probes/faults hook).
     Returns ``(kept_ii, kept_jj, kept_vals)``.
@@ -249,62 +216,3 @@ def verify_candidate_pairs(
         np.concatenate(kept_j),
         np.concatenate(kept_v),
     )
-
-
-def lsh_similar_pairs(
-    vectors: np.ndarray,
-    tau: float,
-    *,
-    n_bits: int = 64,
-    target_recall: float = 0.95,
-    rng: Optional[np.random.Generator] = None,
-) -> "LshResult":
-    """Find (almost) all pairs of cosine similarity ≥ τ via SimHash.
-
-    Candidates from banded signatures are verified with the exact cosine
-    similarity, so the output has perfect precision; recall is governed by
-    the LSH S-curve at the tuned ``(bands, rows)``.  Pairs are returned in
-    ascending ``(i, j)`` order and verified through the same
-    :func:`verify_candidate_pairs` kernel the fused builder uses, making
-    this the bit-exact unfused reference for `repro.scale`.
-    """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    n = vectors.shape[0]
-    bands, rows = tune_bands(tau, n_bits, target_recall)
-    hasher = SimHasher(vectors.shape[1], n_bits, rng)
-    sigs = hasher.signatures(vectors)
-    candidates = candidate_pairs(sigs, bands, rows)
-
-    if candidates:
-        cand = np.array(sorted(candidates), dtype=np.int64)
-        ci, cj = cand[:, 0], cand[:, 1]
-    else:
-        ci = cj = np.zeros(0, dtype=np.int64)
-    unit = unit_normalize(vectors)
-    ki, kj, vals = verify_candidate_pairs(unit, ci, cj, tau)
-    return LshResult(
-        pairs=list(zip(ki.tolist(), kj.tolist())),
-        similarities=vals,
-        candidates_checked=len(candidates),
-        bands=bands,
-        rows=rows,
-        n_vectors=n,
-    )
-
-
-@dataclass
-class LshResult:
-    """Verified similar pairs plus LSH diagnostics."""
-
-    pairs: List[Tuple[int, int]]
-    similarities: np.ndarray
-    candidates_checked: int
-    bands: int
-    rows: int
-    n_vectors: int
-
-    @property
-    def candidate_fraction(self) -> float:
-        """Candidates checked over all possible pairs (the LSH saving)."""
-        total = self.n_vectors * (self.n_vectors - 1) // 2
-        return self.candidates_checked / total if total else 0.0

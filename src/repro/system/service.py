@@ -102,8 +102,8 @@ message}`` plus structured fields for 409/413/429/503/504/507);
 unexpected failures answer ``500``.
 
 Overload resilience is opt-in via ``resilience=Resilience(...)``
-(:mod:`repro.resilience`): request deadlines (``X-Phocus-Deadline-Ms``
-header or ``deadline_ms`` body field) propagate into the solver hot
+(:mod:`repro.resilience`): request deadlines (the ``X-Phocus-Deadline-Ms``
+header, else the ``deadline_ms`` body field) propagate into the solver hot
 loops and expire as structured ``504`` responses; the admission
 controller sheds with ``503`` + a ``Retry-After`` header before queues
 saturate; ``degraded_ok: true`` bodies may receive labeled brownout
@@ -273,22 +273,31 @@ def _resolved_instance(payload: Dict[str, Any], tenants: Optional[Tenants]):
 
 
 def _deadline_ms_from(
-    headers: Optional[Any], payload: Optional[Dict[str, Any]] = None
+    headers: Optional[Any], payload: Dict[str, Any]
 ) -> Optional[float]:
-    """The request's deadline in ms: header beats body field, ``None`` if absent."""
+    """The request's deadline in ms, ``None`` if it sets none.
+
+    One rule for every route that takes a deadline: the
+    ``X-Phocus-Deadline-Ms`` header beats the body's ``deadline_ms``, and
+    the body field is checked (a positive finite number) even when the
+    header is set.  A header that is not a positive finite number is
+    refused too.
+    """
+    body = number_field(payload, "deadline_ms")
+    if body is not None and not body > 0:
+        raise ValidationError(f"'deadline_ms' must be positive, got {body!r}")
     raw: Any = headers.get(_DEADLINE_HEADER) if headers is not None else None
-    if raw is None and payload is not None:
-        raw = payload.get("deadline_ms")
     if raw is None:
-        return None
+        return body
     try:
         value = float(raw)
     except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
         raise ValidationError(
-            f"deadline must be a number of milliseconds, got {raw!r}"
-        ) from None
-    if not value > 0:
-        raise ValidationError("deadline_ms must be positive")
+            f"{_DEADLINE_HEADER} must be a positive number of milliseconds, "
+            f"got {raw!r}"
+        )
     return value
 
 
@@ -413,7 +422,7 @@ def _inline(endpoint: Callable[[Dict[str, Any], ServiceContext], Any]) -> Handle
 
     Inline instances keep their float arrays as ndarrays from the scan to
     the decode (:func:`loads_request`); every other key parses as json
-    does.  The header deadline beats the body's ``deadline_ms``.
+    does.  The deadline follows :func:`_deadline_ms_from`.
     """
 
     def handler(ctx: ServiceContext, req: Request) -> Answer:
@@ -488,9 +497,7 @@ def _metrics(ctx: ServiceContext, req: Request) -> Answer:
 
 def _submit_job(ctx: ServiceContext, req: Request) -> Answer:
     payload = req.json()
-    header_deadline = _deadline_ms_from(req.headers)
-    if header_deadline is not None and payload.get("deadline_ms") is None:
-        payload["deadline_ms"] = header_deadline
+    deadline_ms = _deadline_ms_from(req.headers, payload)
     jobs, tenants = ctx.jobs, ctx.tenants
     by_ref_doc = payload.get("by_ref")
     if by_ref_doc is not None:
@@ -527,7 +534,7 @@ def _submit_job(ctx: ServiceContext, req: Request) -> Answer:
         seed=field("seed", integer=True, minimum=0),
         priority=field("priority", 0, integer=True),
         timeout_seconds=field("timeout_seconds"),
-        deadline_ms=field("deadline_ms"),
+        deadline_ms=deadline_ms,
         max_attempts=field("max_attempts", 3, integer=True, minimum=1),
         checkpoint_every=field("checkpoint_every", integer=True, minimum=1),
         budgets=numbers_field(payload, "budgets"),
@@ -894,7 +901,11 @@ def handle_request(
 class _Handler(BaseHTTPRequestHandler):
     server_version = "PHOcus/1.0"
 
-    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
+    @staticmethod
+    def _encode(
+        status: int, payload: Dict[str, Any]
+    ) -> Tuple[bytes, List[Tuple[str, str]]]:
+        """The answer's body bytes and headers."""
         if RAW_BODY in payload:
             data = str(payload[RAW_BODY]).encode("utf-8")
             content_type = str(
@@ -904,19 +915,16 @@ class _Handler(BaseHTTPRequestHandler):
             # A live instance's stored document has ndarray leaves.
             data = json.dumps(payload, default=json_default).encode("utf-8")
             content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
+        headers = [("Content-Type", content_type), ("Content-Length", str(len(data)))]
         if status == 405 and isinstance(payload.get("allow"), list):
-            self.send_header("Allow", ", ".join(payload["allow"]))
+            headers.append(("Allow", ", ".join(payload["allow"])))
         if status in (429, 503):
             retry_after = payload.get("retry_after")
             if isinstance(retry_after, (int, float)) and retry_after > 0:
                 # HTTP Retry-After is integer seconds; round up so clients
                 # never retry before the advertised backoff has passed.
-                self.send_header("Retry-After", str(math.ceil(retry_after)))
-        self.end_headers()
-        self.wfile.write(data)
+                headers.append(("Retry-After", str(math.ceil(retry_after))))
+        return data, headers
 
     def _read_body(self) -> bytes:
         """The request body; :class:`BadRequest` for a bad ``Content-Length``."""
@@ -929,8 +937,10 @@ class _Handler(BaseHTTPRequestHandler):
         return self.rfile.read(length) if length else b""
 
     def _dispatch(self, method: str) -> None:
-        # Every answer, a refused body included, is replied and observed
+        # Every answer, a refused body included, is observed and replied
         # here, so /metrics and the access log count each request once.
+        # The request is counted before its answer is written: a client
+        # that scrapes /metrics after reading an answer finds it there.
         start = time.perf_counter()
         context = self.server.context
         try:
@@ -941,7 +951,7 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = handle_request(
                 method, self.path, body, context, headers=self.headers
             )
-        self._reply(status, payload)
+        data, headers = self._encode(status, payload)
         observe_request(
             context.instruments,
             self.server.access_log,
@@ -951,6 +961,11 @@ class _Handler(BaseHTTPRequestHandler):
             status,
             time.perf_counter() - start,
         )
+        self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._dispatch("GET")

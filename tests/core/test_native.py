@@ -31,11 +31,12 @@ import pytest
 from repro.core import native
 from repro.core.greedy import UC, lazy_greedy, main_algorithm
 from repro.core.instance import IncidenceCSR, PARInstance
-from repro.core.objective import REFERENCE, CoverageState
+from repro.core.objective import CoverageState
 from repro.core.parallel import SharedInstance
 from repro.core.serialize import loads
 from repro.sparsify.threshold import threshold_sparsify
 from tests.conftest import random_instance
+from tests.oracles.coverage import ReferenceCoverageState
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -76,7 +77,7 @@ def _falls_back(caplog, scanner: bool = False) -> str:
     assert len(warnings) == 1
     assert all(s._native is None for s in states)
     run = lazy_greedy(inst, UC, state=states[0])
-    oracle = lazy_greedy(inst, UC, state=CoverageState(inst, backend=REFERENCE))
+    oracle = lazy_greedy(inst, UC, state=ReferenceCoverageState(inst))
     assert (run.selection, run.value, run.picks) == (
         oracle.selection, oracle.value, oracle.picks,
     )

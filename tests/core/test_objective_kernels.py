@@ -1,9 +1,9 @@
-"""Kernel-vs-reference backend equivalence — exact, not approximate.
+"""Kernel-vs-reference equivalence — exact, not approximate.
 
-The flat-CSR kernel backend of :class:`CoverageState` — served by the
-compiled kernel of :mod:`repro.core.native` or, where that cannot load,
-by its numpy kernel — must be a perfect stand-in for the original
-per-subset reference path: same add order ⇒ bit-identical ``value``,
+:class:`CoverageState` — served by the compiled kernel of
+:mod:`repro.core.native` or, where that cannot load, by its numpy
+kernel — must be a perfect stand-in for the original per-subset loop
+(``tests/oracles/coverage.py``): same add order ⇒ bit-identical ``value``,
 coverage vectors, marginal gains, and — because heap keys flow into
 checkpoint documents — byte-identical checkpoints.  Every case runs on
 all three (``KINDS``).  These are the properties the checkpoint resume
@@ -22,11 +22,12 @@ from repro.core import native
 from repro.core.checkpoint import MemoryCheckpointSink, encode_record
 from repro.core.greedy import CB, UC, lazy_greedy, main_algorithm
 from repro.core.instance import PARInstance, PredefinedSubset, build_incidence
-from repro.core.objective import KERNEL, REFERENCE, CoverageState, score
-from repro.errors import ConfigurationError
+from repro.core.objective import CoverageState, score
 from repro.sparsify.threshold import threshold_sparsify
 from tests.conftest import random_instance
+from tests.oracles.coverage import ReferenceCoverageState, reference_main_algorithm
 
+REFERENCE = "reference"
 NUMPY = "numpy"
 NATIVE = "native"
 # Reference loop, numpy kernel, compiled kernel.  Where the compiled
@@ -38,8 +39,8 @@ KINDS = (REFERENCE, NUMPY, NATIVE)
 def _state(inst, kind: str, selection=()) -> CoverageState:
     """A coverage state served by ``kind``, holding ``selection``."""
     if kind == REFERENCE:
-        return CoverageState(inst, selection, backend=REFERENCE)
-    state = CoverageState(inst, backend=KERNEL)
+        return ReferenceCoverageState(inst, selection)
+    state = CoverageState(inst)
     if kind == NUMPY:
         state._native = None
     for p in selection:
@@ -120,17 +121,6 @@ class TestIncidenceLayout:
 
 
 class TestBackendEquivalence:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CoverageState(random_instance(0), backend="vectorized")
-
-    def test_env_var_selects_default_backend(self, monkeypatch):
-        inst = random_instance(0)
-        monkeypatch.setenv("PHOCUS_COVERAGE_BACKEND", REFERENCE)
-        assert CoverageState(inst).backend == REFERENCE
-        monkeypatch.delenv("PHOCUS_COVERAGE_BACKEND")
-        assert CoverageState(inst).backend == KERNEL
-
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 50),
@@ -169,8 +159,8 @@ class TestBackendEquivalence:
 
     def test_float32_sparse_multi_subset_below_full_fidelity(self):
         # numpy computes phi * sims in float32 here (NEP 50), which a
-        # double-precision product does not reproduce; the kernel backend
-        # must still agree with the reference bit for bit.
+        # double-precision product does not reproduce; the kernels must
+        # still agree with the reference bit for bit.
         sparse, _ = threshold_sparsify(random_instance(7, n_photos=24, n_subsets=6), 0.3)
         inst = _with_subsets(sparse, lambda qi, q: q.similarity.astype(np.float32))
         sims = inst.incidence.sims
@@ -233,7 +223,7 @@ class TestBackendEquivalence:
             state.gain(0)
             state.add(1)
             state.add(0)
-            oracle = CoverageState(inst, [1, 0], backend=REFERENCE)
+            oracle = ReferenceCoverageState(inst, [1, 0])
             assert state.value == oracle.value
             for qi in range(len(inst.subsets)):
                 assert np.array_equal(state.coverage_of(qi), oracle.coverage_of(qi))
@@ -275,13 +265,9 @@ class TestSolverBitIdentity:
     def test_main_algorithm_identical_across_backends(self, monkeypatch):
         for seed in range(3):
             for _, inst in _variants(seed, n_photos=22, n_subsets=6):
-                runs = {}
-                for kind in KINDS:
+                runs = {REFERENCE: reference_main_algorithm(inst)}
+                for kind in (NUMPY, NATIVE):
                     with monkeypatch.context() as patch:
-                        patch.setenv(
-                            "PHOCUS_COVERAGE_BACKEND",
-                            REFERENCE if kind == REFERENCE else KERNEL,
-                        )
                         if kind == NUMPY:
                             patch.setattr(native, "bind", lambda inc, best: None)
                         runs[kind] = main_algorithm(inst)

@@ -399,12 +399,35 @@ class TestProbes:
             with monkeypatch.context() as patch:
                 patch.setattr(native, "bind", lambda inc, best: None)
                 CoverageState(inst)
-            CoverageState(inst, backend="reference")
             get = instruments.registry.get_sample
             name = "phocus_objective_state_inits_total"
             assert get(name, {"backend": "native"}) == (1.0 if compiled else None)
             assert get(name, {"backend": "kernel"}) == (1.0 if compiled else 2.0)
-            assert get(name, {"backend": "reference"}) == 1.0
+
+    def test_solver_runs_name_the_kernel_that_served(self, monkeypatch):
+        # phocus_solver_runs_total{backend} counts each pass under the
+        # kernel that ran it, as the state-inits family does.
+        from repro.core import native
+        from repro.core.greedy import main_algorithm
+        from tests.conftest import random_instance
+
+        if native.kernel() is None:
+            pytest.skip("the compiled kernel cannot load here")
+        inst = random_instance(0)
+        name = "phocus_solver_runs_total"
+        with probes.armed() as instruments:
+            main_algorithm(inst)
+            get = instruments.registry.get_sample
+            for mode in ("UC", "CB"):
+                assert get(name, {"mode": mode, "backend": "native"}) == 1.0
+                assert get(name, {"mode": mode, "backend": "kernel"}) is None
+        with probes.armed() as instruments, monkeypatch.context() as patch:
+            patch.setattr(native, "bind", lambda inc, best: None)
+            main_algorithm(inst)
+            get = instruments.registry.get_sample
+            for mode in ("UC", "CB"):
+                assert get(name, {"mode": mode, "backend": "kernel"}) == 1.0
+                assert get(name, {"mode": mode, "backend": "native"}) is None
 
     def test_failure_counts_shape(self):
         with probes.armed() as instruments:

@@ -8,7 +8,6 @@ every pattern and method rather than a hand-picked sample.
 from __future__ import annotations
 
 import json
-import time
 import urllib.error
 import urllib.request
 
@@ -137,17 +136,6 @@ def test_fidelity_frontier_keeps_a_bounded_label():
     assert route_label("/fidelity/unknown") == "<other>"
 
 
-def scrape_until(address: str, needle: str, timeout: float = 5.0) -> str:
-    """``GET /metrics`` until ``needle`` shows up (a request is observed
-    just after its answer is written) or ``timeout`` passes."""
-    deadline = time.monotonic() + timeout
-    while True:
-        text = urllib.request.urlopen(f"http://{address}/metrics").read().decode()
-        if needle in text or time.monotonic() > deadline:
-            return text
-        time.sleep(0.01)
-
-
 def test_live_uploads_are_counted_under_their_own_label(tmp_path):
     probes.disarm()
     try:
@@ -164,7 +152,9 @@ def test_live_uploads_are_counted_under_their_own_label(tmp_path):
                 'route="/tenants/<id>/instances/<iid>/photos",'
                 f'status="{excinfo.value.code}"}} 1'
             )
-            text = scrape_until(svc.address, line)
+            # One scrape: a request is counted before its answer is written.
+            url = f"http://{svc.address}/metrics"
+            text = urllib.request.urlopen(url).read().decode()
     finally:
         probes.disarm()
     assert line in text

@@ -28,13 +28,9 @@ from repro.scale import (
     save_streamed_instance,
     synthetic_archive,
 )
-from repro.sparsify.simhash import (
-    SimHasher,
-    candidate_pairs,
-    lsh_similar_pairs,
-    recommended_bits,
-    tune_bands,
-)
+from repro.sparsify.simhash import SimHasher, recommended_bits, tune_bands
+from tests.oracles.coverage import reference_main_algorithm
+from tests.oracles.lsh import candidate_pairs, lsh_similar_pairs
 
 N = 400
 DIM = 8
@@ -101,13 +97,15 @@ class TestFusedEqualsUnfused:
         assert np.array_equal(fv, rv)  # bit-exact, not allclose
 
     @pytest.mark.parametrize("backend", ["kernel", "reference"])
-    def test_solve_picks_bit_identical(self, archive, fused, backend, monkeypatch):
+    def test_solve_picks_bit_identical(self, archive, fused, backend):
+        # The fused instance on the kernel against the unfused one on the
+        # kernel, then on the per-subset reference evaluation.
         costs, emb = archive
         inst, _ = fused
         ref_inst, _ = _unfused_instance(costs, emb, inst.budget)
-        monkeypatch.setenv("PHOCUS_COVERAGE_BACKEND", backend)
+        solve_ref = main_algorithm if backend == "kernel" else reference_main_algorithm
         a = main_algorithm(inst)
-        b = main_algorithm(ref_inst)
+        b = solve_ref(ref_inst)
         assert a.picks == b.picks
         assert a.selection == b.selection
         assert a.value == b.value

@@ -288,6 +288,10 @@ BAD_OPTIONS = [
     ("jobs", "tau", ""),
     ("jobs", "timeout_seconds", "x"),
     ("jobs", "deadline_ms", "x"),
+    # The inline routes read deadline_ms as every other number field:
+    # "5" was a 5 ms deadline, true 1 ms, and "inf" no deadline at all.
+    *(("solve", "deadline_ms", v) for v in ("5", True, "inf")),
+    ("frontier", "deadline_ms", "5"),
     *(("by_ref", "budget", v) for v in ("x", [], {})),
     *(("frontier", "fidelity", v) for v in ("x", 5, [1])),
 ]
@@ -344,3 +348,49 @@ def test_malformed_option_field_is_422_naming_it(option_service, route, field, v
     assert repr(field) in payload["error"]
     stored = option_service["tenants"].list_instances("acme")
     assert [m.instance_id for m in stored] == ["p"]
+
+
+DEADLINE = "X-Phocus-Deadline-Ms"
+
+
+def test_job_deadline_header_beats_the_body(option_service):
+    # The one rule of /solve, /score and /fidelity/frontier holds for
+    # POST /jobs too: the header wins over the body's deadline_ms.
+    context = ServiceContext(**option_service)
+    path, doc = _option_request("jobs", "deadline_ms", 50000)
+    status, payload = handle_request(
+        "POST", path, json.dumps(doc).encode("utf-8"), context,
+        headers={DEADLINE: "10"},
+    )
+    assert status == 202, payload
+    status, job = handle_request("GET", f"/jobs/{payload['job_id']}", None, context)
+    assert status == 200
+    assert job["spec"]["deadline_ms"] == 10.0
+
+
+@pytest.mark.parametrize("route", ["solve", "frontier", "jobs"])
+def test_body_deadline_is_checked_even_when_the_header_is_set(option_service, route):
+    path, doc = _option_request(route, "deadline_ms", "abc")
+    status, payload = handle_request(
+        "POST", path, json.dumps(doc).encode("utf-8"),
+        ServiceContext(**option_service), headers={DEADLINE: "50000"},
+    )
+    assert status == 422, payload
+    assert "'deadline_ms'" in payload["error"]
+
+
+@pytest.mark.parametrize("route", ["solve", "frontier", "jobs"])
+@pytest.mark.parametrize("header", ["inf", "nan", "-5", "0", "abc"])
+def test_deadline_header_must_be_a_positive_finite_number(option_service, route, header):
+    path, doc = _option_request(route, "tenant", "default")
+    body = json.dumps(doc).encode("utf-8")
+    context = ServiceContext(**option_service)
+    status, payload = handle_request(
+        "POST", path, body, context, headers={DEADLINE: header}
+    )
+    assert status == 422, payload
+    assert DEADLINE in payload["error"]
+    status, payload = handle_request(
+        "POST", path, body, context, headers={DEADLINE: "50000"}
+    )
+    assert status in (200, 202), payload

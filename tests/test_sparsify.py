@@ -13,14 +13,13 @@ from repro.sparsify.pipeline import sparsify_instance
 from repro.sparsify.simhash import (
     SimHasher,
     bit_agreement_probability,
-    candidate_pairs,
     candidate_probability,
-    lsh_similar_pairs,
     tune_bands,
 )
 from repro.sparsify.threshold import sparsify_subset, threshold_sparsify
 
 from tests.conftest import random_instance
+from tests.oracles.lsh import candidate_pairs, lsh_similar_pairs, lsh_sparsify_reference
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +290,39 @@ class TestSparsifyInstance:
         sparse_run = main_algorithm(sparse)
         true_value = score(small_instance, sparse_run.selection)
         assert true_value >= 0.8 * dense_run.value
+
+
+class TestLshMatchesOracle:
+    """``method="lsh"`` runs ``repro.scale``'s pair emitter; the set-based
+    emitter of ``tests/oracles/lsh.py`` must give the very same CSR."""
+
+    @staticmethod
+    def _assert_matches(instance, tau):
+        got, report = sparsify_instance(
+            instance, tau, method="lsh", rng=np.random.default_rng(11)
+        )
+        subsets, checked = lsh_sparsify_reference(
+            instance, tau, rng=np.random.default_rng(11)
+        )
+        assert report.pairs_checked == checked
+        assert len(got.subsets) == len(subsets)
+        for ours, theirs in zip(got.subsets, subsets):
+            for a, b in zip(ours.similarity.csr(), theirs.similarity.csr()):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)  # bit-exact, not allclose
+        return checked
+
+    def test_random_instances(self):
+        checked = [self._assert_matches(random_instance(seed), 0.5) for seed in range(6)]
+        assert min(checked) > 0
+
+    @pytest.fixture(scope="class")
+    def ecommerce(self):
+        from repro.datasets.ecommerce import generate_ecommerce_dataset
+
+        dataset = generate_ecommerce_dataset("Fashion", 1500, n_queries=60, seed=5)
+        return dataset.instance(dataset.total_cost() * 0.3)
+
+    @pytest.mark.parametrize("tau", [0.6, 0.8])
+    def test_ecommerce_instance(self, ecommerce, tau):
+        assert self._assert_matches(ecommerce, tau) > 10_000
