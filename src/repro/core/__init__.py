@@ -14,7 +14,8 @@ Public surface:
   :func:`~repro.core.sviridenko.sviridenko`,
   :func:`~repro.core.bruteforce.branch_and_bound`, the Section 5.2
   baselines in :mod:`repro.core.baselines`;
-* certificates — :func:`~repro.core.bounds.online_bound`,
+* certificates — :func:`~repro.core.bounds.certify`,
+  :func:`~repro.core.bounds.online_bound`,
   :func:`~repro.core.bounds.sparsification_bound`.
 """
 
@@ -25,6 +26,7 @@ from repro.core.baselines import (
     rand_delete,
 )
 from repro.core.bounds import (
+    certify,
     online_bound,
     performance_certificate,
     sparsification_bound,
@@ -105,6 +107,7 @@ __all__ = [
     "rand_delete",
     "greedy_no_redundancy",
     "greedy_non_contextual",
+    "certify",
     "online_bound",
     "performance_certificate",
     "sparsification_bound",

@@ -2,9 +2,9 @@
 
 Two families of certificates:
 
-* :func:`online_bound` / :func:`performance_certificate` — the online bound
-  of Leskovec et al. [30].  For a monotone submodular objective under a
-  knapsack budget ``B``, any optimum ``O`` satisfies
+* :func:`online_bound` / :func:`certify` / :func:`performance_certificate`
+  — the online bound of Leskovec et al. [30].  For a monotone submodular
+  objective under a knapsack budget ``B``, any optimum ``O`` satisfies
   ``G(O) ≤ G(S) + Σ_{p ∈ O \\ S} δ_p`` where ``δ_p`` is the marginal gain of
   ``p`` at ``S``; the right-hand side is bounded by packing the gains into
   the budget fractionally (a fractional-knapsack relaxation).  Dividing the
@@ -24,7 +24,7 @@ Two families of certificates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from repro.core.objective import CoverageState
 
 __all__ = [
     "online_bound",
+    "Certificate",
+    "certify",
     "performance_certificate",
     "SparsificationBound",
     "sparsification_bound",
@@ -92,6 +94,33 @@ def online_bound(
     return bound
 
 
+class Certificate(NamedTuple):
+    """What :func:`certify` reports for a finished selection."""
+
+    value: float
+    bound: Optional[float] = None
+    ratio: Optional[float] = None
+
+
+def certify(
+    instance: PARInstance, selection: Iterable[int], *, bound: bool = False
+) -> Certificate:
+    """``G(S)`` of a finished selection and, with ``bound``, its online
+    bound and certified ratio ``min(1, G(S) / bound)``, all from one
+    :class:`CoverageState` built over ``selection`` in the given order.
+
+    ``value`` is :meth:`CoverageState.score`; the bound starts from the
+    state's running value, exactly as :func:`online_bound` over the same
+    selection would.
+    """
+    state = CoverageState(instance, selection)
+    value = state.score()
+    if not bound:
+        return Certificate(value)
+    bound = online_bound(instance, selection, state=state)
+    return Certificate(value, bound, 1.0 if bound <= 0 else min(1.0, value / bound))
+
+
 def performance_certificate(
     instance: PARInstance, selection: Iterable[int]
 ) -> Tuple[float, float]:
@@ -101,11 +130,7 @@ def performance_certificate(
     at least that fraction of optimal.  The paper reports these ratios far
     above the worst-case ``(1 − 1/e)/2 ≈ 0.316``.
     """
-    selection = list(selection)
-    state = CoverageState(instance, selection)
-    value = state.value
-    bound = online_bound(instance, selection)
-    ratio = 1.0 if bound <= 0 else min(1.0, value / bound)
+    value, _, ratio = certify(instance, selection, bound=True)
     return value, ratio
 
 

@@ -32,9 +32,13 @@ what keeps the checkpoint resume proofs of :mod:`repro.core.checkpoint`
 valid on either kernel.  That loop survives as the test oracle
 ``tests/oracles/coverage.py``, which proves the agreement.
 
-All solvers in :mod:`repro.core` are built on this structure.  The module
-also exposes :func:`score`, a from-scratch evaluator used by tests to verify
-the incremental state, and :func:`score_breakdown` for per-subset reporting.
+All solvers in :mod:`repro.core` are built on this structure, and it is
+also the one evaluator of a finished selection: :meth:`CoverageState.score`
+sums the exact per-subset terms ``W(q)·(R(q)·best(q))`` in subset order,
+and :func:`score` and :func:`score_breakdown` read them from one state.
+``best`` is a max, so that value does not depend on the add order, and
+each dot runs in fixed chunks of :data:`DOT_CHUNK` members, so it does
+not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
@@ -45,14 +49,22 @@ import numpy as np
 
 from repro.core import native as _native
 from repro.core.instance import PARInstance
+from repro.errors import ValidationError
 from repro.obs import probes as _obs_probes
 
 __all__ = [
     "CoverageState",
+    "DOT_CHUNK",
     "score",
     "score_breakdown",
     "max_score",
 ]
+
+#: Members per dot product in :meth:`CoverageState.subset_value`.  A
+#: threaded BLAS sums a longer ``ddot`` in an order that depends on its
+#: thread count; a dot of at most this many members runs as one call, as
+#: before, and keeps its bits.
+DOT_CHUNK = 10_000
 
 
 class CoverageState:
@@ -118,7 +130,9 @@ class CoverageState:
 
     @property
     def value(self) -> float:
-        """Current objective value ``G(S)``."""
+        """Current objective value ``G(S)``, as the running sum of the
+        realised gains (so its last bits follow the add order; see
+        :meth:`score`)."""
         return self._value
 
     @property
@@ -329,8 +343,26 @@ class CoverageState:
         return [flat[off[q] : off[q + 1]] for q in range(len(self.instance.subsets))]
 
     def subset_value(self, qi: int) -> float:
-        """Weighted score contribution ``W(q) · G(q, S)`` of subset ``qi``."""
-        return float(self._weighted_rel[qi] @ self._best[qi])
+        """Weighted score contribution ``W(q) · (R(q) · best(q))`` of subset
+        ``qi``, its dot summed over consecutive :data:`DOT_CHUNK`-member
+        chunks."""
+        subset = self.instance.subsets[qi]
+        rel, best = subset.relevance, self._best[qi]
+        dot = 0.0
+        for s in range(0, len(best), DOT_CHUNK):
+            dot += rel[s : s + DOT_CHUNK] @ best[s : s + DOT_CHUNK]
+        return float(subset.weight * dot)
+
+    def score(self) -> float:
+        """``G(S)``: the :meth:`subset_value` terms summed in subset order.
+
+        Unlike :attr:`value`, the running sum of realised gains, this is
+        the same float whatever order the selection was added in.
+        """
+        total = 0.0
+        for qi in range(len(self.instance.subsets)):
+            total += self.subset_value(qi)
+        return total
 
     def coverage_of(self, qi: int) -> np.ndarray:
         """Per-member nearest-neighbour similarities for subset ``qi`` (copy)."""
@@ -338,20 +370,18 @@ class CoverageState:
 
 
 def score(instance: PARInstance, selection: Iterable[int]) -> float:
-    """Evaluate ``G(S)`` from scratch (reference implementation).
-
-    Quadratic in subset size; used for validation and small instances.
-    """
-    return sum(contrib for _, contrib in _subset_contributions(instance, selection))
+    """``G(S)`` of a selection of photo ids in ``0..n-1`` (repeats count
+    once): :meth:`CoverageState.score` of one state over it."""
+    return _state_over(instance, selection).score()
 
 
 def score_breakdown(
     instance: PARInstance, selection: Iterable[int]
 ) -> Dict[str, float]:
     """Per-subset weighted contributions ``{subset_id: W(q) · G(q, S)}``."""
+    state = _state_over(instance, selection)
     return {
-        instance.subsets[qi].subset_id: contrib
-        for qi, contrib in _subset_contributions(instance, selection)
+        q.subset_id: state.subset_value(qi) for qi, q in enumerate(instance.subsets)
     }
 
 
@@ -364,22 +394,8 @@ def max_score(instance: PARInstance) -> float:
     return float(sum(q.weight for q in instance.subsets))
 
 
-def _subset_contributions(
-    instance: PARInstance, selection: Iterable[int]
-) -> List[Tuple[int, float]]:
-    sel = set(int(p) for p in selection)
-    out: List[Tuple[int, float]] = []
-    for qi, subset in enumerate(instance.subsets):
-        local_selected = [
-            j for j, photo_id in enumerate(subset.members) if int(photo_id) in sel
-        ]
-        if not local_selected:
-            out.append((qi, 0.0))
-            continue
-        m = len(subset)
-        best = np.zeros(m, dtype=np.float64)
-        for j in local_selected:
-            idx, sims = subset.similarity.neighbors(j)
-            np.maximum.at(best, idx, sims)
-        out.append((qi, float(subset.weight * (subset.relevance @ best))))
-    return out
+def _state_over(instance: PARInstance, selection: Iterable[int]) -> CoverageState:
+    ids = sorted(set(int(p) for p in selection))
+    if ids and not (0 <= ids[0] and ids[-1] < instance.n):
+        raise ValidationError(f"photo ids must lie in 0..{instance.n - 1}")
+    return CoverageState(instance, ids)

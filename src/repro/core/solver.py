@@ -17,11 +17,10 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.core import baselines
-from repro.core.bounds import online_bound
+from repro.core.bounds import certify
 from repro.core.bruteforce import branch_and_bound
 from repro.core.greedy import CB, UC, lazy_greedy, main_algorithm
 from repro.core.instance import PARInstance
-from repro.core.objective import score
 from repro.core.sviridenko import sviridenko
 from repro.errors import (
     ConfigurationError,
@@ -221,7 +220,8 @@ def solve(
         the paper's Algorithm 1).
     certificate:
         When true, additionally compute the online-bound approximation-ratio
-        certificate (costs one extra pass of gain evaluations).
+        certificate (:func:`repro.core.bounds.certify`: one ``all_gains``
+        pass on the state that already gives ``value``).
     rng:
         Randomness source for the randomised baselines.
     checkpoint_every / checkpoint_sink / resume_from:
@@ -262,19 +262,15 @@ def solve(
     elapsed = time.perf_counter() - start
 
     selection = sorted(set(int(p) for p in selection) | instance.retained)
-    value = score(instance, selection)
-    ratio: Optional[float] = None
-    if certificate:
-        bound = online_bound(instance, selection)
-        ratio = 1.0 if bound <= 0 else min(1.0, value / bound)
+    report = certify(instance, selection, bound=certificate)
     return Solution(
         algorithm=algorithm,
         selection=selection,
-        value=value,
+        value=report.value,
         cost=instance.cost_of(selection),
         budget=instance.budget,
         elapsed_seconds=elapsed,
-        ratio_certificate=ratio,
+        ratio_certificate=report.ratio,
         extras=extras,
     )
 

@@ -8,8 +8,8 @@ solver picks at most one variant per photo under the byte budget.
 * :mod:`repro.fidelity.catalog` — :class:`VariantCatalog`, the flat
   CSR-shaped per-photo variant menus;
 * :mod:`repro.fidelity.solver` — :func:`fidelity_main`, the paper's
-  CELF driver run over a variant catalog, and the
-  :func:`fidelity_score` oracle;
+  CELF driver run over a variant catalog, and :func:`fidelity_score`,
+  the value of an explicit assignment;
 * :mod:`repro.fidelity.frontier` — budget-vs-quality sweeps against
   discard-only PHOcus (:func:`budget_frontier`);
 * :mod:`repro.fidelity.policy` — the service-facing ``fidelity`` policy

@@ -14,18 +14,17 @@ paper's CELF driver solves it directly: :func:`repro.core.greedy.lazy_greedy`
 runs over variant ids and adds optimistic sibling seeding, pop-time
 exclusivity and upgrade moves when handed a catalog (DESIGN.md
 §"Exclusive-choice CELF").  This module keeps the multi-fidelity entry
-point, :func:`fidelity_main`, and the from-scratch oracle
-:func:`fidelity_score`.
+point, :func:`fidelity_main`, and :func:`fidelity_score`, the value of an
+explicit assignment.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-import numpy as np
-
 from repro.core.greedy import GreedyRun, main_algorithm
 from repro.core.instance import PARInstance
+from repro.core.objective import CoverageState
 from repro.errors import ValidationError
 from repro.fidelity.catalog import VariantCatalog
 
@@ -66,24 +65,18 @@ def fidelity_score(
     catalog: VariantCatalog,
     chosen: Dict[int, int],
 ) -> float:
-    """Evaluate the exclusive objective from scratch (reference oracle).
+    """``G(A)`` of an exclusive assignment.
 
-    ``chosen`` maps photo id → variant id.  Quadratic in subset size,
-    like :func:`repro.core.objective.score`; used by tests and the
-    ``/score`` fidelity path.
+    ``chosen`` maps photo id → variant id.  Each photo is added to one
+    :class:`~repro.core.objective.CoverageState` at its variant's fidelity,
+    in photo order, and the value is :meth:`CoverageState.score
+    <repro.core.objective.CoverageState.score>`; used by the ``/score``
+    fidelity path and to re-score sparsified fidelity solves.
     """
-    total = 0.0
-    for subset in instance.subsets:
-        best = np.zeros(len(subset), dtype=np.float64)
-        for j, photo_id in enumerate(subset.members):
-            vid = chosen.get(int(photo_id))
-            if vid is None:
-                continue
-            if not catalog.indptr[photo_id] <= vid < catalog.indptr[photo_id + 1]:
-                raise ValidationError(
-                    f"variant {vid} does not belong to photo {photo_id}"
-                )
-            idx, sims = subset.similarity.neighbors(j)
-            np.maximum.at(best, idx, float(catalog.fidelity[vid]) * sims)
-        total += float(subset.weight * (subset.relevance @ best))
-    return total
+    state = CoverageState(instance)
+    for p in sorted(chosen):
+        vid = chosen[p]
+        if not catalog.indptr[p] <= vid < catalog.indptr[p + 1]:
+            raise ValidationError(f"variant {vid} does not belong to photo {p}")
+        state.add(p, float(catalog.fidelity[vid]))
+    return state.score()

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro import faults as _faults
-from repro.core.objective import score
+from repro.core.bounds import certify
 from repro.core.serialize import (
     instance_from_dict,
     number_field,
@@ -160,32 +160,21 @@ def execute_solve_payload(
     # rejected, so one manager can run a mixed workload.
     if algorithm not in checkpointable_algorithms():
         checkpoint_every = checkpoint_sink = resume_from = None
+    sparsified = solver_instance is not instance
     with _trace.span("solve.payload") as sp:
         sp.annotate(algorithm=str(algorithm), n=instance.n, tau=tau)
-        if checkpoint_every is not None or checkpoint_sink is not None or resume_from is not None:
-            solution = solve(
-                solver_instance,
-                algorithm,
-                rng=rng,
-                checkpoint_every=checkpoint_every,
-                checkpoint_sink=checkpoint_sink,
-                resume_from=resume_from,
-            )
-        else:
-            solution = solve(solver_instance, algorithm, rng=rng)
-    true_value = (
-        solution.value
-        if solver_instance is instance
-        else score(instance, solution.selection)
-    )
-    solution.value = true_value
-    if certificate:
-        from repro.core.bounds import online_bound
-
-        bound = online_bound(instance, solution.selection)
-        solution.ratio_certificate = (
-            1.0 if bound <= 0 else min(1.0, true_value / bound)
+        solution = solve(
+            solver_instance,
+            algorithm,
+            certificate=certificate and not sparsified,
+            rng=rng,
+            checkpoint_every=checkpoint_every,
+            checkpoint_sink=checkpoint_sink,
+            resume_from=resume_from,
         )
+    if sparsified:
+        report = certify(instance, solution.selection, bound=certificate)
+        solution.value, solution.ratio_certificate = report.value, report.ratio
     doc = solution_to_dict(solution)
     doc["sparsify"] = sparsify_doc
     return doc
@@ -250,15 +239,11 @@ def _execute_sweep(
     solutions = solve_many(solver_instance, tasks, workers=workers)
     docs = []
     for budget, solution in zip(budgets, solutions):
-        if solver_instance is not instance:
-            solution.value = score(instance, solution.selection)
-        if certificate:
-            from repro.core.bounds import online_bound
-
-            bound = online_bound(instance.with_budget(budget), solution.selection)
-            solution.ratio_certificate = (
-                1.0 if bound <= 0 else min(1.0, solution.value / bound)
+        if certificate or solver_instance is not instance:
+            report = certify(
+                instance.with_budget(budget), solution.selection, bound=certificate
             )
+            solution.value, solution.ratio_certificate = report.value, report.ratio
         docs.append(solution_to_dict(solution))
     return {
         "sweep": True,

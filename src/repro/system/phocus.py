@@ -27,9 +27,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bounds import online_bound, sparsification_bound
+from repro.core.bounds import certify, sparsification_bound
 from repro.core.instance import PARInstance, Photo, SubsetSpec
-from repro.core.objective import score, score_breakdown
+from repro.core.objective import score_breakdown
 from repro.core.solver import Solution, solve
 from repro.errors import ConfigurationError, ValidationError
 from repro.images.exif import ExifRecord, geo_bucket, time_bucket
@@ -226,32 +226,13 @@ class PHOcus:
             guarantee = sparsification_bound(instance, config.tau).factor
         prep_seconds = time.perf_counter() - prep_start
 
-        solution = solve(
-            solver_instance,
-            config.algorithm,
-            certificate=False,
-            rng=rng,
-        )
+        solution = solve(solver_instance, config.algorithm, rng=rng)
         # Always report the TRUE (non-sparsified) objective and certificates.
-        true_value = score(instance, solution.selection)
-        solution = Solution(
-            algorithm=solution.algorithm,
-            selection=solution.selection,
-            value=true_value,
-            cost=solution.cost,
-            budget=instance.budget,
-            elapsed_seconds=solution.elapsed_seconds,
-            extras=solution.extras,
-        )
-        bound: Optional[float] = None
-        if config.certificate:
-            bound = online_bound(instance, solution.selection)
-            solution.ratio_certificate = (
-                1.0 if bound <= 0 else min(1.0, true_value / bound)
-            )
+        report = certify(instance, solution.selection, bound=config.certificate)
+        solution.value, solution.ratio_certificate = report.value, report.ratio
         logger.info(
             "PHOcus done: kept=%d value=%.4f cost=%.0f/%.0f solve=%.2fs",
-            len(solution.selection), true_value, solution.cost,
+            len(solution.selection), solution.value, solution.cost,
             instance.budget, solution.elapsed_seconds,
         )
         return ArchiveReport(
@@ -262,6 +243,6 @@ class PHOcus:
             subset_scores=score_breakdown(instance, solution.selection),
             sparsify=sparsify_report,
             sparsification_guarantee=guarantee,
-            optimum_upper_bound=bound,
+            optimum_upper_bound=report.bound,
             prep_seconds=prep_seconds,
         )

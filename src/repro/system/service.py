@@ -23,7 +23,8 @@ endpoint                method   behaviour
                                  solution + diagnostics
 ``/score``              POST     body ``{"instance": …, "selection": [...]}``
                                  → objective value and per-subset
-                                 breakdown
+                                 breakdown; ``selection`` must be a flat
+                                 list of distinct ids in ``0..n-1`` (422)
 ``/fidelity/frontier``  POST     budget-vs-quality sweep of the
                                  multi-fidelity solver: body ``{"instance":
                                  …, "budgets": [...], "fidelity"?}``
@@ -143,7 +144,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
 from repro.core.instance import as_ids
-from repro.core.objective import score, score_breakdown
+from repro.core.objective import CoverageState
 from repro.core.serialize import (
     instance_from_dict,
     json_default,
@@ -371,6 +372,21 @@ def _solve_endpoint(payload: Dict[str, Any], ctx: ServiceContext) -> Dict[str, A
     return doc
 
 
+def _selection_ids(selection: list, n: int) -> List[int]:
+    """``/score``'s ``selection``: a flat list of distinct photo ids in
+    ``0..n-1``, read by the instance decoder's id rule (``1.0`` is ``1``)."""
+    ids = as_ids(selection, "'selection'")
+    if ids.ndim != 1:
+        raise ValidationError("'selection' must be a flat list of photo ids")
+    out = ids.tolist()
+    outside = [p for p in out if not 0 <= p < n]
+    if outside:
+        raise ValidationError(f"'selection' photo {outside[0]} outside 0..{n - 1}")
+    if len(set(out)) != len(out):
+        raise ValidationError("'selection' lists a photo more than once")
+    return out
+
+
 def _score_endpoint(payload: Dict[str, Any], ctx: ServiceContext) -> Dict[str, Any]:
     fidelity = payload.get("fidelity")
     if fidelity is None:
@@ -384,11 +400,16 @@ def _score_endpoint(payload: Dict[str, Any], ctx: ServiceContext) -> Dict[str, A
             from repro.fidelity.policy import score_fidelity_payload
 
             return score_fidelity_payload(fidelity, instance=instance)
+        ids = _selection_ids(selection, instance.n)
+        state = CoverageState(instance, ids)
         return {
-            "value": score(instance, selection),
-            "cost": instance.cost_of(selection),
-            "feasible": instance.feasible(selection),
-            "breakdown": score_breakdown(instance, selection),
+            "value": state.score(),
+            "cost": instance.cost_of(ids),
+            "feasible": instance.feasible(ids),
+            "breakdown": {
+                q.subset_id: state.subset_value(qi)
+                for qi, q in enumerate(instance.subsets)
+            },
         }
 
 

@@ -16,6 +16,7 @@ from repro.core.objective import score
 from repro.sparsify.threshold import threshold_sparsify
 
 from tests.conftest import random_instance
+from tests.oracles.coverage import reference_score
 
 
 class TestOnlineBound:
@@ -35,7 +36,9 @@ class TestOnlineBound:
 
     def test_bound_of_full_selection_is_value(self, figure1):
         full = list(range(7))
-        assert online_bound(figure1, full) == pytest.approx(score(figure1, full))
+        assert online_bound(figure1, full) == pytest.approx(
+            reference_score(figure1, full)
+        )
 
     def test_certificate_returns_ratio_at_most_one(self, small_instance):
         run = main_algorithm(small_instance)

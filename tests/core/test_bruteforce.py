@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.bruteforce import branch_and_bound, exhaustive
 from repro.core.greedy import main_algorithm
-from repro.core.objective import score
 
 from tests.conftest import random_instance
+from tests.oracles.coverage import reference_score
 
 
 class TestExhaustive:
@@ -34,7 +34,7 @@ class TestExhaustive:
 
     def test_value_is_scored_selection(self, figure1):
         result = exhaustive(figure1)
-        assert result.value == pytest.approx(score(figure1, result.selection))
+        assert result.value == pytest.approx(reference_score(figure1, result.selection))
 
 
 class TestBranchAndBound:

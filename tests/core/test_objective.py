@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.objective import CoverageState, max_score, score, score_breakdown
+from repro.errors import ValidationError
 
 from tests.conftest import random_instance
+from tests.oracles.coverage import reference_score
 
 
 class TestScore:
@@ -31,6 +33,14 @@ class TestScore:
     def test_duplicate_ids_do_not_double_count(self, figure1):
         assert score(figure1, [0, 0]) == pytest.approx(score(figure1, [0]))
 
+    @pytest.mark.parametrize("selection", [[7], [0, -2], [-1]])
+    def test_ids_outside_the_instance_are_refused(self, figure1, selection):
+        # A negative id would otherwise index the incidence CSR from its end.
+        with pytest.raises(ValidationError, match="0..6"):
+            score(figure1, selection)
+        with pytest.raises(ValidationError, match="0..6"):
+            score_breakdown(figure1, selection)
+
     def test_breakdown_sums_to_score(self, figure1):
         sel = [0, 5]
         breakdown = score_breakdown(figure1, sel)
@@ -51,19 +61,19 @@ class TestCoverageState:
 
     def test_seeded_with_selection(self, figure1):
         state = CoverageState(figure1, [0, 5])
-        assert state.value == pytest.approx(score(figure1, [0, 5]))
+        assert state.value == pytest.approx(reference_score(figure1, [0, 5]))
         assert 0 in state and 5 in state
 
     def test_add_returns_realized_gain(self, figure1):
         state = CoverageState(figure1)
         gain = state.add(0)
-        assert gain == pytest.approx(score(figure1, [0]))
+        assert gain == pytest.approx(reference_score(figure1, [0]))
         assert state.value == pytest.approx(gain)
 
     def test_gain_matches_score_difference(self, figure1):
         state = CoverageState(figure1, [0])
         for p in range(1, 7):
-            expected = score(figure1, [0, p]) - score(figure1, [0])
+            expected = reference_score(figure1, [0, p]) - reference_score(figure1, [0])
             assert state.gain(p) == pytest.approx(expected), f"photo {p}"
 
     def test_gain_does_not_mutate(self, figure1):
@@ -80,7 +90,7 @@ class TestCoverageState:
     def test_readding_is_noop(self, figure1):
         state = CoverageState(figure1, [0])
         assert state.add(0) == 0.0
-        assert state.value == pytest.approx(score(figure1, [0]))
+        assert state.value == pytest.approx(reference_score(figure1, [0]))
 
     def test_incremental_matches_batch_on_random_instances(self):
         for seed in range(5):
@@ -90,15 +100,15 @@ class TestCoverageState:
             state = CoverageState(inst)
             for p in order:
                 state.add(int(p))
-            assert state.value == pytest.approx(score(inst, order))
+            assert state.value == pytest.approx(reference_score(inst, order))
 
     def test_copy_is_independent(self, figure1):
         state = CoverageState(figure1, [0])
         clone = state.copy()
         clone.add(5)
         assert 5 not in state
-        assert state.value == pytest.approx(score(figure1, [0]))
-        assert clone.value == pytest.approx(score(figure1, [0, 5]))
+        assert state.value == pytest.approx(reference_score(figure1, [0]))
+        assert clone.value == pytest.approx(reference_score(figure1, [0, 5]))
 
     def test_subset_value(self, figure1):
         state = CoverageState(figure1, [5])

@@ -22,10 +22,14 @@ from repro.core import native
 from repro.core.checkpoint import MemoryCheckpointSink, encode_record
 from repro.core.greedy import CB, UC, lazy_greedy, main_algorithm
 from repro.core.instance import PARInstance, PredefinedSubset, build_incidence
-from repro.core.objective import CoverageState, score
+from repro.core.objective import CoverageState
 from repro.sparsify.threshold import threshold_sparsify
 from tests.conftest import random_instance
-from tests.oracles.coverage import ReferenceCoverageState, reference_main_algorithm
+from tests.oracles.coverage import (
+    ReferenceCoverageState,
+    reference_main_algorithm,
+    reference_score,
+)
 
 REFERENCE = "reference"
 NUMPY = "numpy"
@@ -183,7 +187,7 @@ class TestBackendEquivalence:
             for kind in KINDS:
                 state = _state(inst, kind, selection)
                 assert state.value == pytest.approx(
-                    score(inst, selection), rel=1e-12
+                    reference_score(inst, selection), rel=1e-12
                 )
 
     @settings(max_examples=10)

@@ -13,9 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.objective import CoverageState, max_score, score
+from repro.core.greedy import main_algorithm
+from repro.core.objective import CoverageState, max_score, score, score_breakdown
+from repro.core.paper_example import figure1_instance
+from repro.datasets.ecommerce import generate_ecommerce_dataset
+from repro.datasets.public import generate_public_dataset
+from repro.fidelity import VariantCatalog, fidelity_main, fidelity_score
+from repro.scale import build_streamed_instance, synthetic_archive
+from repro.sparsify.pipeline import sparsify_instance
 
 from tests.conftest import random_instance
+from tests.oracles.coverage import (
+    reference_fidelity_score,
+    reference_score,
+    reference_score_breakdown,
+)
 
 # Instance pool: built once (hypothesis draws indexes into it), keeping the
 # per-example cost low while varying structure across examples.
@@ -87,7 +99,9 @@ def test_incremental_state_matches_batch_score(data):
     state = CoverageState(inst, s_sel)
     for p in t_sel:
         state.add(p)
-    assert state.value == pytest.approx(score(inst, set(s_sel) | set(t_sel)))
+    assert state.value == pytest.approx(
+        reference_score(inst, set(s_sel) | set(t_sel))
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,3 +138,96 @@ def test_selected_members_always_fully_covered(data):
         for local, photo in enumerate(q.members):
             if int(photo) in sel:
                 assert cov[local] == pytest.approx(1.0)
+
+
+# ------------------------------------- the evaluators against the oracle
+#
+# score, score_breakdown and fidelity_score read one CoverageState; the
+# per-subset loops in tests/oracles/coverage.py must give the same bits.
+
+
+def _assert_scores_match_oracle(inst, selection):
+    assert score(inst, selection) == reference_score(inst, selection)
+    assert score_breakdown(inst, selection) == reference_score_breakdown(
+        inst, selection
+    )
+
+
+def _assert_fidelity_score_matches_oracle(inst, catalog, chosen):
+    assert fidelity_score(inst, catalog, chosen) == reference_fidelity_score(
+        inst, catalog, chosen
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    retained=st.sampled_from([0, 3]),
+    data=st.data(),
+)
+def test_evaluators_equal_the_oracle_on_random_instances(seed, retained, data):
+    inst = random_instance(seed=seed, retained=retained)
+    ids = st.integers(0, inst.n - 1)
+    _assert_scores_match_oracle(inst, data.draw(st.lists(ids, max_size=2 * inst.n)))
+    catalog = VariantCatalog.default(inst.costs)
+    chosen = {
+        p: data.draw(st.sampled_from(catalog.variants_of(p)))
+        for p in sorted(data.draw(st.sets(ids)))
+    }
+    _assert_fidelity_score_matches_oracle(inst, catalog, chosen)
+
+
+def _ecommerce():
+    dataset = generate_ecommerce_dataset("Fashion", 140, n_queries=11, seed=1000)
+    return dataset.instance(dataset.total_cost() * 0.35)
+
+
+def _public(tau, method="exact"):
+    dataset = generate_public_dataset(400, 30, seed=2)
+    inst = dataset.instance(dataset.total_cost() * 0.3)
+    if tau:
+        inst, _ = sparsify_instance(
+            inst, tau, method=method, rng=np.random.default_rng(0)
+        )
+    return inst
+
+
+def _fused(dtype):
+    costs, emb = synthetic_archive(5_000, dim=16, seed=0)
+    inst, _ = build_streamed_instance(
+        costs, emb, float(costs.sum()) * 0.1, tau=0.8, rng=0, dtype=dtype
+    )
+    return inst
+
+
+#: One instance of each kind the generators, sparsifiers and builder make.
+_KINDS = {
+    "figure1": lambda: figure1_instance(4.0),
+    "ecommerce": _ecommerce,
+    "public-dense": lambda: _public(0.0),
+    "public-exact": lambda: _public(0.5),
+    "public-lsh": lambda: _public(0.5, "lsh"),
+    "fused-float64": lambda: _fused(np.float64),
+    "fused-float32": lambda: _fused(np.float32),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_evaluators_equal_the_oracle_on_every_instance_kind(kind):
+    inst = _KINDS[kind]()
+    rng = np.random.default_rng(0)
+    for selection in (
+        main_algorithm(inst).selection,
+        rng.choice(inst.n, size=inst.n // 2, replace=False).tolist(),
+        range(inst.n),
+    ):
+        _assert_scores_match_oracle(inst, selection)
+    catalog = VariantCatalog.default(inst.costs)
+    assignments = [
+        {p: int(rng.choice(catalog.variants_of(p))) for p in range(inst.n)},
+        {p: catalog.original_of(p) for p in range(0, inst.n, 3)},
+    ]
+    if inst.n <= 1_000:
+        assignments.append(fidelity_main(inst, catalog).chosen)
+    for chosen in assignments:
+        _assert_fidelity_score_matches_oracle(inst, catalog, chosen)

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.solver import Solution, available_algorithms, solve
-from repro.core.objective import score
 from repro.errors import ConfigurationError
 
 from tests.conftest import random_instance
+from tests.oracles.coverage import reference_score
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestRegistry:
@@ -35,7 +43,7 @@ class TestSolve:
     def test_every_algorithm_returns_feasible_solution(self, figure1, algorithm):
         sol = solve(figure1, algorithm, rng=np.random.default_rng(0))
         assert figure1.feasible(sol.selection)
-        assert sol.value == pytest.approx(score(figure1, sol.selection))
+        assert sol.value == pytest.approx(reference_score(figure1, sol.selection))
         assert sol.cost <= figure1.budget
         assert sol.algorithm == algorithm
         assert sol.elapsed_seconds >= 0.0
@@ -81,3 +89,41 @@ class TestSolve:
         assert "mode" in sol.extras and "evaluations" in sol.extras
         exact = solve(figure1, "bruteforce")
         assert exact.extras.get("exact") is True
+
+
+#: A 12,000-member sparse chain, one subset: past 10,000 elements a
+#: threaded BLAS sums one ``ddot`` in a thread-count-dependent order.
+_CHAIN_SOLVE = """
+import json
+import numpy as np
+from repro.core.instance import PARInstance, PredefinedSubset, SparseSimilarity
+from repro.core.solver import solve
+
+n = 12_000
+rng = np.random.default_rng(0)
+costs = rng.uniform(0.5, 2.0, size=n)
+ids = np.arange(n)
+sim = SparseSimilarity.from_pairs(n, ids[:-1], ids[1:], rng.uniform(0.2, 0.9, n - 1))
+chain = PredefinedSubset("chain", 1.0, ids, rng.uniform(0.1, 1.0, size=n), sim)
+sol = solve(PARInstance(costs, [chain], float(costs.sum()) * 0.3), certificate=True)
+print(json.dumps([sol.selection, sol.value.hex(), sol.ratio_certificate.hex()]))
+"""
+
+
+def test_reported_value_does_not_depend_on_the_blas_thread_count():
+    answers = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _CHAIN_SOLVE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        answers.append(json.loads(done.stdout))
+    assert answers[0] == answers[1]

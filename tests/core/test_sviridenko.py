@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.bruteforce import branch_and_bound
-from repro.core.objective import score
 from repro.core.sviridenko import sviridenko
 
 from tests.conftest import random_instance
+from tests.oracles.coverage import reference_score
 
 _ONE_MINUS_1_OVER_E = 1.0 - 1.0 / np.e
 
@@ -44,7 +44,9 @@ class TestSviridenko:
 
     def test_value_matches_selection(self, small_instance):
         result = sviridenko(small_instance)
-        assert result.value == pytest.approx(score(small_instance, result.selection))
+        assert result.value == pytest.approx(
+            reference_score(small_instance, result.selection)
+        )
 
     def test_counts_seeds(self, figure1):
         result = sviridenko(figure1)

@@ -8,19 +8,35 @@ neighbour list with ``similarity.neighbors()``, and sums
 incidence CSR, in C or in numpy.  It must agree with this loop bit for
 bit, on every gain, add, coverage vector and checkpoint, and tests and
 the kernel bench check that against :class:`ReferenceCoverageState`.
+
+:func:`reference_score`, :func:`reference_score_breakdown` and
+:func:`reference_fidelity_score` evaluate a finished selection the same
+way, from scratch: per subset, ``np.maximum.at`` over each selected
+member's neighbour list, then ``W(q)·(R(q)·best)``.  They are the oracle
+for :func:`~repro.core.objective.score`,
+:func:`~repro.core.objective.score_breakdown`,
+:func:`~repro.fidelity.solver.fidelity_score` and every solver's
+reported ``value``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.core.greedy import CB, UC, GreedyRun, lazy_greedy
 from repro.core.instance import PARInstance
 from repro.core.objective import CoverageState
+from repro.errors import ValidationError
 
-__all__ = ["ReferenceCoverageState", "reference_main_algorithm"]
+__all__ = [
+    "ReferenceCoverageState",
+    "reference_main_algorithm",
+    "reference_score",
+    "reference_score_breakdown",
+    "reference_fidelity_score",
+]
 
 
 class ReferenceCoverageState(CoverageState):
@@ -90,3 +106,60 @@ def reference_main_algorithm(instance: PARInstance) -> GreedyRun:
     winner = cb if cb.value >= uc.value else uc
     winner.evaluations = uc.evaluations + cb.evaluations
     return winner
+
+
+def reference_score(instance: PARInstance, selection: Iterable[int]) -> float:
+    """``G(S)`` from scratch (quadratic in subset size)."""
+    return sum(contrib for _, contrib in _subset_contributions(instance, selection))
+
+
+def reference_score_breakdown(
+    instance: PARInstance, selection: Iterable[int]
+) -> Dict[str, float]:
+    """Per-subset weighted contributions ``{subset_id: W(q) · G(q, S)}``."""
+    return {
+        instance.subsets[qi].subset_id: contrib
+        for qi, contrib in _subset_contributions(instance, selection)
+    }
+
+
+def _subset_contributions(
+    instance: PARInstance, selection: Iterable[int]
+) -> List[Tuple[int, float]]:
+    sel = set(int(p) for p in selection)
+    out: List[Tuple[int, float]] = []
+    for qi, subset in enumerate(instance.subsets):
+        local_selected = [
+            j for j, photo_id in enumerate(subset.members) if int(photo_id) in sel
+        ]
+        if not local_selected:
+            out.append((qi, 0.0))
+            continue
+        best = np.zeros(len(subset), dtype=np.float64)
+        for j in local_selected:
+            idx, sims = subset.similarity.neighbors(j)
+            np.maximum.at(best, idx, sims)
+        out.append((qi, float(subset.weight * (subset.relevance @ best))))
+    return out
+
+
+def reference_fidelity_score(
+    instance: PARInstance, catalog, chosen: Dict[int, int]
+) -> float:
+    """The exclusive objective ``G(A)`` from scratch; ``chosen`` maps photo
+    id → variant id of ``catalog`` (a :class:`repro.fidelity.VariantCatalog`)."""
+    total = 0.0
+    for subset in instance.subsets:
+        best = np.zeros(len(subset), dtype=np.float64)
+        for j, photo_id in enumerate(subset.members):
+            vid = chosen.get(int(photo_id))
+            if vid is None:
+                continue
+            if not catalog.indptr[photo_id] <= vid < catalog.indptr[photo_id + 1]:
+                raise ValidationError(
+                    f"variant {vid} does not belong to photo {photo_id}"
+                )
+            idx, sims = subset.similarity.neighbors(j)
+            np.maximum.at(best, idx, float(catalog.fidelity[vid]) * sims)
+        total += float(subset.weight * (subset.relevance @ best))
+    return total

@@ -19,6 +19,7 @@ from repro.sparsify.threshold import threshold_sparsify
 
 from tests.conftest import random_instance
 from tests.oracles.compression import expand_with_compression
+from tests.oracles.coverage import reference_score
 
 
 def _dense_thresholded(inst, tau):
@@ -91,5 +92,5 @@ def test_maintenance_over_sparse_backend():
     sparse, _ = threshold_sparsify(inst, 0.4)
     result = warm_resolve(sparse, list(range(0, 14, 2)))
     assert sparse.feasible(result.selection)
-    assert result.value == pytest.approx(score(sparse, result.selection))
+    assert result.value == pytest.approx(reference_score(sparse, result.selection))
 

@@ -1,12 +1,17 @@
 """Every solve path gives the same answer for the same instance.
 
-One instance, five ways in: an inline ``POST /solve`` parsed by the
+One instance, eight ways in: an inline ``POST /solve`` parsed by the
 native scanner (ndarray leaves), the same request with the native
 library unavailable (list leaves), ``PUT`` then a ``by_ref`` solve (the
-warm cache's shared-memory view instance), ``POST /jobs`` and a wait,
-and an in-process ``solve`` of the instance as built (the
-``PARInstance.from_photos`` path ``phocus solve`` takes for datasets).
-Selections and values must be identical, not merely close.  A live
+warm cache's shared-memory view instance), ``POST /jobs`` and a wait, a
+``/solve`` through a brownout policy that answers at full quality,
+``PHOcus(...).run`` (what ``phocus solve`` runs), and an in-process
+``solve`` of the instance as built (the ``PARInstance.from_photos`` path
+``phocus solve`` takes for datasets).  Each is asked once plainly and once
+with ``certificate: true``; selections, values and certificates must be
+identical, not merely close, and ``/score`` of the selection must report
+the same value.  A ``budgets`` sweep job on two worker processes must give,
+per budget, the certified in-process solve at that budget.  A live
 archive's cold re-solve must likewise equal an inline solve of the
 document ``GET`` returns for it, and so must a ``by_ref`` solve of a live
 archive whose latest uploads are still in the store's log.
@@ -26,8 +31,10 @@ from repro.datasets.ecommerce import generate_ecommerce_dataset
 from repro.datasets.public import generate_public_dataset
 from repro.jobs import JobManager
 from repro.live import LiveManager
+from repro.resilience import BrownoutPolicy, Resilience
 from repro.scale import synthetic_archive
 from repro.sparsify.threshold import threshold_sparsify
+from repro.system.phocus import PHOcus, PhocusConfig
 from repro.system.service import ServiceContext, handle_request
 from repro.tenants import Tenants
 
@@ -62,7 +69,7 @@ def service(tmp_path_factory):
 
 
 def _answer(doc):
-    return list(doc["selection"]), doc["value"]
+    return list(doc["selection"]), doc["value"], doc.get("ratio_certificate")
 
 
 def _post(path, doc, **collaborators):
@@ -72,20 +79,11 @@ def _post(path, doc, **collaborators):
     return payload
 
 
-def _inline(instance_doc):
-    return _answer(_post("/solve", {"instance": instance_doc}))
+def _inline(instance_doc, **fields):
+    return _answer(_post("/solve", {"instance": instance_doc, **fields}))
 
 
-@pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_every_path_gives_the_same_answer(service, monkeypatch, name):
-    instance = INSTANCES[name]()
-    doc = instance_to_dict(instance)
-    answers = {}
-
-    in_process = solve(instance, "phocus")
-    answers["in-process"] = (list(in_process.selection), in_process.value)
-    answers["inline-scanner"] = _inline(doc)
-
+def _put(service, name, doc):
     status, _ = handle_request(
         "PUT",
         f"/tenants/acme/instances/{name}",
@@ -93,20 +91,70 @@ def test_every_path_gives_the_same_answer(service, monkeypatch, name):
         ServiceContext(tenants=service["tenants"]),
     )
     assert status in (200, 201)
-    by_ref = {"by_ref": {"tenant": "acme", "instance_id": name}}
-    answers["by-ref-cold"] = _answer(_post("/solve", by_ref, tenants=service["tenants"]))
-    answers["by-ref-warm"] = _answer(_post("/solve", by_ref, tenants=service["tenants"]))
 
-    submitted = _post("/jobs", {"instance": doc}, jobs=service["jobs"])
-    finished = service["jobs"].wait(submitted["job_id"], timeout=60)
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_every_path_gives_the_same_answer(service, monkeypatch, name):
+    instance = INSTANCES[name]()
+    doc = instance_to_dict(instance)
+    for certificate in (False, True):
+        fields = {"certificate": certificate}
+        in_process = solve(instance, "phocus", certificate=certificate)
+        want = _answer(vars(in_process))
+        answers = {"inline-scanner": _inline(doc, **fields)}
+
+        _put(service, name, doc)  # a new version: the first lease is cold
+        by_ref = {"by_ref": {"tenant": "acme", "instance_id": name}, **fields}
+        tenants = service["tenants"]
+        answers["by-ref-cold"] = _answer(_post("/solve", by_ref, tenants=tenants))
+        answers["by-ref-warm"] = _answer(_post("/solve", by_ref, tenants=tenants))
+
+        submitted = _post("/jobs", {"instance": doc, **fields}, jobs=service["jobs"])
+        finished = service["jobs"].wait(submitted["job_id"], timeout=60)
+        assert finished["state"] == "SUCCEEDED", finished
+        answers["job"] = _answer(service["jobs"].result(submitted["job_id"]))
+
+        brownout = Resilience(brownout=BrownoutPolicy())
+        full = _post(
+            "/solve",
+            {"instance": doc, "degraded_ok": True, **fields},
+            resilience=brownout,
+        )
+        assert "degraded" not in full
+        answers["brownout-full"] = _answer(full)
+
+        report = PHOcus(PhocusConfig(certificate=certificate)).run(instance)
+        answers["phocus-run"] = _answer(vars(report.solution))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "library", lambda: None)
+            answers["inline-lists"] = _inline(doc, **fields)
+
+        assert {path: got for path, got in answers.items() if got != want} == {}
+        scored = _post("/score", {"instance": doc, "selection": want[0]})
+        assert scored["value"] == want[1]
+
+
+def test_a_parallel_sweep_member_equals_a_certified_solve_at_its_budget(service):
+    instance = INSTANCES["public"]()
+    budgets = [instance.budget * 0.5, instance.budget]
+    submitted = _post(
+        "/jobs",
+        {
+            "instance": instance_to_dict(instance),
+            "budgets": budgets,
+            "parallel_workers": 2,
+            "certificate": True,
+        },
+        jobs=service["jobs"],
+    )
+    finished = service["jobs"].wait(submitted["job_id"], timeout=120)
     assert finished["state"] == "SUCCEEDED", finished
-    answers["job"] = _answer(service["jobs"].result(submitted["job_id"]))
-
-    monkeypatch.setattr(native, "library", lambda: None)
-    answers["inline-lists"] = _inline(doc)
-
-    want = answers["in-process"]
-    assert {path: got for path, got in answers.items() if got != want} == {}
+    members = service["jobs"].result(submitted["job_id"])["solutions"]
+    assert len(members) == len(budgets)
+    for budget, member in zip(budgets, members):
+        want = solve(instance.with_budget(budget), "phocus", certificate=True)
+        assert _answer(member) == _answer(vars(want))
 
 
 def test_live_cold_resolve_equals_inline_solve_of_its_document(service):
@@ -130,7 +178,9 @@ def test_live_cold_resolve_equals_inline_solve_of_its_document(service):
     )
     assert status == 200
     cold = created["solution"]  # cold_resolve's answer, in pick order
-    assert _inline(envelope["instance"]) == (sorted(cold["selection"]), cold["value"])
+    assert _inline(envelope["instance"]) == (
+        sorted(cold["selection"]), cold["value"], None
+    )
 
 
 def test_live_by_ref_with_a_logged_upload_equals_inline_solve_of_get(service):

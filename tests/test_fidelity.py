@@ -4,7 +4,7 @@ Covers the acceptance criteria of the ``repro.fidelity`` subsystem:
 
 * the exclusive solver selects **at most one variant per photo**, stays
   within budget, and its incremental value agrees with the from-scratch
-  :func:`repro.fidelity.solver.fidelity_score` oracle;
+  ``reference_fidelity_score`` oracle (``tests/oracles/coverage.py``);
 * a trivial (originals-only) catalog reproduces the discard-only
   ``lazy_greedy`` **bit for bit** — selection, value, cost, picks, and
   evaluation count — for both UC and CB;
@@ -35,11 +35,11 @@ from repro.fidelity import (
     VariantCatalog,
     budget_frontier,
     fidelity_main,
-    fidelity_score,
 )
 from repro.scale import build_streamed_instance, synthetic_archive
 
 from tests.oracles.compression import deduplicate_variants, expand_with_compression
+from tests.oracles.coverage import reference_fidelity_score
 
 LEVELS = [(0.85, 0.45), (0.6, 0.22)]
 
@@ -182,7 +182,7 @@ def test_exclusive_choice_feasibility_and_oracle(seed, frac):
 
     # The incrementally tracked value agrees with the scratch oracle.
     assert run.value == pytest.approx(
-        fidelity_score(instance, catalog, run.chosen), rel=1e-9
+        reference_fidelity_score(instance, catalog, run.chosen), rel=1e-9
     )
 
 
@@ -228,7 +228,7 @@ def _brute_force_opt(instance, catalog):
         cost = float(sum(catalog.cost[v] for v in chosen.values()))
         if cost > instance.budget * (1 + 1e-12):
             continue
-        best = max(best, fidelity_score(instance, catalog, chosen))
+        best = max(best, reference_fidelity_score(instance, catalog, chosen))
     return best
 
 
@@ -299,7 +299,7 @@ def test_exclusive_value_dominates_flat_expansion(seed, frac):
     expanded, vmap = expand_with_compression(instance, LEVELS)
     flat = main_algorithm(expanded)
     dedup = deduplicate_variants(flat.selection, vmap)
-    flat_value = fidelity_score(
+    flat_value = reference_fidelity_score(
         instance, catalog, _flat_to_exclusive(dedup, vmap, catalog)
     )
 

@@ -15,6 +15,8 @@ from repro.storage.workload import replay_page_workload
 from repro.study.manual import simulated_analyst
 from repro.system.phocus import PHOcus, PhocusConfig
 
+from tests.oracles.coverage import reference_score
+
 
 @pytest.fixture(scope="module")
 def public_dataset():
@@ -126,7 +128,9 @@ class TestServiceRoundTrip:
             with urllib.request.urlopen(req) as resp:
                 remote = json.loads(resp.read())
         assert inst.feasible(remote["selection"])
-        assert remote["value"] == pytest.approx(score(inst, remote["selection"]))
+        assert remote["value"] == pytest.approx(
+            reference_score(inst, remote["selection"])
+        )
         # The remote result feeds straight into the analyst report.
         report = PHOcus(PhocusConfig(certificate=False)).run(inst)
         page = render_report_html(report, inst)

@@ -34,6 +34,7 @@ from repro.faults.plan import FaultPlan, ProcessKilled
 from repro.jobs.store import InMemoryJobStore
 
 from tests.conftest import random_instance
+from tests.oracles.coverage import reference_score
 
 
 def _spec(job_id="j1", tenant="default", **kwargs) -> JobSpec:
@@ -869,13 +870,13 @@ class TestBudgetSweeps:
         )
         assert doc["sparsify"] is not None
         assert 0.0 < doc["sparsify"]["kept_fraction"] <= 1.0
-        from repro.core.objective import score
-
         for member in doc["solutions"]:
             # True-value scoring: sweep members report the objective of their
             # selection on the original (unsparsified) instance, not the
             # sparsified solver instance.
-            assert member["value"] == score(instance, member["selection"])
+            assert member["value"] == reference_score(
+                instance, member["selection"]
+            )
             cert = member["ratio_certificate"]
             assert cert is not None and 0.0 < cert <= 1.0
 

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.core.greedy import main_algorithm
 from repro.core.instance import PARInstance, Photo, PredefinedSubset, SparseSimilarity
-from repro.core.objective import score
 from repro.core.parallel import SharedInstance
 from repro.core.serialize import instance_from_dict, instance_to_dict, json_default
 from repro.core.solver import solve
@@ -39,6 +38,7 @@ from repro.live.resolve import _removal_loss, shrink_to_budget
 from repro.scale import build_streamed_instance, synthetic_archive
 
 from tests.conftest import random_instance
+from tests.oracles.coverage import reference_score
 
 
 def _sim_equal(a: SparseSimilarity, b: SparseSimilarity) -> bool:
@@ -407,7 +407,7 @@ def test_warm_resolve_regret_bound_property(k):
         # The warm result is a real feasible solution of the grown instance.
         assert warm.cost <= grown.instance.budget * (1 + 1e-9)
         assert warm.value == pytest.approx(
-            score(grown.instance, warm.selection), abs=1e-9
+            reference_score(grown.instance, warm.selection), abs=1e-9
         )
 
 
@@ -469,7 +469,8 @@ def test_warm_resolve_drops_stale_ids():
 def test_removal_loss_matches_score_difference(figure1):
     sel = [0, 1, 4, 5]
     for p in sel:
-        expected = score(figure1, sel) - score(figure1, [x for x in sel if x != p])
+        rest = [x for x in sel if x != p]
+        expected = reference_score(figure1, sel) - reference_score(figure1, rest)
         assert _removal_loss(figure1, sel, p) == pytest.approx(expected), f"p{p+1}"
 
 
@@ -493,7 +494,7 @@ def test_shrink_quality_close_to_cold_solve():
     for seed in range(5):
         inst = random_instance(seed=seed, n_photos=16, n_subsets=5, budget_fraction=0.4)
         shrunk = shrink_to_budget(inst, list(range(inst.n)))
-        assert score(inst, shrunk) >= 0.8 * solve(inst, "phocus").value
+        assert reference_score(inst, shrunk) >= 0.8 * solve(inst, "phocus").value
 
 
 def test_shrink_never_evicts_retained():
@@ -528,7 +529,8 @@ def test_shrink_always_feasible_and_loss_bounded(inst, frac):
 def test_removal_loss_is_exact(inst):
     sel = list(range(0, inst.n, 2))
     for p in sel[:4]:
-        expected = score(inst, sel) - score(inst, [x for x in sel if x != p])
+        rest = [x for x in sel if x != p]
+        expected = reference_score(inst, sel) - reference_score(inst, rest)
         assert _removal_loss(inst, sel, p) == pytest.approx(expected)
 
 

@@ -15,6 +15,7 @@ from repro.obs import probes
 from repro.system.service import PhocusService, handle_request
 
 from tests.conftest import random_instance
+from tests.oracles.coverage import reference_score
 
 
 def _body(payload) -> bytes:
@@ -58,10 +59,8 @@ class TestDispatcher:
         assert payload["sparsify"]["tau"] == 0.5
         assert payload["sparsify"]["kept_fraction"] <= 1.0
         # Values are reported on the TRUE objective.
-        from repro.core.objective import score
-
         assert payload["value"] == pytest.approx(
-            score(small_instance, payload["selection"])
+            reference_score(small_instance, payload["selection"])
         )
 
     def test_solve_with_algorithm_choice(self, figure1):

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.paper_example import figure1_instance
+from repro.core.serialize import instance_to_dict
 from repro.jobs import JobManager
 from repro.live import LiveManager
 from repro.scale import synthetic_archive
@@ -56,6 +58,42 @@ def test_score_never_500s_on_arbitrary_json(doc):
     body = json.dumps(doc).encode("utf-8")
     status, payload = handle_request("POST", "/score", body)
     assert status in (200, 400, 422), f"unexpected status {status}: {payload}"
+
+
+_FIGURE1 = instance_to_dict(figure1_instance(4.0))
+
+
+def _score(selection):
+    body = json.dumps({"instance": _FIGURE1, "selection": selection})
+    return handle_request("POST", "/score", body.encode("utf-8"))
+
+
+#: Selections that answered 500 (out of range, fractional, int64 overflow,
+#: not a number, nested), or 200 with a negative index's cost or a repeat
+#: billed twice, before the route checked them.
+BAD_SELECTIONS = [[99], [1.5], [1e30], ["a"], [None], [[1]], [-1], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("selection", BAD_SELECTIONS, ids=repr)
+def test_malformed_score_selection_is_422_naming_it(selection):
+    status, payload = _score(selection)
+    assert status == 422, payload
+    assert "'selection'" in payload["error"]
+
+
+def test_integral_float_selection_ids_read_as_ints():
+    assert _score([1.0, 4.0]) == _score([1, 4])
+    assert _score([1, 4])[0] == 200
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    selection=json_values
+    | st.lists(st.integers(-2, 8) | st.floats(-2, 8) | json_values, max_size=8)
+)
+def test_score_never_500s_on_an_arbitrary_selection(selection):
+    status, payload = _score(selection)
+    assert status in (200, 422), f"unexpected status {status}: {payload}"
 
 
 @settings(max_examples=60, deadline=None)

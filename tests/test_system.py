@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.instance import Photo
-from repro.core.objective import score
 from repro.errors import ConfigurationError, ValidationError
 from repro.images.exif import synthesize_event_exif
 from repro.system.phocus import (
@@ -17,6 +16,7 @@ from repro.system.phocus import (
 )
 
 from tests.conftest import random_instance
+from tests.oracles.coverage import reference_score
 
 
 def _photos_with_embeddings(n=10, seed=0):
@@ -131,7 +131,7 @@ class TestPHOcusPipeline:
         assert isinstance(report, ArchiveReport)
         sol = report.solution
         assert small_instance.feasible(sol.selection)
-        assert sol.value == pytest.approx(score(small_instance, sol.selection))
+        assert sol.value == pytest.approx(reference_score(small_instance, sol.selection))
         assert report.retained_count + report.archived_count == small_instance.n
         assert sum(report.subset_scores.values()) == pytest.approx(sol.value)
 
@@ -153,7 +153,7 @@ class TestPHOcusPipeline:
         assert report.sparsification_guarantee is not None
         # The reported value must be the TRUE score, not the sparsified one.
         assert report.solution.value == pytest.approx(
-            score(small_instance, report.solution.selection)
+            reference_score(small_instance, report.solution.selection)
         )
 
     def test_lsh_sparsified_run(self, small_instance):
