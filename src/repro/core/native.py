@@ -1,6 +1,7 @@
-"""Native kernels: the coverage kernel and the JSON float-array scanner.
+"""Native kernels: the coverage kernel, the JSON float-array scanner and
+the LSH candidate emitter.
 
-Two C sources build into one shared library, compiled once per machine
+Three C sources build into one shared library, compiled once per machine
 with the system ``gcc`` into a per-user cache and loaded through cffi's
 out-of-line ABI mode, lazily, on first use — ``import repro`` never pays
 for it.
@@ -17,12 +18,18 @@ for it.
 * ``native_json.c`` finds and converts the flat float arrays of a JSON
   text for :func:`repro.core.serialize.loads` (:func:`scan_json`), which
   parses with ``json.loads`` alone when the library is unavailable.
+* ``native_lsh.c`` sorts each LSH band's bucket keys, emits every
+  bucket's pairs and dedups them across bands for
+  :func:`repro.scale.lsh_candidate_keys` (:func:`candidate_emitter`),
+  which runs its numpy emitter when the library is unavailable; both
+  return the same keys, byte for byte.
 
 The library is unavailable, with one logged warning per process, when
 cffi is missing, ``gcc`` is missing or fails, or the cache cannot be
 written or is not this user's.  The coverage kernel alone also falls
 back, with its own warning, when no BLAS ddot is found or the ddot
-self-check fails; the scanner does not need ddot.  Cache rules: the
+self-check fails; the scanner and the emitter do no floating point and
+need no ddot.  Cache rules: the
 directory is created with mode 0700, builds go to a temporary file that
 is ``os.replace``-d into place (concurrent builders never expose a
 partial library), and a file the current user does not own is never
@@ -42,24 +49,37 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.instance import IncidenceCSR
 
-__all__ = ["NativeCoverage", "bind", "kernel", "scan_json"]
+__all__ = [
+    "CandidateEmitter",
+    "NativeCoverage",
+    "bind",
+    "candidate_emitter",
+    "kernel",
+    "scan_json",
+]
 
 _log = logging.getLogger(__name__)
 
 _SOURCES = tuple(
-    Path(__file__).with_name(name) for name in ("native_coverage.c", "native_json.c")
+    Path(__file__).with_name(name)
+    for name in ("native_coverage.c", "native_json.c", "native_lsh.c")
 )
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # cblas_ddot spellings, most specific first; a ``64_`` suffix marks the
 # ILP64 (int64 lengths and strides) interface.
 _DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot", "cblas_ddot")
 _SELF_CHECK_LENGTHS = range(1, 258)
+#: Members per BLAS dot product, in both coverage kernels and in
+#: ``CoverageState.subset_value``.  A threaded BLAS sums a longer
+#: ``ddot`` in an order that depends on its thread count; a dot of at
+#: most this many members runs as one call and keeps its bits.
+DOT_CHUNK = 10_000
 
 
 class KernelUnavailable(RuntimeError):
@@ -85,11 +105,11 @@ _load_lock = threading.Lock()
 
 
 class _Library:
-    """The loaded shared library and what its two users need from it.
+    """The loaded shared library and what its users need from it.
 
     Each user's own set-up runs on its first call, so a process that
     only solves never builds the scanner's table, and one that only
-    parses never looks for a BLAS ddot.
+    parses or builds never looks for a BLAS ddot.
     """
 
     __slots__ = ("ffi", "lib", "_coverage", "_scanner")
@@ -346,6 +366,145 @@ def scan_json(raw: bytes) -> Optional[Tuple[memoryview, List[int], np.ndarray]]:
     )
 
 
+# ------------------------------------------------------ candidate emitter
+
+
+def _c_array(a: np.ndarray, dtype, shape: Tuple[int, ...], what: str) -> None:
+    if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
+        raise ValueError(
+            f"{what} must be a C-contiguous {np.dtype(dtype).name} array "
+            f"of shape {shape}"
+        )
+
+
+class CandidateEmitter:
+    """One native emitter pass over the bands of ``n`` photos.
+
+    Feed it every band's bucket keys in band order with :meth:`add_band`,
+    then take the candidate keys with :meth:`pair_keys`.  After each
+    :meth:`add_band`, ``order[b]`` holds the band's photo ids in stable
+    key order (``np.argsort(keys, kind="stable")``) and ``sorted_keys``
+    the band's keys in that order, until the next band overwrites it.
+    Every array the C code reads or writes is allocated or checked here.
+    """
+
+    __slots__ = (
+        "n", "bands", "order", "sorted_keys", "_lib", "_ffi", "_ctx", "_keep", "_added",
+    )
+
+    def __init__(
+        self, loaded: _Library, n: int, bands: int, order: Optional[np.ndarray]
+    ) -> None:
+        if order is None:
+            order = np.empty((bands, n), dtype=np.int32)
+        _c_array(order, np.int32, (bands, n), "order")
+        if not order.flags.writeable:
+            raise ValueError("order must be writable")
+        ffi = loaded.ffi
+        self.n, self.bands, self.order = n, bands, order
+        self.sorted_keys = np.empty(n, dtype=np.uint64)
+        # Zeroed, so a band's spans are empty until its keys arrive.
+        spans = np.zeros((bands, n, 2), dtype=np.int32)
+        arrays = (
+            (order, "int32_t[]"),
+            (spans, "int32_t[]"),
+            (self.sorted_keys, "uint64_t[]"),
+            (np.empty(n, dtype=np.uint64), "uint64_t[]"),
+            (np.empty(n, dtype=np.int32), "int32_t[]"),
+            (np.empty(1 << 16, dtype=np.int32), "int32_t[]"),
+            (np.zeros((n + 63) // 64, dtype=np.uint64), "uint64_t[]"),
+        )
+        pointers = tuple(
+            ffi.from_buffer(kind, a, require_writable=True) for a, kind in arrays
+        )
+        ctx = ffi.new("phocus_lsh *")
+        ctx.n, ctx.bands = n, bands
+        (
+            ctx.order,
+            ctx.spans,
+            ctx.sorted_keys,
+            ctx.tmp_keys,
+            ctx.tmp_order,
+            ctx.counts,
+            ctx.bits,
+        ) = pointers
+        self._lib, self._ffi, self._ctx = loaded.lib, ffi, ctx
+        self._keep = pointers  # each keeps its array alive
+        self._added = 0
+
+    def add_band(self, keys: np.ndarray, bound: int) -> None:
+        """Sort the next band's ``keys`` (``n`` integers in ``[0, bound)``)."""
+        if self._added == self.bands:
+            raise ValueError(f"all {self.bands} bands were already added")
+        if keys.dtype not in (np.uint64, np.int64):
+            raise ValueError(f"band keys must be 64-bit integers, got {keys.dtype}")
+        _c_array(keys, keys.dtype, (self.n,), "band keys")
+        if not 1 <= bound <= 1 << 64:
+            raise ValueError(f"key bound {bound} is outside [1, 2**64]")
+        negative = keys.dtype == np.int64 and keys.size and int(keys.min()) < 0
+        if negative or (keys.size and int(keys.max()) >= bound):
+            raise ValueError(f"band keys must lie in [0, {bound})")
+        keys_ptr = self._ffi.from_buffer("uint64_t[]", keys.view(np.uint64))
+        key_bits = (bound - 1).bit_length()
+        self._lib.phocus_lsh_band(self._ctx, self._added, keys_ptr, key_bits)
+        self._added += 1
+
+    def pair_keys(
+        self, chunk_pairs: int, on_batch: Optional[Callable[[int], None]] = None
+    ) -> np.ndarray:
+        """Every band's pairs ``i * n + j`` (``i < j``), sorted and unique.
+
+        One walk counts each row's pairs, so the result is allocated at
+        its exact size.  A second writes the rows in blocks of about
+        ``chunk_pairs`` emitted pairs (``on_batch(count)`` fires before
+        each); every pair two bands share is emitted twice but kept once.
+        """
+        if self._added != self.bands:
+            raise ValueError(f"{self._added} of {self.bands} bands were added")
+        ffi, lib, n = self._ffi, self._lib, self.n
+        emitted = np.empty(n, dtype=np.int64)
+        total = lib.phocus_lsh_count(
+            self._ctx, ffi.from_buffer("int64_t[]", emitted, require_writable=True)
+        )
+        keys = np.empty(total, dtype=np.int64)
+        out = ffi.from_buffer("int64_t[]", keys, require_writable=True)
+        # Row i opens block (pairs emitted before it) // chunk_pairs.
+        first = np.cumsum(emitted) - emitted
+        block = first // max(int(chunk_pairs), 1)
+        edges = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(), n]
+        written = 0
+        for r0, r1 in zip(edges[:-1], edges[1:]):
+            count = int(emitted[r0:r1].sum())
+            if count == 0:
+                continue
+            if on_batch is not None:
+                on_batch(count)
+            written += lib.phocus_lsh_emit(
+                self._ctx, r0, r1, out + written, max(total - written, 0)
+            )
+        if written != total:
+            raise RuntimeError(f"emitted {written} candidate keys, counted {total}")
+        return keys
+
+
+def candidate_emitter(
+    n: int, bands: int, order: Optional[np.ndarray] = None
+) -> Optional[CandidateEmitter]:
+    """A native :class:`CandidateEmitter` for ``bands`` bands of ``n``
+    photos, or ``None`` when the numpy emitter must serve (no library, or
+    too many photos for its int32 ids).
+
+    ``order``, when given, is the ``(bands, n)`` int32 array that receives
+    each band's stable order.
+    """
+    if not 0 <= n < 1 << 31 or bands < 0:
+        return None
+    loaded = library()
+    if loaded is None:
+        return None
+    return CandidateEmitter(loaded, n, bands, order)
+
+
 # ----------------------------------------------------------- borrowed ddot
 
 
@@ -504,6 +663,7 @@ class NativeCoverage:
         ) = layout.pointers
         ctx.best = best_ptr
         ctx.dot_w, ctx.dot_d, ctx.pending_slots, ctx.pending_sims = scratch
+        ctx.dot_chunk = DOT_CHUNK
         ctx.ddot = loaded.ddot
         ctx.ilp64 = loaded.ilp64
         self.n = layout.n

@@ -8,8 +8,10 @@
  *   - the phi-scale, subtract and compare steps are single IEEE double
  *     operations (built with -ffp-contract=off, so never fused);
  *   - each membership's masked dot product calls the very cblas_ddot
- *     that numpy's `a @ b` dispatches to, passed in as `ddot`, and adds
- *     it to a zero like numpy's DOUBLE_dot does;
+ *     that numpy's `a @ b` dispatches to, passed in as `ddot`, once per
+ *     run of at most `dot_chunk` entries (a threaded BLAS sums a longer
+ *     call in an order that depends on its thread count), and adds the
+ *     calls in order to a zero like numpy's DOUBLE_dot does;
  *   - memberships are summed in ascending subset order.
  */
 #include <stdint.h>
@@ -31,6 +33,7 @@ typedef struct {
     int64_t *pending_slots;             /* writes the last gain implies */
     double *pending_sims;
     int64_t pending;
+    int64_t dot_chunk;                  /* entries per ddot call */
     void *ddot;
     int ilp64;
 } phocus_coverage;
@@ -43,10 +46,14 @@ double phocus_add(phocus_coverage *c, int64_t p, double phi);
 static double masked_dot(const phocus_coverage *c, int64_t n)
 {
     double sum = 0.0;
-    if (c->ilp64)
-        sum += ((phocus_ddot_ilp64)c->ddot)(n, c->dot_w, 1, c->dot_d, 1);
-    else
-        sum += ((phocus_ddot_lp64)c->ddot)((int)n, c->dot_w, 1, c->dot_d, 1);
+    for (int64_t s = 0; s < n; s += c->dot_chunk) {
+        int64_t len = n - s < c->dot_chunk ? n - s : c->dot_chunk;
+        const double *w = c->dot_w + s, *d = c->dot_d + s;
+        if (c->ilp64)
+            sum += ((phocus_ddot_ilp64)c->ddot)(len, w, 1, d, 1);
+        else
+            sum += ((phocus_ddot_lp64)c->ddot)((int)len, w, 1, d, 1);
+    }
     return sum;
 }
 

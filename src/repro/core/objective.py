@@ -60,11 +60,23 @@ __all__ = [
     "max_score",
 ]
 
-#: Members per dot product in :meth:`CoverageState.subset_value`.  A
-#: threaded BLAS sums a longer ``ddot`` in an order that depends on its
-#: thread count; a dot of at most this many members runs as one call, as
-#: before, and keeps its bits.
-DOT_CHUNK = 10_000
+#: Members per dot product in :meth:`CoverageState.subset_value` and in
+#: each membership's gain, on either kernel.  A threaded BLAS sums a
+#: longer ``ddot`` in an order that depends on its thread count; a dot of
+#: at most this many members runs as one call, as before, and keeps its
+#: bits.
+DOT_CHUNK = _native.DOT_CHUNK
+
+
+def _chunked_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` summed over consecutive :data:`DOT_CHUNK`-member chunks,
+    in order, from a zero (one plain call up to ``DOT_CHUNK`` members)."""
+    if a.size <= DOT_CHUNK:
+        return float(a @ b)
+    dot = 0.0
+    for s in range(0, a.size, DOT_CHUNK):
+        dot += a[s : s + DOT_CHUNK] @ b[s : s + DOT_CHUNK]
+    return float(dot)
 
 
 class CoverageState:
@@ -253,7 +265,7 @@ class CoverageState:
         me = inc.photo_member_indptr[p + 1]
         if me - ms == 1:
             return (
-                float(slot_wrel[slots[positive]] @ delta[positive]),
+                _chunked_dot(slot_wrel[slots[positive]], delta[positive]),
                 [(slots, sims, positive)],
             )
         eptr = inc.member_entry_indptr
@@ -264,7 +276,7 @@ class CoverageState:
             pseg = positive[s:e]
             dsel = delta[s:e][pseg]
             if dsel.size:
-                total += float(slot_wrel[slots[s:e][pseg]] @ dsel)
+                total += _chunked_dot(slot_wrel[slots[s:e][pseg]], dsel)
         # The add-replay segment covers the whole entry range at once:
         # memberships live in disjoint subsets, so their slots never
         # collide and one masked assignment equals the per-segment writes.
@@ -347,11 +359,7 @@ class CoverageState:
         ``qi``, its dot summed over consecutive :data:`DOT_CHUNK`-member
         chunks."""
         subset = self.instance.subsets[qi]
-        rel, best = subset.relevance, self._best[qi]
-        dot = 0.0
-        for s in range(0, len(best), DOT_CHUNK):
-            dot += rel[s : s + DOT_CHUNK] @ best[s : s + DOT_CHUNK]
-        return float(subset.weight * dot)
+        return float(subset.weight * _chunked_dot(subset.relevance, self._best[qi]))
 
     def score(self) -> float:
         """``G(S)``: the :meth:`subset_value` terms summed in subset order.

@@ -27,7 +27,7 @@ from time import perf_counter as _perf_counter
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.greedy import lazy_greedy
-from repro.core.instance import PARInstance
+from repro.core.instance import PARInstance, as_ids
 from repro.errors import ValidationError
 from repro.fidelity.catalog import VariantCatalog
 from repro.fidelity.frontier import budget_frontier
@@ -186,6 +186,15 @@ def execute_fidelity_payload(
     }
 
 
+def _chosen_id(value: Any, field: str) -> int:
+    """One ``chosen`` record's ``field``, read by the instance decoder's
+    id rule (``1.0`` is ``1``; ``1.5`` and ``"1"`` are refused)."""
+    ids = as_ids(value, f"chosen {field!r}")
+    if ids.ndim != 0:
+        raise ValidationError(f"chosen {field!r} must be one integer")
+    return int(ids)
+
+
 def score_fidelity_payload(
     policy: Any, *, instance: PARInstance
 ) -> Dict[str, Any]:
@@ -206,11 +215,10 @@ def score_fidelity_payload(
     for rec in records:
         if not isinstance(rec, dict):
             raise ValidationError("each chosen entry must be an object")
-        try:
-            p = int(rec["photo"])
-            slot = int(rec.get("variant", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed chosen entry: {exc!r}") from exc
+        if "photo" not in rec:
+            raise ValidationError("each chosen entry needs a 'photo'")
+        p = _chosen_id(rec["photo"], "photo")
+        slot = _chosen_id(rec.get("variant", 0), "variant")
         if not 0 <= p < instance.n:
             raise ValidationError(f"chosen photo {p} outside 0..{instance.n - 1}")
         if p in chosen:

@@ -496,6 +496,14 @@ class LiveArchive:
             raise ConfigurationError(
                 f"tuned band rows {rows} > 64; pass a smaller n_bits"
             )
+        # The emitter sorts every band's keys for the candidates; the
+        # sorted keys and their order are the base run, so uploads pay
+        # only the merge of their own keys and no band is hashed or
+        # sorted twice.
+        base = _Run(
+            np.empty((bands, n), dtype=_key_dtype(rows)),
+            np.empty((bands, n), dtype=np.int32),
+        )
         instance, report = build_streamed_instance(
             costs,
             embeddings,
@@ -511,17 +519,11 @@ class LiveArchive:
             chunk_pairs=chunk_pairs,
             signature_chunk=signature_chunk,
             keep_embeddings=True,
+            _bucket_index=base,
         )
         hasher = SimHasher(
             embeddings.shape[1], int(n_bits), np.random.default_rng(int(seed))
         )
-        keys = np.empty((bands, n), dtype=_key_dtype(rows))
-        for b in range(bands):
-            keys[b] = _streamed_band_keys(
-                instance.embeddings,
-                hasher.planes[b * rows : (b + 1) * rows],
-                signature_chunk,
-            )
         archive = cls(
             instance,
             tau=tau,
@@ -533,9 +535,7 @@ class LiveArchive:
             subset_id=subset_id,
             weight=weight,
             raw_relevance=np.ones(n, dtype=np.float64),
-            # Sorted now, at build time: uploads then pay only the merge
-            # of their own keys, never an O(n log n) sort.
-            band_keys=(_sorted_run(keys, 0),),
+            band_keys=(base,),
             signature_chunk=signature_chunk,
             chunk_pairs=chunk_pairs,
         )

@@ -14,9 +14,13 @@ observability is armed (``phocus_scalebuild_*`` families):
     and collapsed to one integer bucket key per photo (a single ``uint64``
     for ``rows ≤ 64``, packed bytes above) — the full ``(n, n_bits)``
     signature matrix is never held.  Photos sharing a key become candidate
-    pairs, generated vectorised in batches of at most ``chunk_pairs``
-    pairs, deduplicated across bands with sorted-unique merges.  The
-    resulting candidate set equals the per-band bucket loop of
+    pairs, deduplicated across bands.  The native emitter
+    (``native_lsh.c``) serves whenever the library loads: a stable radix
+    sort per band, then every photo's partners over all bands written
+    once each, in order.  Without a compiler the numpy emitter generates
+    each band's pairs in batches of about ``chunk_pairs`` and merges them
+    with sorted-unique merges.  Both give the same keys, byte for byte,
+    and the candidate set equals the per-band bucket loop of
     ``tests/oracles/lsh.py`` on the same signatures.
 ``verify``
     Exact cosines for the sorted candidate pairs via the shared
@@ -44,6 +48,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import faults
+from repro.core import native
 from repro.core.instance import (
     PARInstance,
     Photo,
@@ -207,6 +212,7 @@ def _emit_band_pairs(
     n: int,
     chunk_pairs: int,
     on_batch: Optional[Callable[[int], None]] = None,
+    order: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Pair keys ``i * n + j`` (i < j) for one band.
 
@@ -215,9 +221,11 @@ def _emit_band_pairs(
     duplicate-free (cross-band dedup is the caller's job).  Pair
     generation is fully vectorised but batched so no temporary exceeds
     ~``chunk_pairs`` entries (a single bucket larger than the chunk still
-    emits in one batch — its pair count is irreducible).
+    emits in one batch — its pair count is irreducible).  ``order`` is
+    ``np.argsort(keys, kind="stable")`` when the caller already has it.
     """
-    order = np.argsort(keys, kind="stable")
+    if order is None:
+        order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     m = keys.size
     # Per sorted position: how many within-bucket partners sit to its right.
@@ -272,6 +280,7 @@ def lsh_candidate_keys(
     signature_chunk: int = DEFAULT_SIGNATURE_CHUNK,
     on_signature_chunk: Optional[Callable[[], None]] = None,
     on_pair_batch: Optional[Callable[[int], None]] = None,
+    _bucket_index: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, float]:
     """Banded SimHash candidate pairs of ``embeddings``, as sorted keys.
 
@@ -280,20 +289,40 @@ def lsh_candidate_keys(
     is the key ``i * n + j``, where ``n = len(embeddings)``.  The keys
     come back sorted and unique, which is the ascending ``(i, j)`` order.
 
-    This is the one LSH pair emitter: the fused builder and
-    ``sparsify_instance(method="lsh")`` both call it.  One band is held
-    at a time: its signatures come in photo chunks of ``signature_chunk``
-    (``on_signature_chunk()`` fires before each), and its pairs come in
-    batches of about ``chunk_pairs`` (``on_pair_batch(count)`` fires
-    before each).  Sorted merges on a geometric schedule keep temporary
-    memory near twice the unique candidate count, never the bands-fold
-    blow-up of one collect-then-unique.  Results do not depend on either chunk
-    size.
+    This is the one LSH pair emitter: the fused builder, ``LiveArchive.
+    create`` and ``sparsify_instance(method="lsh")`` all call it.  Each
+    band's signatures come in photo chunks of ``signature_chunk``
+    (``on_signature_chunk()`` fires before each), and its bucket keys go
+    to one of two emitters that return the same keys, byte for byte:
+
+    * the native emitter (``native_lsh.c``, whenever
+      :func:`repro.core.native.candidate_emitter` loads) sorts each band
+      with a stable radix sort and keeps its order, 12 bytes per photo
+      per band; it then writes every photo's partners across all bands,
+      deduplicated, in photo blocks of about ``chunk_pairs`` emitted pairs
+      (``on_pair_batch(count)`` fires before each) straight into the
+      exactly sized result;
+    * the numpy emitter, without a compiler, holds one band at a time,
+      emits its pairs in batches of about ``chunk_pairs``
+      (``on_pair_batch(count)`` fires before each) and folds them into
+      the result with sorted merges on a geometric schedule.
+
+    Either way temporary memory stays within about twice the unique
+    candidates plus a bounded buffer, never the bands-fold blow-up of one
+    collect-then-unique, and results do not depend on either chunk size.
+
+    ``_bucket_index`` is internal to :meth:`repro.live.LiveArchive.create`:
+    ``(keys, order)``, two ``(bands, n)`` arrays (``order`` int32) that
+    receive every band's keys in stable sorted order and that order.
 
     Returns ``(keys, signature_seconds)``, the second being the time
     spent computing signatures.
     """
     n = embeddings.shape[0]
+    index_keys, index_order = _bucket_index or (None, None)
+    emitter = native.candidate_emitter(n, bands, index_order)
+    # Keys below 2**rows, or group ids below n for rows past a word.
+    bound = 1 << rows if rows <= 64 else n
     sig_seconds = 0.0
     keys = np.zeros(0, dtype=np.int64)
     pending: List[np.ndarray] = []
@@ -307,7 +336,18 @@ def lsh_candidate_keys(
             on_signature_chunk,
         )
         sig_seconds += time.perf_counter() - ts
-        band_pair_keys = _emit_band_pairs(band_keys, n, chunk_pairs, on_pair_batch)
+        if emitter is not None:
+            emitter.add_band(band_keys, bound)
+            if index_keys is not None:
+                index_keys[b] = emitter.sorted_keys
+            continue
+        order = np.argsort(band_keys, kind="stable")
+        if index_keys is not None:
+            index_keys[b] = band_keys[order]
+            index_order[b] = order
+        band_pair_keys = _emit_band_pairs(
+            band_keys, n, chunk_pairs, on_pair_batch, order
+        )
         if band_pair_keys.size:
             pending.append(band_pair_keys)
             pending_count += band_pair_keys.size
@@ -319,6 +359,8 @@ def lsh_candidate_keys(
         if pending and pending_count >= max(keys.size, 8 * chunk_pairs):
             keys = _sorted_dedup(np.concatenate([keys] + pending))
             pending, pending_count = [], 0
+    if emitter is not None:
+        return emitter.pair_keys(chunk_pairs, on_pair_batch), sig_seconds
     if pending:
         keys = _sorted_dedup(np.concatenate([keys] + pending))
     return keys, sig_seconds
@@ -342,6 +384,7 @@ def build_streamed_instance(
     signature_chunk: int = DEFAULT_SIGNATURE_CHUNK,
     keep_embeddings: bool = False,
     photos: Optional[List[Photo]] = None,
+    _bucket_index: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[PARInstance, ScaleBuildReport]:
     """Build a sparse archive-wide PAR instance straight from embeddings.
 
@@ -378,6 +421,10 @@ def build_streamed_instance(
         Pre-built :class:`Photo` records (labels/metadata preserved); when
         omitted, bare records are synthesised from ``costs``.  Their costs
         must match ``costs`` position for position.
+    _bucket_index:
+        Internal to :meth:`repro.live.LiveArchive.create`: passed to
+        :func:`lsh_candidate_keys`, which fills it with every band's
+        sorted keys and stable order.
 
     Returns ``(instance, report)``.  Never materialises an O(n²) object;
     peak memory is ``O(n·dim + n·n_bits + candidates + nnz + chunk)``.
@@ -433,9 +480,11 @@ def build_streamed_instance(
             signature_chunk=signature_chunk,
             on_signature_chunk=_count_chunk("signatures"),
             on_pair_batch=_count_chunk("candidates"),
+            _bucket_index=_bucket_index,
         )
-        ii = keys // np.int64(n)
-        jj = keys % np.int64(n)
+        # The remainders overwrite the keys: two candidate-sized arrays
+        # live here, not three.
+        ii, jj = np.divmod(keys, np.int64(n), out=(np.empty_like(keys), keys))
         del keys
     phase_seconds["signatures"] += sig_seconds
     phase_seconds["candidates"] = time.perf_counter() - t0 - sig_seconds

@@ -154,13 +154,16 @@ class TestBuildCache:
     def test_cache_key_covers_both_sources(self, fresh_loader, monkeypatch, tmp_path):
         pytest.importorskip("cffi")
         assert native.library() is not None
-        coverage, scanner = native._SOURCES
-        edited = tmp_path / scanner.name
-        edited.write_text(scanner.read_text() + "\n/* edited */\n")
-        monkeypatch.setattr(native, "_SOURCES", (coverage, edited))
-        monkeypatch.setattr(native, "_loaded", native._UNSET)
-        assert native.library() is not None
-        assert len(list(fresh_loader.glob("*.so"))) == 2
+        sources = native._SOURCES
+        for k, source in enumerate(sources):
+            edited = tmp_path / source.name
+            edited.write_text(source.read_text() + "\n/* edited */\n")
+            monkeypatch.setattr(
+                native, "_SOURCES", (*sources[:k], edited, *sources[k + 1 :])
+            )
+            monkeypatch.setattr(native, "_loaded", native._UNSET)
+            assert native.library() is not None
+            assert len(list(fresh_loader.glob("*.so"))) == k + 2
 
     @needs_toolchain
     def test_fresh_cache_is_private_and_holds_only_finished_files(self, fresh_loader):

@@ -110,7 +110,7 @@ print(json.dumps([sol.selection, sol.value.hex(), sol.ratio_certificate.hex()]))
 """
 
 
-def test_reported_value_does_not_depend_on_the_blas_thread_count():
+def _answers_per_blas_thread_count(script: str):
     answers = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -118,7 +118,7 @@ def test_reported_value_does_not_depend_on_the_blas_thread_count():
             p for p in (str(SRC), env.get("PYTHONPATH")) if p
         )
         done = subprocess.run(
-            [sys.executable, "-c", _CHAIN_SOLVE],
+            [sys.executable, "-c", script],
             env=env,
             capture_output=True,
             text=True,
@@ -126,4 +126,52 @@ def test_reported_value_does_not_depend_on_the_blas_thread_count():
         )
         assert done.returncode == 0, done.stderr
         answers.append(json.loads(done.stdout))
+    return answers
+
+
+def test_reported_value_does_not_depend_on_the_blas_thread_count():
+    answers = _answers_per_blas_thread_count(_CHAIN_SOLVE)
     assert answers[0] == answers[1]
+
+
+#: A hub photo similar (above τ) to 12,499 others, one subset: its gain
+#: is one membership's dot over 12,500 positive entries.  Printed per
+#: kernel (native when it loads, then numpy): the hub's gain on an empty
+#: state, and the solve's selection and value.
+_HUB_SOLVE = """
+import json
+import numpy as np
+from repro.core import native
+from repro.core.instance import PARInstance, PredefinedSubset, SparseSimilarity
+from repro.core.objective import CoverageState
+from repro.core.solver import solve
+
+n = 12_500
+rng = np.random.default_rng(1)
+costs = rng.uniform(0.5, 2.0, size=n)
+costs[0] = 3.0
+others = np.arange(1, n)
+sim = SparseSimilarity.from_pairs(
+    n, np.zeros(n - 1, dtype=np.int64), others, rng.uniform(0.6, 0.95, n - 1)
+)
+hub = PredefinedSubset("hub", 2.0, np.arange(n), rng.uniform(0.1, 1.0, size=n), sim)
+instance = PARInstance(costs, [hub], float(costs.sum()) * 0.2)
+out = {}
+for kernel in ("native", "numpy"):
+    if kernel == "numpy":
+        native.bind = lambda inc, best: None
+    elif native.kernel() is None:
+        continue
+    state = CoverageState(instance)
+    assert (state._native is not None) == (kernel == "native")
+    sol = solve(instance)
+    out[kernel] = [state.gain(0).hex(), sol.selection, sol.value.hex()]
+print(json.dumps(out))
+"""
+
+
+def test_a_long_membership_gain_does_not_depend_on_the_blas_thread_count():
+    one, two = _answers_per_blas_thread_count(_HUB_SOLVE)
+    assert one == two
+    assert len({json.dumps(answer) for answer in one.values()}) == 1
+    assert 0 in one["numpy"][1]

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import native
 from repro.core.greedy import main_algorithm
 from repro.core.instance import PARInstance, Photo, PredefinedSubset, SparseSimilarity
 from repro.core.parallel import SharedInstance
@@ -222,6 +223,28 @@ def test_consecutive_ingests_bit_identical_to_fresh_fused_build():
         twice.instance.subsets[0].relevance, fresh.subsets[0].relevance
     )
     assert np.array_equal(twice.instance.costs, fresh.costs)
+
+
+@pytest.mark.parametrize("emitter", ["native", "numpy"])
+@pytest.mark.parametrize("n_bits", [16, 400])
+def test_created_base_run_is_the_sorted_band_keys(monkeypatch, emitter, n_bits):
+    """``create`` keeps the candidate emitter's sorted bands as its base
+    run: array for array what sorting the recomputed band keys gives."""
+    if emitter == "numpy":
+        monkeypatch.setattr(native, "candidate_emitter", lambda *args: None)
+    elif native.library() is None:
+        pytest.skip("the native library cannot load here")
+    costs, embeddings = synthetic_archive(500, dim=8, seed=4)
+    archive, _ = LiveArchive.create(
+        costs, embeddings, float(costs.sum()) * 0.2, tau=0.8, seed=4, n_bits=n_bits
+    )
+    keys = archive._keys_for(archive.instance.embeddings)
+    want = live_archive._sorted_run(
+        keys.astype(live_archive._key_dtype(archive.rows)), 0
+    )
+    (base,) = archive._runs()
+    for got, expected in zip(base, want):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def _assert_same_archive(got, want):

@@ -86,6 +86,33 @@ def test_integral_float_selection_ids_read_as_ints():
     assert _score([1, 4])[0] == 200
 
 
+def _score_fidelity(chosen):
+    body = json.dumps({"instance": _FIGURE1, "fidelity": {"chosen": chosen}})
+    return handle_request("POST", "/score", body.encode("utf-8"))
+
+
+#: ``chosen`` records that answered 200 with the value of ``{"photo": 1}``
+#: (their ids truncated or parsed from a string) before the ids went
+#: through the selection's rule.
+BAD_CHOSEN = [
+    ({"photo": 1.5}, "photo"),
+    ({"photo": "1"}, "photo"),
+    ({"photo": 1, "variant": 0.9}, "variant"),
+]
+
+
+@pytest.mark.parametrize("record,field", BAD_CHOSEN, ids=repr)
+def test_malformed_fidelity_chosen_id_is_422_naming_it(record, field):
+    status, payload = _score_fidelity([record])
+    assert status == 422, payload
+    assert repr(field) in payload["error"]
+
+
+def test_integral_float_chosen_photo_reads_as_an_int():
+    assert _score_fidelity([{"photo": 1.0}]) == _score_fidelity([{"photo": 1}])
+    assert _score_fidelity([{"photo": 1}])[0] == 200
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     selection=json_values
