@@ -268,7 +268,26 @@ def _check_sparse_dtype(dtype) -> np.dtype:
     return dt
 
 
-def _has_duplicate_entry(rows: np.ndarray, cols: np.ndarray) -> bool:
+#: The largest matrix whose entry keys ``row * size + col`` fit in int64.
+_MAX_SORTED_SIZE = math.isqrt(np.iinfo(np.int64).max)
+
+
+def _entry_order(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
+    """The stable order that sorts entries by ``(row, col)``.
+
+    One stable argsort of the key ``row * size + col``, where
+    ``np.lexsort((cols, rows))`` makes one per key: for
+    ``0 ≤ cols < size`` both order entries alike, ties included.
+    """
+    if size > _MAX_SORTED_SIZE:
+        raise ValidationError(
+            f"{size} members are too many for int64 entry keys "
+            f"(at most {_MAX_SORTED_SIZE})"
+        )
+    return np.argsort(rows * size + cols, kind="stable")
+
+
+def _has_duplicate_entry(rows: np.ndarray, cols: np.ndarray, size: int) -> bool:
     """True when some ``(rows[t], cols[t])`` pair occurs twice.
 
     Canonical CSR (columns strictly ascending within each row) is proven
@@ -279,7 +298,7 @@ def _has_duplicate_entry(rows: np.ndarray, cols: np.ndarray) -> bool:
     ascending = (cols[1:] > cols[:-1]) | (rows[1:] != rows[:-1])
     if ascending.all():
         return False
-    order = np.lexsort((cols, rows))
+    order = _entry_order(rows, cols, size)
     r, c = rows[order], cols[order]
     return bool(np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])))
 
@@ -408,7 +427,7 @@ class SparseSimilarity:
                 )
             if not np.all(vals[diag] == 1.0):
                 raise ValidationError("CSR self-similarity must be 1")
-            if _has_duplicate_entry(rows, cols):
+            if _has_duplicate_entry(rows, cols, size):
                 raise ValidationError("CSR row holds a duplicate neighbour index")
         obj = cls.__new__(cls)
         obj._size = size
@@ -455,7 +474,7 @@ class SparseSimilarity:
         all_rows = np.concatenate([ii, jj, diag])
         all_cols = np.concatenate([jj, ii, diag])
         all_vals = np.concatenate([vv, vv, np.ones(size, dtype=np.float64)])
-        order = np.lexsort((all_cols, all_rows))
+        order = _entry_order(all_rows, all_cols, size)
         all_rows = all_rows[order]
         all_cols = all_cols[order]
         if validate and all_rows.size > 1:
@@ -532,7 +551,7 @@ class SparseSimilarity:
         add_r = dir_r[old_side]
         add_c = dir_c[old_side]
         add_v = dir_v[old_side]
-        order = np.lexsort((add_c, add_r))
+        order = _entry_order(add_r, add_c, total)
         add_r = add_r[order]
         add_c = add_c[order]
         add_v = add_v[order]
@@ -544,7 +563,7 @@ class SparseSimilarity:
         new_r = np.concatenate([dir_r[~old_side], diag])
         new_c = np.concatenate([dir_c[~old_side], diag])
         new_v = np.concatenate([dir_v[~old_side], np.ones(k, dtype=dt)])
-        order = np.lexsort((new_c, new_r))
+        order = _entry_order(new_r, new_c, total)
         new_r = new_r[order]
         new_c = new_c[order]
         new_v = new_v[order]

@@ -1,5 +1,5 @@
-"""Native kernels: the coverage kernel, the JSON float-array scanner and
-the LSH candidate emitter.
+"""Native kernels: the coverage kernel, the JSON float-array scanner, the
+LSH candidate emitter and the candidate verifier.
 
 Three C sources build into one shared library, compiled once per machine
 with the system ``gcc`` into a per-user cache and loaded through cffi's
@@ -22,14 +22,23 @@ for it.
   bucket's pairs and dedups them across bands for
   :func:`repro.scale.lsh_candidate_keys` (:func:`candidate_emitter`),
   which runs its numpy emitter when the library is unavailable; both
-  return the same keys, byte for byte.
+  return the same keys, byte for byte.  It also computes each candidate
+  pair's exact cosine for
+  :func:`repro.sparsify.simhash.verify_candidate_pairs`
+  (:func:`pair_verifier`), reading the unit rows in place.  That dot
+  product is floating point but borrows no ddot: it sums in the order of
+  numpy's ``einsum("ij,ij->i")`` on a two-lane, unfused multiply-add
+  build (SSE2), and serves a width only after its bits equal
+  ``np.einsum``'s on seeded rows of that width in this process.
 
 The library is unavailable, with one logged warning per process, when
 cffi is missing, ``gcc`` is missing or fails, or the cache cannot be
 written or is not this user's.  The coverage kernel alone also falls
 back, with its own warning, when no BLAS ddot is found or the ddot
 self-check fails; the scanner and the emitter do no floating point and
-need no ddot.  Cache rules: the
+need no ddot.  The verifier falls back, with one warning per width, when
+its own self-check fails, as it would against a numpy built for another
+baseline (AVX2 with FMA sums in another order).  Cache rules: the
 directory is created with mode 0700, builds go to a temporary file that
 is ``os.replace``-d into place (concurrent builders never expose a
 partial library), and a file the current user does not own is never
@@ -49,7 +58,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +70,7 @@ __all__ = [
     "bind",
     "candidate_emitter",
     "kernel",
+    "pair_verifier",
     "scan_json",
 ]
 
@@ -112,13 +122,14 @@ class _Library:
     parses or builds never looks for a BLAS ddot.
     """
 
-    __slots__ = ("ffi", "lib", "_coverage", "_scanner")
+    __slots__ = ("ffi", "lib", "_coverage", "_scanner", "_verify_widths")
 
     def __init__(self, ffi, lib) -> None:
         self.ffi = ffi
         self.lib = lib
         self._coverage: object = _UNSET
         self._scanner: Optional[Tuple[object, object]] = None
+        self._verify_widths: Dict[int, bool] = {}
 
     def coverage(self) -> Optional[_Kernel]:
         """The coverage kernel: the borrowed ddot, self-checked."""
@@ -150,6 +161,17 @@ class _Library:
                     powers = self.ffi.from_buffer("uint64_t[]", _powers_of_ten())
                     self._scanner = (powers, locale)
         return self._scanner
+
+    def verifies(self, d: int) -> bool:
+        """Whether ``phocus_verify`` sums width-``d`` dots exactly as
+        ``np.einsum`` does in this process (self-checked once per width)."""
+        ok = self._verify_widths.get(d)
+        if ok is None:
+            with _load_lock:
+                ok = self._verify_widths.get(d)
+                if ok is None:
+                    ok = self._verify_widths[d] = _verify_self_check(self, d)
+        return ok
 
 
 def library() -> Optional[_Library]:
@@ -503,6 +525,115 @@ def candidate_emitter(
     if loaded is None:
         return None
     return CandidateEmitter(loaded, n, bands, order)
+
+
+# ------------------------------------------------------ candidate verifier
+
+#: Rows of the per-width self-check; every ordered pair of them is a key.
+_VERIFY_CHECK_ROWS = 16
+
+
+def _einsum_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _check_pair_keys(unit: np.ndarray, keys: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``unit`` is a C-contiguous 2-D float64
+    array and ``keys`` a contiguous int64 vector of keys ``i * m + j`` in
+    ``[0, m²)``, where ``m`` is the number of rows of ``unit``."""
+    if unit.dtype != np.float64 or unit.ndim != 2 or not unit.flags.c_contiguous:
+        raise ValueError("unit must be a C-contiguous 2-D float64 array")
+    if keys.dtype != np.int64 or keys.ndim != 1 or not keys.flags.c_contiguous:
+        raise ValueError("candidate keys must be a contiguous int64 vector")
+    bound = unit.shape[0] ** 2
+    if keys.size and (int(keys.min()) < 0 or int(keys.max()) >= bound):
+        raise ValueError(f"candidate keys must lie in [0, {bound})")
+
+
+def _native_verifier(
+    loaded: _Library, unit: np.ndarray, keys: np.ndarray, tau: float, chunk: int
+) -> Callable[[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The native check of one call's candidate keys, a chunk at a time.
+
+    ``verify(start, end)`` checks ``keys[start:end]`` (at most ``chunk`` of
+    them) and returns fresh ``(kept_i, kept_j, kept_vals)`` arrays: the
+    pairs whose exact cosine ``s`` reaches ``tau``, valued ``min(1, s)``,
+    in key order.  The output buffers are allocated once.  ``unit`` and
+    ``keys`` must have passed :func:`_check_pair_keys`.
+    """
+    ffi = loaded.ffi
+    m, d = unit.shape
+    size = max(1, min(int(chunk), keys.size))
+    out = (
+        np.empty(size, dtype=np.int64),
+        np.empty(size, dtype=np.int64),
+        np.empty(size, dtype=np.float64),
+    )
+    # Each cffi buffer keeps its array alive while the closure holds it.
+    out_ptrs = tuple(
+        ffi.from_buffer(kind, a, require_writable=True)
+        for kind, a in zip(("int64_t[]", "int64_t[]", "double[]"), out)
+    )
+    unit_ptr = ffi.from_buffer("double[]", unit)
+    keys_ptr = ffi.from_buffer("int64_t[]", keys)
+    phocus_verify = loaded.lib.phocus_verify
+
+    def verify(start: int, end: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if not 0 <= start <= end <= min(start + size, keys.size):
+            raise ValueError(
+                f"chunk [{start}, {end}) is not a slice of at most {size} "
+                f"of the {keys.size} keys"
+            )
+        kept = phocus_verify(
+            unit_ptr, m, d, keys_ptr + start, end - start, float(tau), *out_ptrs
+        )
+        return tuple(a[:kept].copy() for a in out)
+
+    return verify
+
+
+def pair_verifier(
+    unit: np.ndarray, keys: np.ndarray, tau: float, chunk: int
+) -> Optional[Callable[[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The native ``verify(start, end)`` of ``keys`` over the rows of
+    ``unit`` (see :func:`_native_verifier`), or ``None`` when numpy must
+    verify them: no library, 2³¹ rows or more (the emitter's limit too),
+    or a C dot whose bits differ from ``np.einsum``'s at this width.
+
+    The arrays are checked (:func:`_check_pair_keys`) before anything
+    else, so a numpy verifier that serves instead reads checked keys.
+    """
+    _check_pair_keys(unit, keys)
+    m, d = unit.shape
+    if m >= 1 << 31:
+        return None
+    loaded = library()
+    if loaded is None or not loaded.verifies(d):
+        return None
+    return _native_verifier(loaded, unit, keys, tau, chunk)
+
+
+def _verify_self_check(loaded: _Library, d: int) -> bool:
+    """Compare ``phocus_verify``'s dots bitwise with ``np.einsum``'s on
+    seeded rows of width ``d``; on a mismatch, log it and return False."""
+    rows = _VERIFY_CHECK_ROWS
+    rng = random.Random(d)  # spares a numpy.random import
+    # |x| < 1/d keeps every dot below 1, so no value is clipped.
+    scale = 1.0 / max(d, 1)
+    unit = np.array(
+        [(2.0 * rng.random() - 1.0) * scale for _ in range(rows * d)], dtype=np.float64
+    ).reshape(rows, d)
+    keys = np.arange(rows * rows, dtype=np.int64)
+    i, j = np.divmod(keys, rows)
+    want = _einsum_dots(unit[i], unit[j])
+    got = _native_verifier(loaded, unit, keys, float("-inf"), keys.size)(0, keys.size)
+    if got[2].tobytes() == want.tobytes():
+        return True
+    _log.warning(
+        "native pair verify sums width-%d dot products unlike np.einsum; "
+        "using the numpy verify for that width", d,
+    )
+    return False
 
 
 # ----------------------------------------------------------- borrowed ddot

@@ -1,5 +1,6 @@
 /*
- * Native banded-LSH candidate emitter (repro.scale.lsh_candidate_keys).
+ * Native banded-LSH candidates (repro.scale.lsh_candidate_keys) and their
+ * exact-cosine check (repro.sparsify.simhash.verify_candidate_pairs).
  * Loaded by repro.core.native, which checks every array and bound this
  * file trusts before a pointer reaches it.
  *
@@ -15,6 +16,12 @@
  * ascending order, written as the keys i * n + j.  Rows ascend, so the
  * keys come out sorted and unique without any sort.  phocus_lsh_count
  * makes the same walk to size the output exactly.
+ *
+ * phocus_verify reads each candidate key i * m + j, forms the dot product
+ * of unit rows i and j and keeps (i, j, min(1, s)) when s >= tau.  The
+ * dot sums in the order of numpy's einsum("ij,ij->i") on a build whose
+ * vectors hold two doubles and multiply-add without fusing (SSE2); the
+ * loader compares the two bit for bit, per width, before this serves.
  */
 #include <stdint.h>
 #include <string.h>
@@ -38,6 +45,9 @@ void phocus_lsh_band(phocus_lsh *c, int64_t b, const uint64_t *keys,
 int64_t phocus_lsh_count(phocus_lsh *c, int64_t *emitted);
 int64_t phocus_lsh_emit(phocus_lsh *c, int64_t r0, int64_t r1, int64_t *out,
                         int64_t capacity);
+int64_t phocus_verify(const double *unit, int64_t m, int64_t d,
+                      const int64_t *keys, int64_t count, double tau,
+                      int64_t *out_i, int64_t *out_j, double *out_v);
 /* cdef-end */
 
 #define RADIX_BITS 16
@@ -179,4 +189,54 @@ int64_t phocus_lsh_emit(phocus_lsh *c, int64_t r0, int64_t r1, int64_t *out,
         }
     }
     return written;
+}
+
+/* einsum's sum of x[k] * y[k]: two lanes hold the even and the odd
+ * terms; each block of four lane-pairs folds into the lanes as
+ * x0*y0 + (x1*y1 + (x2*y2 + (x3*y3 + acc))), the tail follows one
+ * lane-pair at a time, and the lanes add last.  einsum zero-pads an odd
+ * tail; adding 0*0 changes no lane, since a lane that starts at +0 never
+ * holds -0. */
+static double einsum_dot(const double *x, const double *y, int64_t d)
+{
+    double acc0 = 0.0, acc1 = 0.0;
+    int64_t k = 0;
+    for (; k + 8 <= d; k += 8) {
+        acc0 = x[k] * y[k]
+             + (x[k + 2] * y[k + 2] + (x[k + 4] * y[k + 4] + (x[k + 6] * y[k + 6] + acc0)));
+        acc1 = x[k + 1] * y[k + 1]
+             + (x[k + 3] * y[k + 3] + (x[k + 5] * y[k + 5] + (x[k + 7] * y[k + 7] + acc1)));
+    }
+    for (; k + 2 <= d; k += 2) {
+        acc0 = x[k] * y[k] + acc0;
+        acc1 = x[k + 1] * y[k + 1] + acc1;
+    }
+    if (k < d)
+        acc0 = x[k] * y[k] + acc0;
+    return acc0 + acc1;
+}
+
+/* Verifies count keys; writes the kept pairs to out_i/out_j/out_v (each
+ * with room for count) and returns how many it kept. */
+int64_t phocus_verify(const double *unit, int64_t m, int64_t d,
+                      const int64_t *keys, int64_t count, double tau,
+                      int64_t *out_i, int64_t *out_j, double *out_v)
+{
+    int64_t kept = 0, i = 0, row = 0;  /* row = i * m */
+    for (int64_t t = 0; t < count; t++) {
+        int64_t key = keys[t];
+        if (key < row || key - row >= m) {  /* sorted keys rarely change row */
+            i = key / m;
+            row = i * m;
+        }
+        int64_t j = key - row;
+        double s = einsum_dot(unit + i * d, unit + j * d, d);
+        if (s >= tau) {
+            out_i[kept] = i;
+            out_j[kept] = j;
+            out_v[kept] = s > 1.0 ? 1.0 : s;
+            kept++;
+        }
+    }
+    return kept;
 }

@@ -655,15 +655,18 @@ class LiveArchive:
         fresh = np.ones(old_ii.size, dtype=bool)
         np.not_equal(old_ii[1:], old_ii[:-1], out=fresh[1:])
         endpoints = old_ii[fresh]
+        compact = endpoints.size + k
         ci = np.concatenate(
             [np.cumsum(fresh) - 1, endpoints.size + ii[old_ii.size :] - n]
         )
-        cj = endpoints.size + jj - n
         unit = unit_normalize(
             np.concatenate([self.instance.embeddings[endpoints], new_emb])
         )
         ki, kj, vals = verify_candidate_pairs(
-            unit, ci, cj, self.tau, chunk=self.chunk_pairs
+            unit,
+            ci * compact + (endpoints.size + jj - n),
+            self.tau,
+            chunk=self.chunk_pairs,
         )
         ids = np.concatenate([endpoints, np.arange(n, total, dtype=np.int64)])
         return (

@@ -23,11 +23,14 @@ observability is armed (``phocus_scalebuild_*`` families):
     and the candidate set equals the per-band bucket loop of
     ``tests/oracles/lsh.py`` on the same signatures.
 ``verify``
-    Exact cosines for the sorted candidate pairs via the shared
+    Exact cosines for the sorted candidate keys via the shared
     :func:`repro.sparsify.simhash.verify_candidate_pairs` kernel in
     ``chunk_pairs``-sized chunks (``scalebuild.chunk`` fault site fires
-    before each chunk).  Per-pair values are chunk-independent, so the
-    fused build matches the unfused pipeline bit for bit.
+    before each chunk).  The native verifier reads each key and both
+    unit rows in place; the numpy fallback splits and gathers each chunk
+    into buffers it allocates once.  Per-pair values are
+    chunk-independent, so the fused build matches the unfused pipeline
+    bit for bit.
 ``assemble``
     Surviving pairs become a canonical-layout CSR
     :class:`SparseSimilarity` (``from_pairs``) wrapped in a single
@@ -35,8 +38,9 @@ observability is armed (``phocus_scalebuild_*`` families):
     :class:`PARInstance`.
 
 Peak memory is ``O(n·dim + n·n_bits + candidates + nnz + chunk_pairs)`` —
-never O(n²).  See ``docs/million_scale.md`` for the full memory model and
-chunk tuning guidance.
+never O(n²); the candidates are one int64 key each, held once, since
+verification reads the keys themselves.  See ``docs/million_scale.md``
+for the full memory model and chunk tuning guidance.
 """
 
 from __future__ import annotations
@@ -427,7 +431,9 @@ def build_streamed_instance(
         sorted keys and stable order.
 
     Returns ``(instance, report)``.  Never materialises an O(n²) object;
-    peak memory is ``O(n·dim + n·n_bits + candidates + nnz + chunk)``.
+    peak memory is ``O(n·dim + n·n_bits + candidates + nnz + chunk)``,
+    with one candidate-sized array (the keys): verification reads them
+    without splitting them into row and column ids.
     """
     costs = np.asarray(costs, dtype=np.float64).ravel()
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -482,13 +488,9 @@ def build_streamed_instance(
             on_pair_batch=_count_chunk("candidates"),
             _bucket_index=_bucket_index,
         )
-        # The remainders overwrite the keys: two candidate-sized arrays
-        # live here, not three.
-        ii, jj = np.divmod(keys, np.int64(n), out=(np.empty_like(keys), keys))
-        del keys
     phase_seconds["signatures"] += sig_seconds
     phase_seconds["candidates"] = time.perf_counter() - t0 - sig_seconds
-    n_candidates = int(ii.size)
+    n_candidates = int(keys.size)
     if obs is not None:
         obs.scalebuild_candidates.inc(n_candidates)
 
@@ -503,9 +505,9 @@ def build_streamed_instance(
 
         unit = unit_normalize(embeddings)
         ki, kj, vals = verify_candidate_pairs(
-            unit, ii, jj, tau, chunk=chunk_pairs, on_chunk=_on_chunk
+            unit, keys, tau, chunk=chunk_pairs, on_chunk=_on_chunk
         )
-        del unit, ii, jj
+        del unit, keys
     phase_seconds["verify"] = time.perf_counter() - t0
     if obs is not None:
         obs.scalebuild_verified.inc(n_candidates)

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import native
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -39,9 +40,11 @@ __all__ = [
     "verify_candidate_pairs",
 ]
 
-#: Default number of candidate pairs verified per chunk.  At embedding
-#: dimension d the verifier gathers ``2 * chunk * d`` float64s per chunk
-#: (~32 MB at d=16), independent of the total candidate count.
+#: Default number of candidate pairs verified per chunk.  The native
+#: verifier reads the rows in place and holds ``24 * chunk`` bytes of
+#: kept pairs (3 MB); only the numpy fallback gathers, into two
+#: ``(chunk, d)`` float64 buffers allocated once per call (~34 MB at
+#: d=16), independent of the total candidate count.
 DEFAULT_VERIFY_CHUNK = 1 << 17
 
 
@@ -167,8 +170,7 @@ def unit_normalize(vectors: np.ndarray) -> np.ndarray:
 
 def verify_candidate_pairs(
     unit: np.ndarray,
-    ii: np.ndarray,
-    jj: np.ndarray,
+    keys: np.ndarray,
     tau: float,
     *,
     chunk: int = DEFAULT_VERIFY_CHUNK,
@@ -176,43 +178,72 @@ def verify_candidate_pairs(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact-cosine verification of candidate pairs, in bounded chunks.
 
-    ``unit`` must be unit-normalised (:func:`unit_normalize`).  Pairs with
-    raw cosine ≥ τ are kept, their stored value clipped to ``min(1, s)``.
-    Each pair's dot product is a per-row ``einsum`` reduction, so the value
-    for a given ``(i, j)`` is bit-identical regardless of chunk size or
+    ``keys`` holds one int64 key ``i * m + j`` per candidate pair, where
+    ``m`` is the number of rows of ``unit``, which must be unit-normalised
+    (:func:`unit_normalize`).  Pairs with raw cosine ≥ τ are kept, their
+    stored value clipped to ``min(1, s)``, in key order.  Each pair's dot
+    product sums in ``np.einsum("ij,ij->i")``'s order, so the value for a
+    given ``(i, j)`` is bit-identical regardless of chunk size or
     position — the fused streamed builder (:mod:`repro.scale`), live
     uploads and the unfused oracle of ``tests/oracles/lsh.py`` share this
     function precisely so their surviving pairs and values match bit for
     bit.
+
+    The native verifier (``native_lsh.c``) reads the rows in place
+    whenever the library loads and its dot matches ``np.einsum`` at this
+    width; otherwise numpy gathers each chunk's rows into two buffers and
+    runs the ``einsum`` itself.  Both return the same arrays, byte for
+    byte.  Keys outside ``[0, m²)`` raise ``ValueError``.
 
     ``on_chunk(start, end)`` fires before each chunk (probes/faults hook).
     Returns ``(kept_ii, kept_jj, kept_vals)``.
     """
     if chunk < 1:
         raise ConfigurationError("verify chunk must be positive")
-    ii = np.asarray(ii, dtype=np.int64).ravel()
-    jj = np.asarray(jj, dtype=np.int64).ravel()
-    if ii.size != jj.size:
-        raise ConfigurationError("candidate pair arrays must have equal length")
-    kept_i: List[np.ndarray] = []
-    kept_j: List[np.ndarray] = []
-    kept_v: List[np.ndarray] = []
-    for start in range(0, ii.size, chunk):
-        end = min(start + chunk, ii.size)
+    unit = np.ascontiguousarray(unit, dtype=np.float64)
+    keys = np.ascontiguousarray(keys, dtype=np.int64).ravel()
+    verify = native.pair_verifier(unit, keys, tau, chunk) or _numpy_verifier(
+        unit, keys, tau, chunk
+    )
+    kept: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for start in range(0, keys.size, chunk):
+        end = min(start + chunk, keys.size)
         if on_chunk is not None:
             on_chunk(start, end)
-        ci = ii[start:end]
-        cj = jj[start:end]
-        s = np.einsum("ij,ij->i", unit[ci], unit[cj])
-        keep = s >= tau
-        kept_i.append(ci[keep])
-        kept_j.append(cj[keep])
-        kept_v.append(np.minimum(1.0, s[keep]))
-    if not kept_i:
+        kept.append(verify(start, end))
+    if not kept:
         empty_idx = np.zeros(0, dtype=np.int64)
         return empty_idx, empty_idx.copy(), np.zeros(0, dtype=np.float64)
-    return (
-        np.concatenate(kept_i),
-        np.concatenate(kept_j),
-        np.concatenate(kept_v),
-    )
+    kept_i, kept_j, kept_v = zip(*kept)
+    return np.concatenate(kept_i), np.concatenate(kept_j), np.concatenate(kept_v)
+
+
+def _numpy_verifier(
+    unit: np.ndarray, keys: np.ndarray, tau: float, chunk: int
+) -> Callable[[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The numpy check of ``keys[start:end]``, for when the native one
+    cannot serve.  Its gather buffers are allocated once per call, so its
+    time does not depend on what the allocator holds."""
+    m, d = unit.shape
+    size = min(chunk, keys.size)
+    ids = np.empty((2, size), dtype=np.int64)
+    # Two blocks, not one of twice the size: at the default chunk and
+    # d=16 each is 16.8 MB, and freeing it raises glibc's mmap threshold
+    # (capped at 32 MiB) so that a live archive's later uploads keep
+    # their multi-MB arrays on the heap.
+    rows = (np.empty((size, d)), np.empty((size, d)))
+
+    def verify(start: int, end: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        c = end - start
+        ci, cj = np.divmod(keys[start:end], m, out=(ids[0, :c], ids[1, :c]))
+        # mode="clip" gathers straight into the buffers ("raise" would
+        # buffer internally); the keys were checked to lie in range.
+        s = np.einsum(
+            "ij,ij->i",
+            np.take(unit, ci, axis=0, out=rows[0][:c], mode="clip"),
+            np.take(unit, cj, axis=0, out=rows[1][:c], mode="clip"),
+        )
+        keep = s >= tau
+        return ci[keep], cj[keep], np.minimum(1.0, s[keep])
+
+    return verify

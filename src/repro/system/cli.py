@@ -27,6 +27,7 @@ from repro.core.solver import available_algorithms
 from repro.datasets.io import load_dataset
 from repro.datasets.registry import dataset_names
 from repro.datasets.registry import load as load_named
+from repro.errors import ReproError
 from repro.system.phocus import ArchiveReport, PHOcus, PhocusConfig
 
 __all__ = ["main", "build_parser"]
@@ -697,6 +698,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_inspect(args: argparse.Namespace) -> int:
+    from repro.system.analysis import analyze_instance
+
+    dataset = load_named(args.dataset, scale=args.scale, seed=args.seed)
+    instance = dataset.instance(dataset.total_cost() * args.budget_fraction)
+    print(f"[{dataset.name}] instance diagnostics")
+    for line in analyze_instance(instance).summary_lines():
+        print(line)
+    return 0
+
+
 class CommandFailed(Exception):
     """A client command the service refused; :func:`main` prints it and exits 1."""
 
@@ -1094,17 +1106,32 @@ def _print_endpoints(context) -> None:
         print(f"  {method:<6} {pattern}")
 
 
-#: glibc's ``M_ARENA_MAX`` mallopt parameter (``<malloc.h>``).
-_M_ARENA_MAX = -8
+#: glibc's mallopt parameters (``<malloc.h>``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+#: The ceiling of glibc's dynamic mmap threshold on 64-bit, and the
+#: largest value mallopt accepts there; the dynamic scheme pairs it with
+#: a trim threshold twice as large.
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
 
 
 def _single_malloc_arena() -> None:
-    """Keep every thread of this process on one glibc malloc arena.
+    """Keep every thread of this process on one glibc malloc arena, with
+    fixed mmap and trim thresholds.
 
     ``serve`` answers each request on a fresh thread, and glibc gives new
     threads arenas of their own; the multi-MB arrays a live upload frees
     there are not handed back to the system, so the resident set grows
     with the request count instead of staying at one archive's worth.
+    glibc also raises its mmap threshold (up to 32 MiB) only after the
+    process frees a large mmapped block; until then every multi-MB array,
+    such as an upload's whole-CSR copies, is mmapped and faulted in
+    afresh, so upload latency depended on what earlier work happened to
+    free.  Both thresholds are pinned where that scheme tops out, so
+    such arrays come from the heap from the first request on.  Setting the trim threshold alone would also freeze the
+    mmap threshold at its 128 KiB start, so it waits for glibc to accept
+    the mmap threshold.
+
     A no-op where ``mallopt`` is unavailable (non-glibc platforms).  Only
     ``serve`` calls this: library users' processes keep their settings.
     """
@@ -1115,27 +1142,27 @@ def _single_malloc_arena() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_ARENA_MAX, 1)
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):  # 0: refused
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "datasets":
         return _cmd_datasets()
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "fidelity":
-        return _cmd_fidelity(args)
-    if args.command == "inspect":
-        from repro.system.analysis import analyze_instance
-
-        dataset = load_named(args.dataset, scale=args.scale, seed=args.seed)
-        instance = dataset.instance(dataset.total_cost() * args.budget_fraction)
-        print(f"[{dataset.name}] instance diagnostics")
-        for line in analyze_instance(instance).summary_lines():
-            print(line)
-        return 0
+    local = {
+        "solve": _cmd_solve,
+        "compare": _cmd_compare,
+        "fidelity": _cmd_fidelity,
+        "inspect": _cmd_inspect,
+        "scale": _cmd_scale,
+    }
+    if args.command in local:
+        try:
+            return local[args.command](args)
+        except ReproError as exc:  # a bad option value, found by the library
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     client = {"jobs": _cmd_jobs, "tenants": _cmd_tenants, "live": _cmd_live}
     if args.command in client:
         try:
@@ -1143,8 +1170,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except CommandFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    if args.command == "scale":
-        return _cmd_scale(args)
     if args.command == "obs":
         return _cmd_obs(args)
     if args.command == "serve":

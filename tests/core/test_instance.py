@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import instance as instance_module
 from repro.core.instance import (
     DenseSimilarity,
     PARInstance,
@@ -179,6 +182,40 @@ class TestSparseSimilarity:
 
     def test_nnz(self):
         assert self._make().nnz() == 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.integers(1, 40),
+        pairs=st.integers(0, 120),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entry_order_is_lexsorts_order(self, size, pairs, seed):
+        rng = np.random.default_rng(seed)
+        # Few distinct pairs, so equal (row, col) entries are common.
+        rows = rng.integers(0, size, pairs) % max(1, size // 3)
+        cols = rng.integers(0, size, pairs)
+        order = instance_module._entry_order(rows, cols, size)
+        assert order.tolist() == np.lexsort((cols, rows)).tolist()
+        # Duplicate pairs pass under validate=False and land in input order.
+        ii, jj = rows[rows != cols], cols[rows != cols]
+        vv = rng.random(ii.size)
+        sim = SparseSimilarity.from_pairs(size, ii, jj, vv, validate=False)
+        all_r = np.concatenate([ii, jj, np.arange(size)])
+        all_c = np.concatenate([jj, ii, np.arange(size)])
+        all_v = np.concatenate([vv, vv, np.ones(size)])
+        ref = np.lexsort((all_c, all_r))
+        indptr, got_cols, got_vals = sim.csr()
+        assert got_cols.tolist() == all_c[ref].tolist()
+        assert got_vals.tobytes() == all_v[ref].tobytes()
+        assert indptr.tolist() == [0, *np.cumsum(np.bincount(all_r, minlength=size))]
+
+    def test_entry_keys_must_fit_in_int64(self):
+        limit = instance_module._MAX_SORTED_SIZE
+        assert limit * limit <= np.iinfo(np.int64).max < (limit + 1) ** 2
+        empty = np.zeros(0, dtype=np.int64)
+        assert instance_module._entry_order(empty, empty, limit).size == 0
+        with pytest.raises(ValidationError, match="too many"):
+            instance_module._entry_order(empty, empty, limit + 1)
 
 
 # ---------------------------------------------------------------------------

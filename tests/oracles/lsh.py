@@ -111,13 +111,9 @@ def lsh_similar_pairs(
     sigs = hasher.signatures(vectors)
     candidates = candidate_pairs(sigs, bands, rows)
 
-    if candidates:
-        cand = np.array(sorted(candidates), dtype=np.int64)
-        ci, cj = cand[:, 0], cand[:, 1]
-    else:
-        ci = cj = np.zeros(0, dtype=np.int64)
+    keys = np.array([i * n + j for i, j in sorted(candidates)], dtype=np.int64)
     unit = unit_normalize(vectors)
-    ki, kj, vals = verify_candidate_pairs(unit, ci, cj, tau)
+    ki, kj, vals = verify_candidate_pairs(unit, keys, tau)
     return LshResult(
         pairs=list(zip(ki.tolist(), kj.tolist())),
         similarities=vals,

@@ -100,18 +100,49 @@ class TestCommands:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scale", "build", "--photos", "0"],
+            ["scale", "build", "--chunk-pairs", "0"],
+            ["scale", "build", "--tau", "0"],
+            ["solve", "--dataset", "P-1K", "--scale", "0.05", "--tau", "7"],
+        ],
+        ids=["photos", "chunk-pairs", "scale-tau", "solve-tau"],
+    )
+    def test_a_bad_option_value_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_serve_arena_policy_is_a_no_op_without_mallopt(monkeypatch):
     from repro.system import cli
 
     calls = []
+    refused = set()
 
     class _Libc:
         def __init__(self, name):
-            self.mallopt = lambda param, value: calls.append((param, value))
+            self.mallopt = lambda param, value: (
+                calls.append((param, value)) or int(param not in refused)
+            )
 
     monkeypatch.setattr(cli.ctypes, "CDLL", _Libc)
     cli._single_malloc_arena()
-    assert calls == [(cli._M_ARENA_MAX, 1)]
+    pinned = [
+        (cli._M_ARENA_MAX, 1),
+        (cli._M_MMAP_THRESHOLD, 32 << 20),
+        (cli._M_TRIM_THRESHOLD, 64 << 20),
+    ]
+    assert calls == pinned
+
+    # A refused mmap threshold leaves the trim threshold alone: setting
+    # it would freeze the mmap threshold at glibc's 128 KiB default.
+    refused.add(cli._M_MMAP_THRESHOLD)
+    cli._single_malloc_arena()
+    assert calls == pinned + pinned[:2]
 
     class _NoMallopt:
         def __init__(self, name):
@@ -119,7 +150,7 @@ def test_serve_arena_policy_is_a_no_op_without_mallopt(monkeypatch):
 
     monkeypatch.setattr(cli.ctypes, "CDLL", _NoMallopt)
     cli._single_malloc_arena()  # non-glibc platforms: nothing to call
-    assert calls == [(cli._M_ARENA_MAX, 1)]
+    assert calls == pinned + pinned[:2]
 
 
 class TestTenantsCli:
