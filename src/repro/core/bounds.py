@@ -63,6 +63,13 @@ def online_bound(
     (or a checkpoint replay) reuse it instead of replaying the whole
     selection a second time.  The bound is identical either way: a fresh
     state replays the same add order into the same floats.
+
+    The packing takes photos in descending (density, gain, cost) order,
+    whole while they fit and then a fraction of the first that does not.
+    Only the density prefix the budget reaches is sorted
+    (:func:`_knapsack_prefix`), and two ``np.cumsum`` passes, which add
+    sequentially, give the remaining budget and the bound, bit for bit as
+    a loop over the sorted photos would.
     """
     if state is None:
         state = CoverageState(instance, selection)
@@ -71,27 +78,45 @@ def online_bound(
     keep = np.nonzero(
         (gains > 0) & (costs <= instance.budget * (1 + 1e-12))
     )[0]
-    kept_gains = gains[keep]
-    kept_costs = costs[keep]
-    # Descending (density, gain, cost) — the same ordering the former
-    # sorted tuple list produced, without materialising Python tuples.
-    order = np.lexsort(
-        (-kept_costs, -kept_gains, -(kept_gains / kept_costs))
-    )
-    bound = state.value
-    budget = instance.budget
-    for i in order:
-        if budget <= 0:
-            break
-        gain = float(kept_gains[i])
-        cost = float(kept_costs[i])
-        if cost <= budget:
-            bound += gain
-            budget -= cost
-        else:
-            bound += gain * (budget / cost)
-            budget = 0.0
+    g, c, left, cut = _knapsack_prefix(gains[keep], costs[keep], instance.budget)
+    bound = float(np.cumsum(np.concatenate(([state.value], g[:cut])))[-1])
+    if cut < g.size and left[cut] > 0:
+        bound += float(g[cut]) * (float(left[cut]) / float(c[cut]))
     return bound
+
+
+def _knapsack_prefix(
+    gains: np.ndarray, costs: np.ndarray, budget: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The head of the items' descending (density, gain, cost) order that
+    a fractional knapsack of ``budget`` reaches: ``(g, c, left, cut)``.
+
+    ``g`` and ``c`` are the sorted gains and costs, ``left[j]`` the
+    budget before item ``j`` had every earlier item fit whole, and
+    ``cut`` the first item that does not fit whole (or ``len(g)``).  Only
+    the items whose density reaches a cut found by ``np.partition`` are
+    sorted: the ``k`` densest and every tie of the ``k``-th, so the
+    sorted prefix is exactly the head of ``np.lexsort`` over all items.
+    ``k`` starts at twice the count of mean-cost items ``budget`` holds
+    and doubles until the knapsack fills inside the prefix.
+    """
+    m = gains.size
+    density = gains / costs
+    k = m
+    if m and np.isfinite(budget):
+        k = min(m, 2 * int(budget / costs.mean()) + 16)
+    while True:
+        if k < m:
+            idx = np.flatnonzero(density >= np.partition(density, m - k)[m - k])
+        else:
+            idx = np.arange(m)
+        order = idx[np.lexsort((-costs[idx], -gains[idx], -density[idx]))]
+        g, c = gains[order], costs[order]
+        left = np.cumsum(np.concatenate(([budget], -c)))
+        stops = np.flatnonzero((left[:-1] <= 0) | (c > left[:-1]))
+        if stops.size or idx.size == m:
+            return g, c, left, int(stops[0]) if stops.size else idx.size
+        k *= 2
 
 
 class Certificate(NamedTuple):

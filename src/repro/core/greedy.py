@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.instance import PARInstance
 from repro.core.objective import CoverageState
 from repro.errors import (
@@ -266,16 +268,16 @@ def lazy_greedy(
         counter = 0
         heap: List[Tuple[float, int, int, int]] = []
         stamp = len(state._order)
-        selected = state._selected
-        for p in range(instance.n):
-            if p in selected:
-                continue
+        # Costs strictly decrease within a photo, so the last variant is
+        # the cheapest: a photo whose cheapest variant cannot fit, or one
+        # already selected, is never evaluated.  One mask finds the rest.
+        cheapest = cost_array if catalog is None else cost_array[catalog.indptr[1:] - 1]
+        candidates = spent + cheapest <= budget_cap
+        if state._selected:
+            candidates[list(state._selected)] = False
+        for p in np.flatnonzero(candidates).tolist():
             first = p if indptr is None else indptr[p]
             last = p if indptr is None else indptr[p + 1] - 1
-            # Costs strictly decrease within a photo, so the last variant is
-            # the cheapest: when even it cannot fit, skip the evaluation.
-            if spent + vcost[last] > budget_cap:
-                continue
             g1 = state.gain(p)
             run.evaluations += 1
             if spent + vcost[first] <= budget_cap:

@@ -35,6 +35,7 @@ different subsets.  Two interchangeable backends are provided:
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -303,6 +304,55 @@ def _has_duplicate_entry(rows: np.ndarray, cols: np.ndarray, size: int) -> bool:
     return bool(np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])))
 
 
+def _mapped_empty(size: int, dtype: np.dtype) -> np.ndarray:
+    """A (zeroed) array in an anonymous mapping of its own, unmapped as
+    soon as the array is freed, whatever malloc's thresholds."""
+    buf = mmap.mmap(-1, max(size * dtype.itemsize, 1))
+    return np.frombuffer(buf, dtype=dtype, count=size)
+
+
+def interleave_tail(
+    indptr: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    tail: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    *,
+    empty=np.empty,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One compact CSR holding each range's base entries, then its tail's.
+
+    ``indptr`` and ``tail[0]`` both have one entry per range plus one.
+    Range ``r``'s merged start is ``indptr[r] + tail_indptr[r]``: base
+    entry ``e`` of range ``r`` moves to ``e + tail_indptr[r]`` and tail
+    entry ``t`` to ``t + indptr[r + 1]``.  The tail entries are placed by
+    index and the base entries fill the other positions in order, through
+    a byte mask rather than an nnz-sized index array.  ``empty(size,
+    dtype)`` allocates the two entry arrays.
+    """
+    tail_indptr, tail_cols, tail_vals = tail
+    merged = indptr + tail_indptr
+    nnz = int(merged[-1])
+    dest = np.repeat(indptr[1:], np.diff(tail_indptr))
+    dest += np.arange(tail_cols.size, dtype=np.int64)
+    from_base = np.ones(nnz, dtype=bool)
+    from_base[dest] = False
+    out = []
+    for base, extra in ((cols, tail_cols), (vals, tail_vals)):
+        arr = empty(nnz, base.dtype)
+        arr[from_base] = base
+        arr[dest] = extra
+        out.append(arr)
+    return merged, out[0], out[1]
+
+
+def _tail_limit(nnz: int, added: int) -> int:
+    """Entries a similarity's tail may hold, at ``nnz`` entries in all
+    after an append of ``added``, before it merges into a fresh base:
+    ``√(2·nnz·added) + added`` balances each append's rewrite of the tail
+    against the amortised merge (the bucket index's rule, per entry)."""
+    return math.ceil(math.sqrt(2 * nnz * added)) + added
+
+
 class SparseSimilarity:
     """Contextual similarity stored natively as a CSR matrix.
 
@@ -318,11 +368,20 @@ class SparseSimilarity:
     matrix, and :meth:`csr` / :meth:`neighbors` are zero-copy views.  The
     legacy per-row-list constructor is kept for callers that assemble rows
     incrementally; it concatenates into the same flat layout.
+
+    A similarity grown by :meth:`append_rows` holds those arrays as an
+    immutable *base*, shared with the similarity it grew from, plus a
+    *tail* of what was appended since: ``(indptr, cols, vals)`` with one
+    range per row, holding each old row's new entries (whose columns all
+    exceed the base's rows) and the new rows whole.  Row ``i`` is its base
+    range followed by its tail range; rows past the base have an empty
+    base range.  :meth:`csr` then returns a compact copy, and
+    :func:`build_incidence` hands both ranges to the kernels.
     """
 
     is_sparse = True
 
-    __slots__ = ("_size", "_indptr", "_cols", "_vals")
+    __slots__ = ("_size", "_indptr", "_cols", "_vals", "_tail")
 
     def __init__(
         self,
@@ -375,6 +434,7 @@ class SparseSimilarity:
         self._indptr = indptr
         self._cols = cols
         self._vals = vals.astype(dt, copy=False)
+        self._tail = None
 
     # ------------------------------------------------------- constructors
 
@@ -429,12 +489,38 @@ class SparseSimilarity:
                 raise ValidationError("CSR self-similarity must be 1")
             if _has_duplicate_entry(rows, cols, size):
                 raise ValidationError("CSR row holds a duplicate neighbour index")
+        return cls.from_parts(size, indptr, cols, vals)
+
+    @classmethod
+    def from_parts(
+        cls,
+        size: int,
+        indptr: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        tail: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    ) -> "SparseSimilarity":
+        """Adopt a base CSR (``indptr`` of ``size + 1``) and an optional
+        tail, unchecked: the trusted path for arrays that came from a
+        checked similarity (:meth:`parts`, a packed copy)."""
         obj = cls.__new__(cls)
         obj._size = size
         obj._indptr = indptr
         obj._cols = cols
         obj._vals = vals
+        obj._tail = tail
         return obj
+
+    def parts(
+        self,
+    ) -> Tuple[
+        Tuple[np.ndarray, np.ndarray, np.ndarray],
+        Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ]:
+        """``((indptr, cols, vals), tail)``: the base CSR, with one
+        ``indptr`` range per row, and the tail (``None`` when there is
+        none), all zero-copy."""
+        return (self._indptr, self._cols, self._vals), self._tail
 
     @classmethod
     def from_pairs(
@@ -504,17 +590,19 @@ class SparseSimilarity:
         ``(rows[t], cols[t], vals[t])`` are unique undirected off-diagonal
         pairs with **at least one endpoint ≥ len(self)** — the delta an LSH
         re-bucketing of only the new photos produces.  Old↔old pairs are
-        rejected: they would interleave inside existing rows and the result
-        could no longer reuse the stored layout.
+        rejected: they would interleave inside existing rows.
 
-        Because every new column index is ``≥ len(self)`` and therefore
-        larger than any column already stored, additions to an existing row
-        land strictly *after* its current entries, so the old CSR region is
-        copied once (no re-sort, no per-row Python) and rows without
-        additions are byte-for-byte identical slices.  The result is
-        bit-identical to :meth:`from_pairs` rebuilt from the union of old
-        and new pairs — delta ingestion and a from-scratch build agree
-        exactly.
+        Every new column index is ``≥ len(self)``, larger than any column
+        already stored, so an old row's additions land after its current
+        entries.  The grown similarity therefore shares this one's base
+        and rewrites only the tail: each old row's tail range gains the
+        row's additions (sorted, no per-row Python), and the ``k`` new rows
+        follow whole.  Nothing the size of the base is copied, and this
+        similarity stays as it was.  Once the tail holds more than
+        :func:`_tail_limit` entries it merges into a fresh compact base.
+        Either way every row is bit-identical to :meth:`from_pairs` rebuilt
+        from the union of old and new pairs — delta ingestion and a
+        from-scratch build agree exactly.
         """
         if k < 0:
             raise ValidationError("append_rows: k must be non-negative")
@@ -576,40 +664,77 @@ class SparseSimilarity:
         new_counts = np.bincount(new_r - n, minlength=k)[:k] if k else np.zeros(
             0, dtype=np.int64
         )
-        # --- assemble ----------------------------------------------------
-        old_nnz = self._cols.size
-        base = old_nnz + add_r.size
-        nnz = base + new_r.size
+        # --- the grown tail ----------------------------------------------
+        if self._tail is None:
+            # The base becomes shared from here on: freeze it.
+            for a in (self._indptr, self._cols, self._vals):
+                a.flags.writeable = False
+            tail_indptr = np.zeros(n + 1, dtype=np.int64)
+            tail_cols = np.zeros(0, dtype=np.int64)
+            tail_vals = np.zeros(0, dtype=dt)
+        else:
+            tail_indptr, tail_cols, tail_vals = self._tail
+        old_nnz = tail_cols.size
+        grown = old_nnz + add_r.size
+        nnz = grown + new_r.size
         out_cols = np.empty(nnz, dtype=np.int64)
         out_vals = np.empty(nnz, dtype=dt)
         if add_r.size:
             # The t-th sorted addition (row r) lands right after row r's
-            # old entries plus the additions to earlier rows already placed
-            # before it: old_indptr[r + 1] + t.  The old entries fill the
-            # other positions in order, placed through a byte mask rather
-            # than an nnz-sized int64 index array.
-            dest_add = self._indptr[add_r + 1] + np.arange(
-                add_r.size, dtype=np.int64
-            )
-            keep = np.ones(base, dtype=bool)
+            # tail entries plus the additions to earlier rows already placed
+            # before it: tail_indptr[r + 1] + t.  The old tail entries fill
+            # the other positions in order, placed through a byte mask.
+            dest_add = tail_indptr[add_r + 1] + np.arange(add_r.size, dtype=np.int64)
+            keep = np.ones(grown, dtype=bool)
             keep[dest_add] = False
-            out_cols[:base][keep] = self._cols
-            out_vals[:base][keep] = self._vals
+            out_cols[:grown][keep] = tail_cols
+            out_vals[:grown][keep] = tail_vals
             out_cols[dest_add] = add_c
             out_vals[dest_add] = add_v
         else:
-            out_cols[:old_nnz] = self._cols
-            out_vals[:old_nnz] = self._vals
-        out_cols[base:] = new_c
-        out_vals[base:] = new_v
+            out_cols[:old_nnz] = tail_cols
+            out_vals[:old_nnz] = tail_vals
+        out_cols[grown:] = new_c
+        out_vals[grown:] = new_v
         indptr = np.empty(total + 1, dtype=np.int64)
-        indptr[: n + 1] = self._indptr + add_prefix
+        indptr[: n + 1] = tail_indptr + add_prefix
         if k:
             np.cumsum(new_counts, out=indptr[n + 1 :])
-            indptr[n + 1 :] += base
-        return SparseSimilarity.from_csr(
-            total, indptr, out_cols, out_vals, dtype=dt, validate=False
+            indptr[n + 1 :] += grown
+        base_indptr = self._indptr
+        if k:
+            base_indptr = np.concatenate(
+                [base_indptr, np.full(k, base_indptr[-1], dtype=np.int64)]
+            )
+        result = SparseSimilarity.from_parts(
+            total, base_indptr, self._cols, self._vals, (indptr, out_cols, out_vals)
         )
+        if nnz > _tail_limit(self._cols.size + nnz, add_r.size + new_r.size):
+            result = result.compacted()
+        return result
+
+    def compacted(self) -> "SparseSimilarity":
+        """The same rows with the tail merged into one compact base, frozen
+        (the base of whatever grows from it next); ``self`` without a
+        tail.
+
+        The base's entry arrays each get an anonymous mapping of their own
+        rather than malloc's heap, so a base that a later merge replaces
+        goes back to the system when the last similarity holding it is
+        dropped.  On the heap (``serve`` keeps blocks under 32 MiB there)
+        it left a resident hole that the next, larger base could not reuse.
+        """
+        if self._tail is None:
+            return self
+        merged = SparseSimilarity.from_parts(
+            self._size,
+            *interleave_tail(
+                self._indptr, self._cols, self._vals, self._tail, empty=_mapped_empty
+            ),
+        )
+        for a in merged.parts()[0]:
+            a.flags.writeable = False
+        return merged
 
     # ------------------------------------------------------------ queries
 
@@ -626,6 +751,8 @@ class SparseSimilarity:
         dt = _check_sparse_dtype(dtype)
         if dt == self._vals.dtype:
             return self
+        if self._tail is not None:
+            return self.compacted().astype(dt)
         vals = self._vals.astype(dt)
         if dt == np.float32:
             # Rounding may nudge a value past 1; the invariant wins.
@@ -639,34 +766,49 @@ class SparseSimilarity:
         """Materialise a dense row (zeros where no entry is stored).
 
         O(size) allocation per call — never use in a per-member hot loop;
-        route through :meth:`neighbors`, which is a zero-copy slice.
+        route through :meth:`neighbors`.
         """
         dense = np.zeros(self._size, dtype=np.float64)
-        s, e = self._indptr[local_idx], self._indptr[local_idx + 1]
-        dense[self._cols[s:e]] = self._vals[s:e]
+        idx, val = self.neighbors(local_idx)
+        dense[idx] = val
         return dense
 
     def pair(self, i: int, j: int) -> float:
-        s, e = self._indptr[i], self._indptr[i + 1]
-        pos = np.nonzero(self._cols[s:e] == j)[0]
-        return float(self._vals[s + pos[0]]) if pos.size else 0.0
+        idx, val = self.neighbors(i)
+        pos = np.nonzero(idx == j)[0]
+        return float(val[pos[0]]) if pos.size else 0.0
 
     def neighbors(self, local_idx: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``(indices, values)`` views of one stored row."""
+        """``(indices, values)`` of one stored row: zero-copy views, except
+        for a row with both base and tail entries, which is concatenated."""
         s, e = self._indptr[local_idx], self._indptr[local_idx + 1]
+        if self._tail is not None:
+            tail_indptr, tail_cols, tail_vals = self._tail
+            ts, te = tail_indptr[local_idx], tail_indptr[local_idx + 1]
+            if s == e:
+                return tail_cols[ts:te], tail_vals[ts:te]
+            if ts < te:
+                return (
+                    np.concatenate([self._cols[s:e], tail_cols[ts:te]]),
+                    np.concatenate([self._vals[s:e], tail_vals[ts:te]]),
+                )
         return self._cols[s:e], self._vals[s:e]
 
     def nnz(self) -> int:
-        return int(self._cols.size)
+        tail = 0 if self._tail is None else self._tail[1].size
+        return int(self._cols.size + tail)
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(indptr, cols, vals)`` of the stored entries, row-major.
 
-        Same contract as :meth:`DenseSimilarity.csr` — and zero-copy: the
-        returned arrays are the live backing store, so treat them as
-        read-only.
+        Same contract as :meth:`DenseSimilarity.csr` — and zero-copy
+        without a tail: the returned arrays are the live backing store, so
+        treat them as read-only.  With a tail they are a compact copy
+        (:func:`interleave_tail`).
         """
-        return self._indptr, self._cols, self._vals
+        if self._tail is None:
+            return self._indptr, self._cols, self._vals
+        return interleave_tail(self._indptr, self._cols, self._vals, self._tail)
 
 
 SimilarityBackend = Union[DenseSimilarity, SparseSimilarity]
@@ -693,6 +835,13 @@ class IncidenceCSR:
     match ``PARInstance.membership`` / ``similarity.neighbors`` exactly,
     which is what lets :class:`repro.core.objective.CoverageState`'s kernel
     backend reproduce the reference float accumulation bit for bit.
+
+    ``tail`` is ``None``, or ``(member_tail_indptr, tail_slots,
+    tail_sims)``: a second range per membership, read right after its
+    range in ``slots``/``sims``.  A live archive's incidence is its
+    similarity's base and tail (:meth:`SparseSimilarity.parts`), so an
+    upload builds no archive-sized array; :meth:`merged` is the one
+    layout both ranges stand for.
     """
 
     __slots__ = (
@@ -703,6 +852,7 @@ class IncidenceCSR:
         "slots",
         "sims",
         "slot_wrel",
+        "tail",
         "total_slots",
         "_native",
     )
@@ -716,6 +866,7 @@ class IncidenceCSR:
         slots: np.ndarray,
         sims: np.ndarray,
         slot_wrel: np.ndarray,
+        tail: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.subset_offsets = subset_offsets
         self.photo_member_indptr = photo_member_indptr
@@ -724,6 +875,7 @@ class IncidenceCSR:
         self.slots = slots
         self.sims = sims
         self.slot_wrel = slot_wrel
+        self.tail = tail
         self.total_slots = int(subset_offsets[-1]) if subset_offsets.size else 0
         # The native kernel's checked layout (repro.core.native), built on
         # first use: None until then, False when numpy must serve.
@@ -740,7 +892,48 @@ class IncidenceCSR:
 
     @property
     def nnz(self) -> int:
-        return int(self.slots.size)
+        tail = 0 if self.tail is None else self.tail[1].size
+        return int(self.slots.size + tail)
+
+    def photo_entries(
+        self, p: int
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Photo ``p``'s ``(slots, sims, bounds)`` in kernel order: each
+        membership's range, then its tail range.  Membership ``j`` of the
+        photo spans ``bounds[j]:bounds[j + 1]``; ``bounds`` is ``None``
+        for a photo in one subset.  Zero-copy slices when the photo has no
+        tail entries."""
+        ms = self.photo_member_indptr[p]
+        me = self.photo_member_indptr[p + 1]
+        eptr = self.member_entry_indptr
+        s0 = self.entry_indptr[p]
+        tail = self.tail
+        if tail is None or tail[0][ms] == tail[0][me]:
+            e0 = self.entry_indptr[p + 1]
+            bounds = None if me - ms == 1 else eptr[ms : me + 1] - s0
+            return self.slots[s0:e0], self.sims[s0:e0], bounds
+        tptr, tail_slots, tail_sims = tail
+        slot_parts, sim_parts = [], []
+        for k in range(ms, me):
+            slot_parts += [self.slots[eptr[k] : eptr[k + 1]], tail_slots[tptr[k] : tptr[k + 1]]]
+            sim_parts += [self.sims[eptr[k] : eptr[k + 1]], tail_sims[tptr[k] : tptr[k + 1]]]
+        bounds = None
+        if me - ms > 1:
+            bounds = np.zeros(me - ms + 1, dtype=np.int64)
+            np.cumsum([part.size for part in slot_parts[::2]], out=bounds[1:])
+            bounds[1:] += np.cumsum([part.size for part in slot_parts[1::2]])
+        return np.concatenate(slot_parts), np.concatenate(sim_parts), bounds
+
+    def merged(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(entry_indptr, slots, sims)`` with every membership's tail
+        range folded in after its range: the layout of the same incidence
+        built without a tail (a new copy when there is a tail)."""
+        if self.tail is None:
+            return self.entry_indptr, self.slots, self.sims
+        member_indptr, slots, sims = interleave_tail(
+            self.member_entry_indptr, self.slots, self.sims, self.tail
+        )
+        return member_indptr[self.photo_member_indptr], slots, sims
 
 
 def build_incidence(subsets: Sequence[PredefinedSubset], n: int) -> IncidenceCSR:
@@ -749,7 +942,9 @@ def build_incidence(subsets: Sequence[PredefinedSubset], n: int) -> IncidenceCSR
     Fully vectorised (O(nnz) numpy, no per-entry Python): each subset
     contributes its similarity CSR; entries are then permuted from
     subset-major to photo-major order with a gather.  The per-slot
-    weights are one O(total slots) product per subset.
+    weights are one O(total slots) product per subset.  An archive-wide
+    single subset is its own incidence: its similarity's base and tail
+    are adopted as they are, with no O(nnz) pass.
     """
     n_subsets = len(subsets)
     sizes = np.fromiter((len(q) for q in subsets), dtype=np.int64, count=n_subsets)
@@ -782,9 +977,19 @@ def build_incidence(subsets: Sequence[PredefinedSubset], n: int) -> IncidenceCSR
             # Archive-wide single-subset instances (the streamed/live
             # builds): local ids are global ids, the photo-major
             # permutation is the identity, and the incidence is the
-            # similarity CSR itself — no O(nnz) pass at all.
-            indptr, cols, vals = q.similarity.csr()
+            # similarity CSR itself — no O(nnz) pass at all.  A grown
+            # live similarity hands over its base and its tail.
+            if q.similarity.is_sparse:
+                (indptr, cols, vals), tail = q.similarity.parts()
+            else:
+                (indptr, cols, vals), tail = q.similarity.csr(), None
             indptr = np.asarray(indptr, dtype=np.int64)
+            if tail is not None:
+                tail = (
+                    tail[0],
+                    tail[1],
+                    np.asarray(tail[2], dtype=np.float64),
+                )
             return IncidenceCSR(
                 subset_offsets,
                 np.arange(n + 1, dtype=np.int64),
@@ -793,6 +998,7 @@ def build_incidence(subsets: Sequence[PredefinedSubset], n: int) -> IncidenceCSR
                 np.asarray(cols, dtype=np.int64),
                 np.asarray(vals, dtype=np.float64),
                 slot_wrel,
+                tail,
             )
 
     # Subset-major pass: concatenate every subset's row CSR, converting

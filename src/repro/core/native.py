@@ -14,7 +14,13 @@ for it.
   links; a hand-written loop would sum in a different order, so the C
   kernel borrows that very function, found among the shared objects the
   process has mapped, and checks it bitwise against ``np.dot`` before
-  use.
+  use.  It reads each membership as its base range followed by its tail
+  range (a grown live archive's incidence), replays a whole selection in
+  one call (:meth:`NativeCoverage.replay`), and computes every photo's
+  gain (:meth:`NativeCoverage.all_gains`) as numpy's ``np.maximum`` +
+  ``np.add.reduceat`` pass does: the first product plus numpy's pairwise
+  sum of the rest.  That pass serves only after its bits equal
+  :func:`reduceat_gains`' on a seeded incidence in this process.
 * ``native_json.c`` finds and converts the flat float arrays of a JSON
   text for :func:`repro.core.serialize.loads` (:func:`scan_json`), which
   parses with ``json.loads`` alone when the library is unavailable.
@@ -36,7 +42,9 @@ cffi is missing, ``gcc`` is missing or fails, or the cache cannot be
 written or is not this user's.  The coverage kernel alone also falls
 back, with its own warning, when no BLAS ddot is found or the ddot
 self-check fails; the scanner and the emitter do no floating point and
-need no ddot.  The verifier falls back, with one warning per width, when
+need no ddot.  A failed all-gains self-check logs one warning per
+process and leaves ``all_gains`` to numpy, the rest of the kernel
+serving.  The verifier falls back, with one warning per width, when
 its own self-check fails, as it would against a numpy built for another
 baseline (AVX2 with FMA sums in another order).  Cache rules: the
 directory is created with mode 0700, builds go to a temporary file that
@@ -57,6 +65,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -99,7 +108,7 @@ class KernelUnavailable(RuntimeError):
 class _Kernel:
     """The loaded library plus the borrowed ddot it calls."""
 
-    __slots__ = ("ffi", "lib", "ddot", "ilp64", "_blas")
+    __slots__ = ("ffi", "lib", "ddot", "ilp64", "_blas", "_sums")
 
     def __init__(self, ffi, lib, blas, symbol: str) -> None:
         self.ffi = ffi
@@ -107,6 +116,17 @@ class _Kernel:
         self._blas = blas  # keeps the BLAS handle open
         self.ddot = ffi.cast("void *", getattr(blas, symbol))
         self.ilp64 = symbol.endswith("64_")
+        self._sums: Optional[bool] = None
+
+    def sums_like_reduceat(self) -> bool:
+        """Whether ``phocus_all_gains`` sums exactly as ``np.add.reduceat``
+        does in this process (self-checked once, on first use)."""
+        if self._sums is None:
+            with _load_lock:
+                if self._sums is None:
+                    self._sums = False  # the check's own handle binds no pass
+                    self._sums = _all_gains_self_check(self)
+        return self._sums
 
 
 _UNSET = object()
@@ -696,29 +716,79 @@ def _self_check(loaded: _Kernel, symbol: str) -> None:
 class _Layout:
     """One incidence CSR, checked for everything the C loop trusts.
 
-    ``pointers`` are cffi buffers over the CSR arrays; each holds a
-    reference to its array, so the memory stays valid while they live.
+    ``pointers`` are cffi buffers over the CSR arrays (the tail's are
+    ``NULL`` without a tail); each holds a reference to its array, so the
+    memory stays valid while they live.
     """
 
     __slots__ = ("n", "max_entries", "pointers")
 
-    def __init__(self, ffi, arrays: Tuple[np.ndarray, ...]) -> None:
+    def __init__(self, ffi, arrays: Tuple[np.ndarray, ...], tail) -> None:
         pm, me = arrays[:2]
         self.n = pm.size - 1
-        self.max_entries = int(np.max(me[pm[1:]] - me[pm[:-1]], initial=0))
+        entries = me[pm[1:]] - me[pm[:-1]]
+        if tail is not None:
+            entries = entries + tail[0][pm[1:]] - tail[0][pm[:-1]]
+        self.max_entries = int(np.max(entries, initial=0))
         kinds = ("int64_t[]",) * 3 + ("double[]",) * 2
-        self.pointers = tuple(ffi.from_buffer(k, a) for k, a in zip(kinds, arrays))
+        base = tuple(ffi.from_buffer(k, a) for k, a in zip(kinds, arrays))
+        if tail is None:
+            extra = (ffi.NULL,) * 3
+        else:
+            extra = tuple(
+                ffi.from_buffer(k, a)
+                for k, a in zip(("int64_t[]", "int64_t[]", "double[]"), tail)
+            )
+        self.pointers = base + extra
 
 
 def _layout(ffi, inc: IncidenceCSR) -> Optional[_Layout]:
     """The checked layout of ``inc``, or ``None`` for the numpy kernel.
 
-    Cached on the incidence, so the O(nnz) checks run once per CSR, not
-    once per state.
+    Cached on the incidence, so the checks run once per CSR, not once
+    per state.
     """
     if inc._native is None:
         inc._native = _check_layout(ffi, inc)
     return inc._native or None
+
+
+#: ``id(array) -> (weakref, min, max)`` of read-only slot arrays already
+#: scanned; an entry leaves with its array.
+_SLOT_RANGES: Dict[int, Tuple[weakref.ref, int, int]] = {}
+
+
+def _slot_range(slots: np.ndarray) -> Tuple[int, int]:
+    """``(min, max)`` of a non-empty slot array.
+
+    A read-only array is scanned once per process: a live archive's base
+    is frozen when it is first shared and then serves every upload until
+    the tail merges, so each upload scans only its own tail.
+    """
+    if slots.flags.writeable:
+        return int(slots.min()), int(slots.max())
+    key = id(slots)
+    hit = _SLOT_RANGES.get(key)
+    if hit is not None and hit[0]() is slots:
+        return hit[1], hit[2]
+    lo, hi = int(slots.min()), int(slots.max())
+    ref = weakref.ref(slots, lambda _, key=key: _SLOT_RANGES.pop(key, None))
+    _SLOT_RANGES[key] = (ref, lo, hi)
+    return lo, hi
+
+
+def _check_spans(name: str, ptr: np.ndarray, size: int) -> None:
+    if ptr.size == 0 or ptr[0] != 0 or ptr[-1] != size or np.any(ptr[1:] < ptr[:-1]):
+        raise IndexError(f"{name} does not span its {size} entries in order")
+
+
+def _check_slots(slots: np.ndarray, total_slots: int) -> None:
+    if slots.size:
+        for bad in _slot_range(slots):
+            if not 0 <= bad < total_slots:
+                raise IndexError(
+                    f"index {bad} is out of bounds for axis 0 with size {total_slots}"
+                )
 
 
 def _check_layout(ffi, inc: IncidenceCSR):
@@ -726,39 +796,44 @@ def _check_layout(ffi, inc: IncidenceCSR):
 
     Arrays that are not contiguous int64/float64 go to the numpy kernel;
     that includes float32 similarities, whose ``phi * sims`` numpy rounds
-    in float32 (NEP 50).  A broken index invariant raises ``IndexError``,
-    as numpy's indexing would, before any pointer reaches C.
+    in float32 (NEP 50).  A broken index invariant, in the base arrays or
+    the tail's, raises ``IndexError``, as numpy's indexing would, before
+    any pointer reaches C.
     """
     arrays = (
         inc.photo_member_indptr, inc.member_entry_indptr,
         inc.slots, inc.sims, inc.slot_wrel,
     )
-    dtypes = (np.int64, np.int64, np.int64, np.float64, np.float64)
-    for a, dtype in zip(arrays, dtypes):
+    dtypes = [np.int64, np.int64, np.int64, np.float64, np.float64]
+    tail = inc.tail
+    if tail is not None:
+        dtypes += [np.int64, np.int64, np.float64]
+    for a, dtype in zip(arrays + tuple(tail or ()), dtypes):
         if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous:
             return False
     pm, me, slots, sims, slot_wrel = arrays
-    for name, ptr, size in (
-        ("member_entry_indptr", me, slots.size),
-        ("photo_member_indptr", pm, me.size - 1),
-    ):
-        if ptr.size == 0 or ptr[0] != 0 or ptr[-1] != size or np.any(ptr[1:] < ptr[:-1]):
-            raise IndexError(f"{name} does not span its {size} entries in order")
+    _check_spans("member_entry_indptr", me, slots.size)
+    _check_spans("photo_member_indptr", pm, me.size - 1)
     if sims.size != slots.size:
         raise IndexError("incidence slots and sims differ in length")
     if slot_wrel.size != inc.total_slots:
         raise IndexError(
             f"slot_wrel holds {slot_wrel.size} weights for {inc.total_slots} slots"
         )
-    if slots.size:
-        for bad in (int(slots.min()), int(slots.max())):
-            if not 0 <= bad < inc.total_slots:
-                raise IndexError(
-                    f"index {bad} is out of bounds for axis 0 with size {inc.total_slots}"
-                )
+    _check_slots(slots, inc.total_slots)
+    if tail is not None:
+        tail_indptr, tail_slots, tail_sims = tail
+        if tail_indptr.size != me.size:
+            raise IndexError(
+                f"the tail has {tail_indptr.size - 1} ranges for {me.size - 1} memberships"
+            )
+        _check_spans("the tail's indptr", tail_indptr, tail_slots.size)
+        if tail_sims.size != tail_slots.size:
+            raise IndexError("tail slots and sims differ in length")
+        _check_slots(tail_slots, inc.total_slots)
     if not np.array_equal(inc.entry_indptr, me[pm]):
         return False  # the numpy kernel reads entry_indptr; keep its answers
-    return _Layout(ffi, arrays)
+    return _Layout(ffi, arrays, tail)
 
 
 class NativeCoverage:
@@ -770,9 +845,14 @@ class NativeCoverage:
     mapped while the state lives.  ``gain(p, phi)`` leaves the coverage
     writes it implies pending; ``commit()`` applies them (the CELF select
     step), and ``add(p, phi)`` evaluates and commits at once.
+    :meth:`replay` adds a whole selection in one call, and
+    :meth:`all_gains` computes every photo's gain, which callers use only
+    when ``sums_like_reduceat`` (the summation self-check passed).
     """
 
-    __slots__ = ("n", "gain", "add", "commit", "_keep")
+    __slots__ = (
+        "n", "gain", "add", "commit", "sums_like_reduceat", "_ffi", "_lib", "_ctx", "_keep",
+    )
 
     def __init__(self, loaded: _Kernel, layout: _Layout, best: np.ndarray) -> None:
         ffi, lib = loaded.ffi, loaded.lib
@@ -785,12 +865,16 @@ class NativeCoverage:
             ffi.new("int64_t[]", size),
             ffi.new("double[]", size),
         )
+        ctx.n = layout.n
         (
             ctx.photo_member_indptr,
             ctx.member_entry_indptr,
             ctx.slots,
             ctx.sims,
             ctx.slot_wrel,
+            ctx.tail_indptr,
+            ctx.tail_slots,
+            ctx.tail_sims,
         ) = layout.pointers
         ctx.best = best_ptr
         ctx.dot_w, ctx.dot_d, ctx.pending_slots, ctx.pending_sims = scratch
@@ -801,7 +885,29 @@ class NativeCoverage:
         self.gain = functools.partial(lib.phocus_gain, ctx)
         self.add = functools.partial(lib.phocus_add, ctx)
         self.commit = functools.partial(lib.phocus_commit, ctx)
+        self.sums_like_reduceat = loaded.sums_like_reduceat()
+        self._ffi, self._lib, self._ctx = ffi, lib, ctx
         self._keep = (loaded, layout, best_ptr, scratch)
+
+    def replay(self, ids: np.ndarray) -> float:
+        """Add the distinct photos ``ids`` (int64, each in ``[0, n)``) in
+        order at full fidelity; return their realised gains summed in that
+        order from a zero."""
+        if ids.dtype != np.int64 or ids.ndim != 1 or not ids.flags.c_contiguous:
+            raise ValueError("replay ids must be a contiguous int64 vector")
+        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= self.n):
+            raise ValueError(f"replay ids must lie in [0, {self.n})")
+        return self._lib.phocus_replay(
+            self._ctx, self._ffi.from_buffer("int64_t[]", ids), ids.size
+        )
+
+    def all_gains(self) -> np.ndarray:
+        """``phocus_all_gains`` of every photo (selected ones included)."""
+        gains = np.empty(self.n, dtype=np.float64)
+        self._lib.phocus_all_gains(
+            self._ctx, self._ffi.from_buffer("double[]", gains, require_writable=True)
+        )
+        return gains
 
 
 def bind(inc: IncidenceCSR, best: np.ndarray) -> Optional[NativeCoverage]:
@@ -816,3 +922,77 @@ def bind(inc: IncidenceCSR, best: np.ndarray) -> Optional[NativeCoverage]:
     if layout is None:
         return None
     return NativeCoverage(loaded, layout, best)
+
+
+# ------------------------------------------------------------ all gains
+
+
+def reduceat_gains(
+    entry_indptr: np.ndarray,
+    slots: np.ndarray,
+    sims: np.ndarray,
+    slot_wrel: np.ndarray,
+    best: np.ndarray,
+) -> np.ndarray:
+    """Every photo's gain by numpy: the products ``max(sim − best, 0) ·
+    wrel`` of its entry range (``entry_indptr``) summed by one
+    ``np.add.reduceat`` pass — the numpy kernel's ``all_gains`` and the
+    reference :func:`_all_gains_self_check` holds the C pass to."""
+    gains = np.zeros(entry_indptr.size - 1, dtype=np.float64)
+    delta = sims - best[slots]
+    np.maximum(delta, 0.0, out=delta)
+    delta *= slot_wrel[slots]
+    starts = entry_indptr[:-1]
+    nonempty = starts < entry_indptr[1:]
+    # reduceat over the nonempty per-photo ranges: consecutive nonempty
+    # starts abut (empty ranges have zero width), so each segment ends
+    # exactly at the next start.
+    if nonempty.any():
+        gains[nonempty] = np.add.reduceat(delta, starts[nonempty])
+    return gains
+
+
+#: Entries per photo in the self-check: every summation branch (1, under
+#: 8, eight accumulators, the 128 boundary, halving, an odd tail).
+_ALL_GAINS_CHECK_LENGTHS = (0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 257, 1000)
+
+
+def _all_gains_self_check(loaded: _Kernel) -> bool:
+    """Compare ``phocus_all_gains`` bitwise with :func:`reduceat_gains`
+    on a seeded incidence with a tail, signed zeros and negative deltas;
+    on a mismatch, log it and return False."""
+    rng = random.Random(7)  # spares a numpy.random import
+    lengths = _ALL_GAINS_CHECK_LENGTHS
+    n = len(lengths)
+    total = sum(lengths)
+    slot_wrel = np.array([rng.random() for _ in range(total)])
+    sims = np.array([rng.choice((rng.random(), 0.5, -0.0)) for _ in range(total)])
+    best = np.array([rng.choice((rng.random(), 0.5, 0.0)) for _ in range(total)])
+    slots = np.array([rng.randrange(total) for _ in range(total)], dtype=np.int64)
+    # The two-entry photo's products are both -0.0: numpy sums from -0.0.
+    slot_wrel[:2] = -0.0
+    best[:2] = 0.25
+    slots[1:3] = (0, 1)
+    sims[1:3] = 0.75
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    # Each photo's last third of entries moves to the tail.
+    base_len = np.array([m - m // 3 for m in lengths], dtype=np.int64)
+    base_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(base_len, out=base_indptr[1:])
+    tail_indptr = indptr - base_indptr
+    in_base = np.arange(total) - np.repeat(indptr[:-1], lengths) < np.repeat(base_len, lengths)
+    pm = np.arange(n + 1, dtype=np.int64)
+    inc = IncidenceCSR(
+        np.array([0, total], dtype=np.int64), pm, base_indptr, base_indptr,
+        slots[in_base], sims[in_base], slot_wrel,
+        (tail_indptr, slots[~in_base], sims[~in_base]),
+    )
+    got = NativeCoverage(loaded, _check_layout(loaded.ffi, inc), best.copy()).all_gains()
+    want = reduceat_gains(indptr, slots, sims, slot_wrel, best)
+    if got.tobytes() == want.tobytes():
+        return True
+    _log.warning(
+        "native all_gains sums unlike np.add.reduceat; using the numpy pass"
+    )
+    return False

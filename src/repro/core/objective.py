@@ -20,9 +20,11 @@ The state runs on the flat incidence CSR precomputed by
 of (slot, similarity, weighted relevance).  ``gain``/``add`` run in C
 (:mod:`repro.core.native`) whenever the compiled kernel loads, and
 otherwise as a handful of vectorised numpy slice ops per membership (the
-numpy kernel).  ``all_gains`` is one pass of ``np.maximum`` +
-``np.add.reduceat`` over the whole entry array, or one BLAS product per
-subset when every subset is dense.
+numpy kernel).  A state built over a selection replays it in one native
+call.  ``all_gains`` is one C pass that sums as ``np.add.reduceat``
+does, or numpy's ``np.maximum`` + ``np.add.reduceat`` pass over the
+whole entry array, or one BLAS product per subset when every subset is
+dense.
 
 Both kernels accumulate floats in the *same order* as the seed's
 per-subset ``neighbors()`` loop (per membership, in ascending subset
@@ -135,8 +137,7 @@ class CoverageState:
         # query; segments hold the already-computed masks an add() can
         # replay (None: the native context holds them).
         self._gain_cache: Optional[Tuple[int, float, int, float, list]] = None
-        for p in selection:
-            self.add(int(p))
+        self._replay(selection)
 
     # ------------------------------------------------------------------
 
@@ -248,12 +249,9 @@ class CoverageState:
         fidelity accumulates the very same floats as a plain insertion.
         """
         inc = self.instance.incidence
-        s0 = inc.entry_indptr[p]
-        e0 = inc.entry_indptr[p + 1]
-        if s0 == e0:
+        slots, sims, bounds = inc.photo_entries(p)
+        if slots.size == 0:
             return 0.0, []
-        slots = inc.slots[s0:e0]
-        sims = inc.sims[s0:e0]
         if phi != 1.0:
             sims = phi * sims
         delta = sims - self._best_flat[slots]
@@ -261,18 +259,13 @@ class CoverageState:
         if not positive.any():
             return 0.0, []
         slot_wrel = inc.slot_wrel
-        ms = inc.photo_member_indptr[p]
-        me = inc.photo_member_indptr[p + 1]
-        if me - ms == 1:
+        if bounds is None:
             return (
                 _chunked_dot(slot_wrel[slots[positive]], delta[positive]),
                 [(slots, sims, positive)],
             )
-        eptr = inc.member_entry_indptr
         total = 0.0
-        for k in range(ms, me):
-            s = eptr[k] - s0
-            e = eptr[k + 1] - s0
+        for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             pseg = positive[s:e]
             dsel = delta[s:e][pseg]
             if dsel.size:
@@ -289,33 +282,25 @@ class CoverageState:
         bulk, which is substantially faster when many candidates must be
         ranked (online bounds, branch-and-bound root ordering, batch
         heuristics).  One masked multiply + ``np.add.reduceat`` pass over
-        the flat entry array serves every instance with a sparse subset;
-        all-dense instances take one BLAS product per subset instead.
-        Selected photos report 0.
+        the flat entry array (a tail merged in, :meth:`IncidenceCSR.merged`)
+        serves every instance with a sparse subset, run in C with the same
+        bits when the kernel loads; all-dense instances take one BLAS
+        product per subset instead.  Selected photos report 0.
         """
         inc = self.instance.incidence
-        if inc.slots.size == 0:
+        native = self._native
+        if inc.nnz == 0:
             gains = np.zeros(self.instance.n, dtype=np.float64)
-        elif self._has_sparse:
-            gains = self._all_gains_flat()
-        else:
+        elif not self._has_sparse:
             gains = self._all_gains_dense()
+        elif native is not None and native.sums_like_reduceat:
+            gains = native.all_gains()
+        else:
+            gains = _native.reduceat_gains(
+                *inc.merged(), inc.slot_wrel, self._best_flat
+            )
         if self._selected:
             gains[list(self._selected)] = 0.0
-        return gains
-
-    def _all_gains_flat(self) -> np.ndarray:
-        inc = self.instance.incidence
-        gains = np.zeros(self.instance.n, dtype=np.float64)
-        delta = inc.sims - self._best_flat[inc.slots]
-        np.maximum(delta, 0.0, out=delta)
-        delta *= inc.slot_wrel[inc.slots]
-        starts = inc.entry_indptr[:-1]
-        nonempty = starts < inc.entry_indptr[1:]
-        # reduceat over the nonempty per-photo ranges: consecutive nonempty
-        # starts abut (empty ranges have zero width), so each segment ends
-        # exactly at the next start.
-        gains[nonempty] = np.add.reduceat(delta, starts[nonempty])
         return gains
 
     def _all_gains_dense(self) -> np.ndarray:
@@ -329,6 +314,29 @@ class CoverageState:
         return gains
 
     # ------------------------------------------------------------------
+
+    def _replay(self, selection: Iterable[int]) -> None:
+        """Add ``selection`` in order, as repeated :meth:`add` calls would.
+
+        With the compiled kernel and in-range integer ids, the distinct
+        ids (first occurrences, in order) go to C in one call, which adds
+        them one by one and sums their realised gains in the same order,
+        so ``_best_flat`` and ``value`` keep their bits.
+        """
+        native = self._native
+        if native is not None:
+            ids = selection if isinstance(selection, np.ndarray) else list(selection)
+            ids = np.asarray(ids)
+            if ids.ndim == 1 and (ids.dtype.kind in "iu" or ids.size == 0):
+                ids = first_occurrences(ids.astype(np.int64))
+                if ids.size == 0 or (ids.min() >= 0 and ids.max() < native.n):
+                    self._value = native.replay(ids)
+                    self._order = ids.tolist()
+                    self._selected = set(self._order)
+                    return
+            selection = ids.tolist()
+        for p in selection:
+            self.add(int(p))
 
     def copy(self) -> "CoverageState":
         """Deep copy (shares the immutable instance, copies mutable state)."""
@@ -375,6 +383,16 @@ class CoverageState:
     def coverage_of(self, qi: int) -> np.ndarray:
         """Per-member nearest-neighbour similarities for subset ``qi`` (copy)."""
         return self._best[qi].copy()
+
+
+def first_occurrences(ids: np.ndarray) -> np.ndarray:
+    """``ids`` without the repeats of an id after its first occurrence,
+    in order (``ids`` itself when nothing repeats)."""
+    if ids.size > 1:
+        first = np.unique(ids, return_index=True)[1]
+        if first.size < ids.size:
+            return ids[np.sort(first)]
+    return ids
 
 
 def score(instance: PARInstance, selection: Iterable[int]) -> float:

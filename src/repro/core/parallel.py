@@ -141,6 +141,16 @@ def _view(shm: shared_memory.SharedMemory, ref: Dict[str, object]) -> np.ndarray
     )
 
 
+def _pack_tail(packer: _Packer, tail) -> Optional[List[Dict[str, object]]]:
+    """A similarity's or an incidence's tail (three arrays, or ``None``),
+    packed as it is: each range stays its base range then its tail's."""
+    return None if tail is None else [packer.add(a) for a in tail]
+
+
+def _view_tail(shm: shared_memory.SharedMemory, refs) -> Optional[Tuple[np.ndarray, ...]]:
+    return None if refs is None else tuple(_view(shm, ref) for ref in refs)
+
+
 class SharedInstance:
     """A :class:`PARInstance` exported into one shared-memory segment.
 
@@ -168,13 +178,14 @@ class SharedInstance:
         for q in instance.subsets:
             sim: SimilarityBackend = q.similarity
             if sim.is_sparse:
-                indptr, cols, vals = sim.csr()
+                (indptr, cols, vals), tail = sim.parts()
                 sim_spec: Dict[str, object] = {
                     "kind": "sparse",
                     "size": len(sim),
                     "indptr": packer.add(indptr),
                     "cols": packer.add(cols),
                     "vals": packer.add(vals),
+                    "tail": _pack_tail(packer, tail),
                 }
             else:
                 sim_spec = {"kind": "dense", "matrix": packer.add(sim.matrix)}
@@ -201,6 +212,7 @@ class SharedInstance:
                 "slots": packer.add(inc.slots),
                 "sims": packer.add(inc.sims),
                 "slot_wrel": packer.add(inc.slot_wrel),
+                "tail": _pack_tail(packer, inc.tail),
             },
         }
         self._shm = shared_memory.SharedMemory(
@@ -297,12 +309,12 @@ def build_view_instance(
     for s in spec["subsets"]:
         sim_spec = s["similarity"]
         if sim_spec["kind"] == "sparse":
-            backend: SimilarityBackend = SparseSimilarity.from_csr(
+            backend: SimilarityBackend = SparseSimilarity.from_parts(
                 int(sim_spec["size"]),
                 _view(shm, sim_spec["indptr"]),
                 _view(shm, sim_spec["cols"]),
                 _view(shm, sim_spec["vals"]),
-                validate=False,
+                _view_tail(shm, sim_spec.get("tail")),
             )
         else:
             backend = DenseSimilarity.adopt(_view(shm, sim_spec["matrix"]))
@@ -331,6 +343,7 @@ def build_view_instance(
             _view(shm, inc["slots"]),
             _view(shm, inc["sims"]),
             _view(shm, inc["slot_wrel"]),
+            _view_tail(shm, inc.get("tail")),
         ),
         validate=False,
     )

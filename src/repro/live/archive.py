@@ -14,7 +14,10 @@ are matched against the stored keys (old↔new candidates, two sorted
 searches per band and run) and against each other (new↔new, the builder's
 own within-bucket emitter), verified with the shared exact-cosine kernel,
 and appended to the CSR via :meth:`SparseSimilarity.append_rows` — the
-dense SIM is never rebuilt and the old CSR region is never re-sorted.
+dense SIM is never rebuilt, and the old CSR is neither re-sorted nor
+copied: the grown similarity shares it as its base and rewrites only a
+tail of what was appended since, which merges into a fresh base past a
+√-bound, as the recent run does.
 The grown instance is **bit-identical** to a from-scratch
 :func:`repro.scale.build_streamed_instance` over the union of photos at
 the same ``(seed, n_bits)``: identical planes give identical bucket keys,
@@ -716,8 +719,17 @@ class LiveArchive:
             index = np.concatenate([self._index, new_keys], axis=1)
         else:
             index = _grown_index(self._index, _sorted_run(new_keys, n), total, k)
+        return self._replaced(grown, raw, index)
+
+    def _replaced(
+        self,
+        instance: PARInstance,
+        raw_relevance: np.ndarray,
+        index: Union[np.ndarray, Tuple[_Run, ...]],
+    ) -> "LiveArchive":
+        """An archive with this one's settings and planes over new state."""
         archive = LiveArchive(
-            grown,
+            instance,
             tau=self.tau,
             seed=self.seed,
             n_bits=self.n_bits,
@@ -726,13 +738,48 @@ class LiveArchive:
             target_recall=self.target_recall,
             subset_id=self.subset_id,
             weight=self.weight,
-            raw_relevance=raw,
+            raw_relevance=raw_relevance,
             band_keys=index,
             signature_chunk=self.signature_chunk,
             chunk_pairs=self.chunk_pairs,
         )
         archive._planes = self._planes
         return archive
+
+    def compacted(self) -> "LiveArchive":
+        """This archive with its similarity's tail merged into a fresh base
+        (``self`` when there is no tail).
+
+        The rows, and so every answer, stay the same.  The live manager
+        calls it before writing a full base: :meth:`to_doc` then reads the
+        CSR in place instead of copying it, and the archive that keeps
+        growing drops its old base and tail at once.
+        """
+        inst = self.instance
+        subset = inst.subsets[0]
+        sim = subset.similarity
+        if not sim.is_sparse or sim.parts()[1] is None:
+            return self
+        compact = PARInstance(
+            inst.costs,
+            [
+                PredefinedSubset(
+                    subset.subset_id,
+                    subset.weight,
+                    subset.members,
+                    subset.relevance,
+                    sim.compacted(),
+                    validate=False,
+                )
+            ],
+            inst.budget,
+            retained=inst.retained,
+            embeddings=inst.embeddings,
+            labels=inst.labels,
+            metadata=inst.metadata,
+            validate=False,
+        )
+        return self._replaced(compact, self.raw_relevance, self._index)
 
     # --------------------------------------------------------- persistence
 

@@ -39,8 +39,9 @@ import json
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -159,16 +160,32 @@ class LiveManager:
         self._max_resident = max(1, int(max_resident))
         self._resident: "OrderedDict[Tuple[str, str], _Entry]" = OrderedDict()
         self._mu = threading.Lock()
-        self._locks: Dict[Tuple[str, str], threading.Lock] = {}
+        # key -> [lock, calls holding or waiting for it]
+        self._locks: Dict[Tuple[str, str], list] = {}
 
     # ------------------------------------------------------------- plumbing
 
-    def _key_lock(self, key: Tuple[str, str]) -> threading.Lock:
+    @contextmanager
+    def _key_lock(self, key: Tuple[str, str]) -> Iterator[None]:
+        """Hold ``key``'s lock for the block.
+
+        Each entry counts the calls holding or waiting for it and leaves
+        ``_locks`` with the last of them, so a call refused for an
+        instance the store does not hold leaves no lock behind.
+        """
         with self._mu:
-            lock = self._locks.get(key)
-            if lock is None:
-                lock = self._locks[key] = threading.Lock()
-            return lock
+            slot = self._locks.get(key)
+            if slot is None:
+                slot = self._locks[key] = [threading.Lock(), 0]
+            slot[1] += 1
+        try:
+            with slot[0]:
+                yield
+        finally:
+            with self._mu:
+                slot[1] -= 1
+                if slot[1] == 0:
+                    del self._locks[key]
 
     def _load_entry(self, tenant: str, instance_id: str) -> _Entry:
         """The resident entry, reloaded (base plus folded log) if the store
@@ -246,6 +263,9 @@ class LiveManager:
                     tenant, instance_id, record, expect_version=entry.version
                 )
             else:
+                # A full base is written from the compact CSR, read in
+                # place; the resident archive keeps growing from it.
+                entry.archive = entry.archive.compacted()
                 doc = entry.archive.to_doc()
                 doc["live"]["curation"] = curation
                 meta = store.put(

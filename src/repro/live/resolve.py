@@ -10,7 +10,8 @@ generalises that restart vector to a *changed* instance:
    solution) evict back inside the budget with the reverse greedy of
    :func:`shrink_to_budget`;
 2. **replay** the surviving picks in their original order (bit-identical
-   float accumulation, exactly like a checkpoint resume);
+   float accumulation, exactly like a checkpoint resume; one native call
+   when the kernel loads);
 3. **re-enter the CELF heap** only where the delta invalidated gains: the
    seeding pass of :func:`~repro.core.greedy.lazy_greedy` skips photos
    that are already selected or unaffordable, and a *completed* greedy
@@ -40,7 +41,7 @@ import numpy as np
 from repro.core.bounds import online_bound
 from repro.core.greedy import CB, lazy_greedy, main_algorithm
 from repro.core.instance import PARInstance
-from repro.core.objective import CoverageState
+from repro.core.objective import CoverageState, first_occurrences
 
 __all__ = [
     "LiveSolveResult",
@@ -90,6 +91,15 @@ class LiveSolveResult:
         }
 
 
+def _distinct_ids(selection: Iterable[int], n: int) -> List[int]:
+    """The ids of ``selection`` in ``[0, n)``, each at its first
+    occurrence, in order (one numpy pass, no per-id Python)."""
+    ids = np.asarray(
+        selection if isinstance(selection, np.ndarray) else list(selection)
+    ).astype(np.int64, copy=False)
+    return first_occurrences(ids[(ids >= 0) & (ids < n)]).tolist()
+
+
 def _certify(
     instance: PARInstance,
     selection: Iterable[int],
@@ -108,13 +118,8 @@ def warm_resolve(
 ) -> LiveSolveResult:
     """Seed the CELF pass from a previous solution on a changed instance."""
     t0 = time.perf_counter()
-    seen = set()
-    survivors: List[int] = []
-    for p in previous_selection:
-        p = int(p)
-        if 0 <= p < instance.n and p not in seen:
-            seen.add(p)
-            survivors.append(p)
+    survivors = _distinct_ids(previous_selection, instance.n)
+    seen = set(survivors)
     previous = set(survivors)
     missing_retained = [p for p in sorted(instance.retained) if p not in seen]
     if missing_retained:
@@ -288,13 +293,8 @@ def replay_solution(
     selection through a fresh :class:`CoverageState` — the caller's
     floats are never trusted.
     """
-    seen = set()
-    order: List[int] = []
-    for p in selection:
-        p = int(p)
-        if 0 <= p < instance.n and p not in seen:
-            seen.add(p)
-            order.append(p)
+    order = _distinct_ids(selection, instance.n)
+    seen = set(order)
     state = CoverageState(instance, order)
     cost = instance.cost_of(seen)
     bound, regret = _certify(instance, order, state.value, state=state)

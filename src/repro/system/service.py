@@ -170,7 +170,7 @@ from repro.obs.middleware import AccessLog, observe_request
 from repro.obs.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prom import render_registry
 from repro.resilience import Resilience, deadline_scope, solve_cache_key
-from repro.tenants import TenantQuota, Tenants, parse_ref
+from repro.tenants import TenantQuota, Tenants, parse_ref, validate_id
 
 __all__ = [
     "ROUTES",
@@ -791,6 +791,12 @@ ROUTES: Tuple[Tuple[str, str, Handler, Optional[str]], ...] = (
     ("POST", _INSTANCE + "/recurate", _recurate, "live"),
 )
 
+#: The tenant-store ids a ``/tenants/...`` route's segments carry: each
+#: is checked with :func:`~repro.tenants.validate_id`'s rule before the
+#: handler runs (so before the rate check, the live manager and the
+#: store), and a bad one answers 422 naming its segment.
+_PATH_IDS = (("id", "tenant id"), ("iid", "instance id"))
+
 #: What a route answers when ``needs`` is absent from the context.
 #: ``/metrics`` without instruments is "not found": metrics are off.
 _ABSENT: Dict[str, Answer] = {
@@ -874,11 +880,13 @@ def handle_request(
     method outside the pattern's set 405 with the table's methods in
     ``allow``.  While ``context.resilience`` drains, POST and PUT shed
     503 ``draining``; then a route whose collaborator ``context`` lacks
-    answers 503 (``/metrics``: 404, metrics disabled).  Otherwise the
-    route's handler answers, and a :class:`~repro.errors.ReproError` it
-    raises becomes that error's ``http_status`` and ``to_doc()`` body;
-    anything else is a 500.  ``headers`` is any ``.get``-able view of the
-    request headers (the ``X-Phocus-Deadline-Ms`` deadline).
+    answers 503 (``/metrics``: 404, metrics disabled).  A ``/tenants/``
+    route's tenant and instance ids must then pass ``validate_id``'s rule
+    (422 naming the segment).  Otherwise the route's handler answers, and
+    a :class:`~repro.errors.ReproError` it raises becomes that error's
+    ``http_status`` and ``to_doc()`` body; anything else is a 500.
+    ``headers`` is any ``.get``-able view of the request headers (the
+    ``X-Phocus-Deadline-Ms`` deadline).
 
     Returns ``(http_status, json_payload)`` — for ``/metrics`` the payload
     carries the exposition text under the ``RAW_BODY`` key, which the
@@ -889,7 +897,7 @@ def handle_request(
     match = _match(path)
     if match is None:
         return 404, {"error": f"no route for {method} {path}"}
-    _, methods, params = match
+    pattern, methods, params = match
     if method not in methods:
         return 405, {
             "error": f"method {method} not allowed for {path}",
@@ -911,6 +919,10 @@ def handle_request(
         absent = _absent(ctx, needs)
         if absent is not None:
             return absent
+        if pattern.startswith("/tenants/"):
+            for name, what in _PATH_IDS:
+                if name in params:
+                    validate_id(params[name], what)
         query_args = {k: v[-1] for k, v in parse_qs(query).items()}
         return handler(ctx, Request(params, query_args, body, headers))
     except ReproError as exc:

@@ -213,6 +213,11 @@ def test_live_by_ref_with_a_logged_upload_equals_inline_solve_of_get(service):
     )
     assert status == 200 and envelope["version"] == meta.version
     by_ref = {"by_ref": {"tenant": "acme", "instance_id": "live-logged"}}
+    # The fold appends both logged uploads onto the stored base at once, so
+    # the leased instance reads their rows from its similarity's tail.
+    with service["tenants"].lease_for_solve(by_ref["by_ref"]) as (leased, _):
+        assert leased.incidence.tail is not None
+        assert leased.subsets[0].similarity.parts()[1] is not None
     assert _answer(_post("/solve", by_ref, tenants=service["tenants"])) == _inline(
         envelope["instance"]
     )

@@ -27,6 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import native
+from repro.core.bounds import online_bound
 from repro.core.greedy import main_algorithm
 from repro.core.instance import PARInstance, Photo, PredefinedSubset, SparseSimilarity
 from repro.core.parallel import SharedInstance
@@ -281,15 +282,47 @@ def _fresh(costs, embeddings, budget, seed=31):
     return archive
 
 
+def _tail_merged(archive) -> bool:
+    """Whether the archive's similarity holds no tail (a merge, or none
+    was ever appended)."""
+    return archive.instance.subsets[0].similarity.parts()[1] is None
+
+
+def _assert_same_answers(got, want, previous):
+    """The warm re-solve from ``previous`` and the online bound of its
+    answer agree bit for bit on both archives and on both kernels."""
+    answers = []
+    for kernel in ("native", "numpy"):
+        with pytest.MonkeyPatch.context() as patch:
+            if kernel == "numpy":
+                patch.setattr(native, "kernel", lambda: None)
+            for archive in (got, want):
+                solved = warm_resolve(archive.instance, previous)
+                bound = online_bound(archive.instance, solved.selection)
+                answers.append(
+                    (
+                        solved.selection,
+                        solved.value.hex(),
+                        solved.upper_bound.hex(),
+                        solved.regret_bound.hex(),
+                        bound.hex(),
+                    )
+                )
+    assert all(answer == answers[0] for answer in answers)
+
+
 @settings(max_examples=30, deadline=None)
-@given(sizes=st.lists(st.integers(1, UPLOAD_MAX), min_size=4, max_size=9))
+@given(sizes=st.lists(st.integers(1, UPLOAD_MAX), min_size=4, max_size=12))
 @example(sizes=[40, 1, 57, 1, 30, 2, 57, 1])
 def test_upload_chains_equal_a_fresh_build_across_folds(sizes):
     """Chains of uploads of any sizes, across any number of merges of the
-    recent run into the base, equal a fresh fused build bit for bit, and
-    folding their logged records equals the resident chain."""
+    recent run into the base and of the similarity's tail into its base,
+    equal a fresh fused build bit for bit — CSR bytes, the warm answers
+    and their online bound on both kernels — and folding their logged
+    records equals the resident chain."""
     costs, embeddings, budget = _chain_photos(sizes)
     archive = _fresh(costs[:N0], embeddings[:N0], budget)
+    previous = cold_resolve(archive.instance).selection
     base_doc = archive.to_doc()
     deltas, lo = [], N0
     for k in sizes:
@@ -298,7 +331,9 @@ def test_upload_chains_equal_a_fresh_build_across_folds(sizes):
         lo += k
         _assert_run_index(archive)
         assert len(archive._runs()) in (1, 2)
-    _assert_same_archive(archive, _fresh(costs, embeddings, budget))
+    fresh = _fresh(costs, embeddings, budget)
+    _assert_same_archive(archive, fresh)
+    _assert_same_answers(archive, fresh, previous)
 
     records = [
         {"version": v, "updated_at": 0.0, "record": {**d.to_record(), "curation": {}}}
@@ -318,14 +353,33 @@ def test_upload_chain_crosses_several_folds_at_any_band_block(monkeypatch, block
     sizes = [40, 1, 57, 1, 30, 2, 57, 1]
     costs, embeddings, budget = _chain_photos(sizes)
     archive = _fresh(costs[:N0], embeddings[:N0], budget)
-    folds, lo = 0, N0
+    folds, merges, lo = 0, 0, N0
     for k in sizes:
         archive, _ = archive.ingest(costs[lo : lo + k], embeddings[lo : lo + k])
         folds += len(archive._runs()) == 1
+        merges += _tail_merged(archive)
         lo += k
         _assert_run_index(archive)
-    assert folds >= 3
+    assert folds >= 3 and merges >= 3
     _assert_same_archive(archive, _fresh(costs, embeddings, budget))
+
+
+def test_a_long_upload_chain_merges_the_tail_many_times():
+    """Thirty small uploads: the tail grows, merges into a fresh base and
+    grows again, and the last archive still equals a fresh build."""
+    sizes = [5] * 30
+    costs, embeddings, budget = _chain_photos(sizes)
+    archive = _fresh(costs[:N0], embeddings[:N0], budget)
+    previous = cold_resolve(archive.instance).selection
+    merges, lo = 0, N0
+    for k in sizes:
+        archive, _ = archive.ingest(costs[lo : lo + k], embeddings[lo : lo + k])
+        merges += _tail_merged(archive)
+        lo += k
+    assert merges >= 3 and not _tail_merged(archive)
+    fresh = _fresh(costs, embeddings, budget)
+    _assert_same_archive(archive, fresh)
+    _assert_same_answers(archive, fresh, previous)
 
 
 def test_children_of_one_parent_share_its_runs_safely():
@@ -353,6 +407,89 @@ def test_children_of_one_parent_share_its_runs_safely():
     _assert_same_archive(first, _fresh(costs[:b_lo], embeddings[:b_lo], budget))
     own = np.r_[0:a_lo, b_lo]
     _assert_same_archive(second, _fresh(costs[own], embeddings[own], budget))
+
+
+def _similarity_bytes(archive):
+    """Every array of the archive's similarity: base, then tail."""
+    base, tail = archive.instance.subsets[0].similarity.parts()
+    return [a.tobytes() for a in (*base, *(tail or ()))]
+
+
+def test_children_of_one_parent_share_its_similarity_safely():
+    """Two uploads onto one parent whose similarity has a tail: one grows
+    the tail, the other merges it into a fresh base.  Both share or copy
+    the parent's base without writing to it, so the parent and the first
+    child keep every byte when the second is made, and each child equals
+    a fresh build."""
+    costs, embeddings, budget = _chain_photos([60, 60, 1])
+    a_lo, b_lo = N0 + 60, N0 + 120
+    root = _fresh(costs[:N0], embeddings[:N0], budget)
+    parent, _ = root.ingest(costs[N0:a_lo], embeddings[N0:a_lo])
+    assert not _tail_merged(parent)
+    parent_bytes = _similarity_bytes(parent)
+    parent_base = parent.instance.subsets[0].similarity.parts()[0]
+    assert not any(a.flags.writeable for a in parent_base[1:])  # shared: frozen
+
+    first, _ = parent.ingest(costs[a_lo:b_lo], embeddings[a_lo:b_lo])
+    assert not _tail_merged(first)
+    first_base = first.instance.subsets[0].similarity.parts()[0]
+    assert first_base[1] is parent_base[1] and first_base[2] is parent_base[2]
+    first_bytes = _similarity_bytes(first)
+    second, _ = parent.ingest(costs[b_lo : b_lo + 1], embeddings[b_lo : b_lo + 1])
+    assert _tail_merged(second)
+
+    assert _similarity_bytes(parent) == parent_bytes
+    assert _similarity_bytes(first) == first_bytes
+    _assert_same_archive(first, _fresh(costs[:b_lo], embeddings[:b_lo], budget))
+    own = np.r_[0:a_lo, b_lo]
+    _assert_same_archive(second, _fresh(costs[own], embeddings[own], budget))
+
+
+class TestTailChecksBeforeC:
+    """A tail the native layout check refuses raises ``IndexError``, as
+    numpy's indexing would, before any pointer reaches C."""
+
+    @staticmethod
+    def _incidence(tail):
+        from repro.core.instance import IncidenceCSR
+
+        return IncidenceCSR(
+            np.array([0, 3], dtype=np.int64),
+            np.arange(4, dtype=np.int64),
+            np.array([0, 1, 2, 2], dtype=np.int64),
+            np.array([0, 1, 2, 2], dtype=np.int64),
+            np.array([0, 1], dtype=np.int64),
+            np.array([1.0, 1.0]),
+            np.full(3, 1 / 3),
+            tail,
+        )
+
+    @pytest.mark.parametrize(
+        "tail, match",
+        [
+            ((np.array([0, 1, 1, 2]), np.array([2, 3]), np.array([0.5, 1.0])), "out of bounds"),
+            ((np.array([0, 1, 1, 2]), np.array([2, -1]), np.array([0.5, 1.0])), "out of bounds"),
+            ((np.array([0, 1, 1, 3]), np.array([2, 2]), np.array([0.5, 1.0])), "span"),
+            ((np.array([0, 2, 1, 2]), np.array([2, 2]), np.array([0.5, 1.0])), "span"),
+            ((np.array([0, 1, 2]), np.array([2, 2]), np.array([0.5, 1.0])), "ranges"),
+            ((np.array([0, 1, 1, 2]), np.array([2, 2]), np.array([0.5])), "differ"),
+        ],
+    )
+    def test_a_bad_tail_raises(self, tail, match):
+        kernel = native.kernel()
+        if kernel is None:
+            pytest.skip("the native coverage kernel cannot load here")
+        tail = (tail[0].astype(np.int64), tail[1].astype(np.int64), tail[2])
+        with pytest.raises(IndexError, match=match):
+            native._check_layout(kernel.ffi, self._incidence(tail))
+
+    def test_a_good_tail_binds(self):
+        kernel = native.kernel()
+        if kernel is None:
+            pytest.skip("the native coverage kernel cannot load here")
+        tail = (np.array([0, 1, 1, 2]), np.array([2, 2]), np.array([0.5, 1.0]))
+        layout = native._check_layout(kernel.ffi, self._incidence(tail))
+        assert layout.n == 3 and layout.max_entries == 2
 
 
 def test_ingest_bit_identical_after_doc_round_trip():

@@ -21,8 +21,9 @@ import pytest
 
 from repro.core.serialize import instance_to_dict
 from repro.core.solver import solve
+from repro.live import LiveManager
 from repro.obs import probes
-from repro.system.service import PhocusService, ServiceContext, handle_request
+from repro.system.service import ROUTES, PhocusService, ServiceContext, handle_request
 from repro.tenants import TenantQuota, Tenants
 from repro.tenants import cache as cache_mod
 
@@ -139,9 +140,10 @@ class TestTenantRoutes:
         status, payload = handle_request(
             "GET", "/tenants/.evil/instances", None, ServiceContext(tenants=tenants)
         )
-        # Path validation happens inside store calls via validate_id on
-        # by_ref; plain listings of a nonexistent tenant are just empty.
-        assert status == 200
+        # Path ids are checked at the edge, from the route table, so even
+        # a listing names the bad tenant id; by_ref ids are checked when
+        # the reference is parsed.
+        assert status == 422 and "tenant id" in payload["error"]
         status, payload = handle_request(
             "POST",
             "/solve",
@@ -226,6 +228,83 @@ class TestTenantRoutes:
         )
         assert status == 201
         tenants.close()
+
+
+class TestPathIds:
+    """Both path ids are checked once, from the route table, before the
+    rate check: every tenant and instance route answers 422 naming the
+    bad segment, and a refused call leaves no lock and no token bucket."""
+
+    BAD_TENANT = "t" * 80
+    ROUTES = [(m, p) for m, p, _, _ in ROUTES if p.startswith("/tenants/")]
+
+    @pytest.fixture()
+    def context(self, tmp_path):
+        tenants = Tenants(
+            str(tmp_path),
+            quota=TenantQuota(rate_per_second=1000.0, burst=1000),
+            name_prefix=f"phtest-{os.getpid()}-ids",
+            sweep=False,
+        )
+        yield ServiceContext(tenants=tenants, live=LiveManager(tenants))
+        tenants.close()
+
+    @staticmethod
+    def _path(pattern, tenant, instance):
+        return pattern.replace("<id>", tenant).replace("<iid>", instance)
+
+    def test_every_tenant_route_is_in_the_sweep(self):
+        assert len(self.ROUTES) == 9
+        assert {p for _, p in self.ROUTES} >= {
+            "/tenants/<id>/stats",
+            "/tenants/<id>/instances",
+            "/tenants/<id>/instances/<iid>/photos",
+        }
+
+    @pytest.mark.parametrize("method, pattern", ROUTES)
+    @pytest.mark.parametrize(
+        "tenant, instance, what",
+        [
+            (BAD_TENANT, "a", "tenant id"),
+            (".hidden", "a", "tenant id"),
+            ("acme", "i" * 65, "instance id"),
+            ("acme", ".x", "instance id"),
+        ],
+    )
+    def test_a_bad_id_is_422_naming_it(self, context, method, pattern, tenant, instance, what):
+        if "<iid>" not in pattern and what == "instance id":
+            pytest.skip("the route carries no instance id")
+        status, payload = handle_request(
+            method, self._path(pattern, tenant, instance), _body({}), context
+        )
+        assert status == 422, payload
+        assert payload["error"].startswith(what)
+
+    def test_refused_calls_leave_no_locks_and_no_buckets(self, context):
+        live, quotas = context.live, context.tenants.quotas
+        for i in range(200):
+            for method, pattern in self.ROUTES:
+                status, _ = handle_request(
+                    method, self._path(pattern, f"{'t' * 70}{i}", f"x{i}"), _body({}), context
+                )
+                assert status == 422
+        assert live._locks == {} and quotas._buckets == {}
+
+    def test_calls_for_absent_instances_leave_no_locks(self, context):
+        for i in range(50):
+            for path in ("/live", "/photos", "/recurate"):
+                status, _ = handle_request(
+                    "POST",
+                    f"/tenants/acme/instances/missing{i}{path}",
+                    _body({"costs": [1.0], "embeddings": [[1.0]]}),
+                    context,
+                )
+                assert 400 <= status < 500
+            status, _ = handle_request(
+                "GET", f"/tenants/acme/instances/missing{i}/live", None, context
+            )
+            assert status == 404
+        assert context.live._locks == {}
 
 
 class TestSolveByRef:
