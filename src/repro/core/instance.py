@@ -177,6 +177,8 @@ class DenseSimilarity:
     is_sparse = False
 
     def __init__(self, matrix: np.ndarray, *, validate: bool = True) -> None:
+        # The stored matrix is always a new array (the clip), so callers
+        # may pass a view they do not own.
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError("similarity matrix must be square")
@@ -187,11 +189,19 @@ class DenseSimilarity:
             # |a - b| <= 1e-6 + 1e-5 * |b|.
             if not np.all(np.abs(np.diagonal(matrix) - 1.0) <= 1e-6 + 1e-5):
                 raise ValidationError("self-similarity must be 1")
-            if not np.all(np.abs(matrix - matrix.T) <= 1e-6 + 1e-5 * np.abs(matrix.T)):
-                # SIM is a normalised measure of how alike two photos are;
-                # the incremental evaluators rely on symmetry.
-                raise ValidationError("similarity matrix must be symmetric")
-            matrix = (matrix + matrix.T) / 2.0
+            bits = matrix.view(np.uint64)
+            # A matrix equal to its transpose bit for bit (what a sender
+            # serialises) passes the tolerance check, and averaging it
+            # with its transpose gives it back bit for bit: x + x = 2x and
+            # 2x / 2 = x exactly, the sign of zero included.
+            if not np.array_equal(bits, bits.T):
+                if not np.all(
+                    np.abs(matrix - matrix.T) <= 1e-6 + 1e-5 * np.abs(matrix.T)
+                ):
+                    # SIM is a normalised measure of how alike two photos
+                    # are; the incremental evaluators rely on symmetry.
+                    raise ValidationError("similarity matrix must be symmetric")
+                matrix = (matrix + matrix.T) / 2.0
         self.matrix = np.clip(matrix, 0.0, 1.0)
         np.fill_diagonal(self.matrix, 1.0)
 
@@ -233,11 +243,15 @@ class DenseSimilarity:
         same order :meth:`neighbors` reports them, so flat consumers (the
         incidence kernels) see exactly what the per-row API sees.
         """
-        rows, cols = np.nonzero(self.matrix)
-        counts = np.bincount(rows, minlength=len(self))
-        indptr = np.zeros(len(self) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, cols.astype(np.int64, copy=False), self.matrix[rows, cols]
+        # One pass over a boolean mask finds the row-major flat positions;
+        # a row's entries start where its first flat position i·m would
+        # sort, and a column is the position less its row's start.
+        m = len(self)
+        flat = np.flatnonzero(self.matrix != 0).astype(np.int64, copy=False)
+        row_starts = np.arange(m + 1, dtype=np.int64) * m
+        indptr = np.searchsorted(flat, row_starts).astype(np.int64, copy=False)
+        cols = flat - np.repeat(row_starts[:-1], np.diff(indptr))
+        return indptr, cols, np.take(self.matrix, flat)
 
     def sparsified(self, tau: float) -> "SparseSimilarity":
         """Return the τ-sparsified copy: entries below ``tau`` become 0."""

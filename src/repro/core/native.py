@@ -21,9 +21,11 @@ for it.
   ``np.add.reduceat`` pass does: the first product plus numpy's pairwise
   sum of the rest.  That pass serves only after its bits equal
   :func:`reduceat_gains`' on a seeded incidence in this process.
-* ``native_json.c`` finds and converts the flat float arrays of a JSON
-  text for :func:`repro.core.serialize.loads` (:func:`scan_json`), which
-  parses with ``json.loads`` alone when the library is unavailable.
+* ``native_json.c`` finds and converts the flat float arrays and float
+  matrices of a JSON text for :func:`repro.core.serialize.loads`
+  (:func:`scan_json`), reading eight digits per step where it can; a tag
+  per find carries the array's shape.  ``loads`` parses with
+  ``json.loads`` alone when the library is unavailable.
 * ``native_lsh.c`` sorts each LSH band's bucket keys, emits every
   bucket's pairs and dedups them across bands for
   :func:`repro.scale.lsh_candidate_keys` (:func:`candidate_emitter`),
@@ -338,9 +340,11 @@ def _build(cache_dir: Path, cdef: str, so_path: Path, ffi_path: Path) -> None:
 # to strtod_l.
 _MIN_EXP10, _MAX_EXP10 = -348, 347
 # native_json.c's return codes and constant-token tags; a positive tag
-# is a float array's value count.
+# is a float array's shape, ``rows << SHAPE_BITS | columns`` (rows 0 for
+# a flat array).
 _SCAN_TOO_DEEP, _SCAN_FULL = 1, 2
 CONSTANT_TOKENS = {0: "NaN", -1: "Infinity", -2: "-Infinity"}
+SHAPE_BITS = 32
 
 
 def _powers_of_ten() -> np.ndarray:
@@ -367,13 +371,17 @@ def scan_json(raw: bytes) -> Optional[Tuple[memoryview, List[int], np.ndarray]]:
     """The skeleton of the JSON text ``raw`` and what its ``NaN`` tokens hide.
 
     Returns ``(skeleton, tags, values)``.  ``skeleton`` is ``raw`` with
-    each flat array of float literals replaced by ``NaN``.  ``tags``
+    each flat array of float literals, and each *float matrix* (an array
+    of such arrays, all of one length), replaced by ``NaN``.  ``tags``
     holds one tag per such array or constant token of ``raw``, in
-    document order: the array's value count (> 0), or a key of
-    :data:`CONSTANT_TOKENS`.  ``values`` is one float64 array holding
-    every array's floats in the same order.  ``None`` when ``raw`` has no
-    such array, the library is unavailable, or ``raw`` nests too deep to
-    scan.  Nothing here says ``raw`` is valid JSON.
+    document order: the array's shape (> 0), ``rows << SHAPE_BITS |
+    columns`` with ``rows`` 0 for a flat array, or a key of
+    :data:`CONSTANT_TOKENS`.  A ragged array of float arrays is no
+    matrix; each of its float rows has its own tag.  ``values`` is one
+    float64 array holding every array's floats in the same order, a
+    matrix's row after row.  ``None`` when ``raw`` has no such array, the
+    library is unavailable, or ``raw`` nests too deep to scan.  Nothing
+    here says ``raw`` is valid JSON.
     """
     loaded = library()
     if loaded is None:

@@ -5,21 +5,31 @@
  *   - every flat array whose elements are all JSON float literals (a
  *     number with a fraction or an exponent), whose values it converts
  *     into `values`;
+ *   - every *float matrix*, an array whose elements are all such flat
+ *     arrays of one length, converted row after row;
  *   - every NaN, Infinity and -Infinity token.
- * It writes the text's *skeleton*, the text with each such array
- * replaced by the token NaN, and one tag per find, in document order:
- * an array's value count (> 0) or a PHOCUS_JSON_* constant kind (<= 0).
- * The scan never judges whether the text is valid JSON.  The caller lets
- * Python's json module parse the skeleton and answers its parse_constant
- * calls from the tags, so the grammar accepted here (numbers,
- * whitespace) must be a subset of json's.
+ * It writes the text's *skeleton*, the text with each such array or
+ * matrix replaced by the token NaN, and one tag per find, in document
+ * order: an array's shape (> 0; see PHOCUS_JSON_SHAPE_BITS) or a
+ * PHOCUS_JSON_* constant kind (<= 0).  A ragged array of float arrays is
+ * no matrix: its rows get one tag each.  The scan never judges whether
+ * the text is valid JSON.  The caller lets Python's json module parse
+ * the skeleton and answers its parse_constant calls from the tags, so
+ * the grammar accepted here (numbers, whitespace) must be a subset of
+ * json's.
  *
- * Conversion is Eisel-Lemire (Lemire, "Number Parsing at a Gigabyte per
- * Second", 2021) over a truncated 128-bit table of 10^e that the loader
- * derives from exact integers.  Literals it cannot decide exactly (more
- * than 19 significant digits, a halfway-ambiguous product, an exponent
- * outside the table, a subnormal or overflowing result) go to strtod_l
- * in the C locale, which glibc rounds correctly, as CPython does.
+ * A literal's significant digits are read eight per step where eight
+ * digit bytes remain in the text and the 19-digit budget allows: one
+ * unaligned 64-bit load is checked and converted as eight digit bytes at
+ * once (SWAR, as in simdjson: Langdale and Lemire, "Parsing Gigabytes of
+ * JSON per Second", 2019), and the rest one at a time.  Both give the
+ * same mantissa and exponent.  Conversion is Eisel-Lemire (Lemire,
+ * "Number Parsing at a Gigabyte per Second", 2021) over a truncated
+ * 128-bit table of 10^e that the loader derives from exact integers.
+ * Literals it cannot decide exactly (more than 19 significant digits, a
+ * halfway-ambiguous product, an exponent outside the table, a subnormal
+ * or overflowing result) go to strtod_l in the C locale, which glibc
+ * rounds correctly, as CPython does.
  *
  * All memory is the caller's: the scan keeps no state between calls, so
  * threads may scan at once.
@@ -52,6 +62,11 @@ void *phocus_json_c_locale(void);
 /* cdef-end */
 
 enum { PHOCUS_JSON_NAN = 0, PHOCUS_JSON_INF = -1, PHOCUS_JSON_NEG_INF = -2 };
+/* An array's tag is rows << PHOCUS_JSON_SHAPE_BITS | columns: rows 0 for
+ * a flat array, 1 or more for a matrix.  Larger arrays are left to json. */
+#define PHOCUS_JSON_SHAPE_BITS 32
+#define MAX_COLUMNS (((int64_t)1 << PHOCUS_JSON_SHAPE_BITS) - 1)
+#define MAX_ROWS (((int64_t)1 << (62 - PHOCUS_JSON_SHAPE_BITS)) - 1)  /* tags < 2^62 */
 enum { PHOCUS_JSON_DONE = 0, PHOCUS_JSON_TOO_DEEP = 1, PHOCUS_JSON_FULL = 2 };
 
 /* Instance documents nest about 6 deep; anything much deeper goes to
@@ -65,6 +80,64 @@ void *phocus_json_c_locale(void)
 }
 
 static int is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/* The eight bytes at p as a little-endian word: p[0] is the low byte. */
+static uint64_t load8(const char *p)
+{
+    uint64_t word;
+    memcpy(&word, p, sizeof word);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    word = __builtin_bswap64(word);
+#endif
+    return word;
+}
+
+/* Whether all eight bytes of `word` are ASCII digits.  No carry or borrow
+ * crosses a digit byte, so the lowest non-digit byte sets its own top bit
+ * in one of the two terms, whatever the bytes above it hold. */
+static int eight_digits(uint64_t word)
+{
+    return !(((word + 0x4646464646464646) | (word - 0x3030303030303030)) &
+             0x8080808080808080);
+}
+
+/* The value of eight digit bytes, first byte most significant: pairs,
+ * then quads, then the whole, each step one multiply per half. */
+static uint64_t eight_digit_value(uint64_t word)
+{
+    const uint64_t mask = 0x000000FF000000FF;
+    const uint64_t mul1 = 100 + ((uint64_t)1000000 << 32);
+    const uint64_t mul2 = 1 + ((uint64_t)10000 << 32);
+    word -= 0x3030303030303030;
+    word = word * 10 + (word >> 8);
+    return (((word & mask) * mul1) + (((word >> 16) & mask) * mul2)) >> 32;
+}
+
+/* Folds the digit run at i into *man: eight digits per step while eight
+ * digit bytes remain in the text and *digits + 8 stays within MAX_DIGITS,
+ * then one at a time; a digit past MAX_DIGITS sets *many instead.  The
+ * index past the run. */
+static int64_t digit_run(const char *t, int64_t n, int64_t i, uint64_t *man, int *digits,
+                         int *many)
+{
+    while (*digits <= MAX_DIGITS - 8 && n - i >= 8) {
+        uint64_t word = load8(t + i);
+        if (!eight_digits(word))
+            break;
+        *man = *man * 100000000 + eight_digit_value(word);
+        *digits += 8;
+        i += 8;
+    }
+    for (; i < n && is_digit(t[i]); i++) {
+        if (*digits < MAX_DIGITS) {
+            *man = *man * 10 + (uint64_t)(t[i] - '0');
+            (*digits)++;
+        } else {
+            *many = 1;
+        }
+    }
+    return i;
+}
 
 /* json's whitespace, exactly: a wider set would let an invalid array through. */
 static int64_t skip_ws(const char *t, int64_t n, int64_t i)
@@ -161,31 +234,19 @@ static int64_t float_literal(const phocus_json_scan *s, int64_t i, double *out)
     if (i < n && t[i] == '0') {
         i++;
     } else if (i < n && t[i] >= '1' && t[i] <= '9') {
-        for (; i < n && is_digit(t[i]); i++) {
-            if (digits < MAX_DIGITS) {
-                man = man * 10 + (uint64_t)(t[i] - '0');
-                digits++;
-            } else {
-                many = 1;
-            }
-        }
+        i = digit_run(t, n, i, &man, &digits, &many);
     } else {
         return -1;
     }
     if (i < n && t[i] == '.') {
         if (++i >= n || !is_digit(t[i]))
             return -1;
-        for (; i < n && is_digit(t[i]); i++) {
-            if (man == 0 && t[i] == '0') {
-                exp10--;  /* a leading zero: no significant digit */
-            } else if (digits < MAX_DIGITS) {
-                man = man * 10 + (uint64_t)(t[i] - '0');
-                digits++;
+        if (man == 0)  /* leading zeros: no significant digit */
+            for (; i < n && t[i] == '0'; i++)
                 exp10--;
-            } else {
-                many = 1;
-            }
-        }
+        const int before = digits;
+        i = digit_run(t, n, i, &man, &digits, &many);
+        exp10 -= digits - before;  /* one per significant digit read */
         is_float = 1;
     }
     if (i < n && (t[i] == 'e' || t[i] == 'E')) {
@@ -212,9 +273,10 @@ static int64_t float_literal(const phocus_json_scan *s, int64_t i, double *out)
     return end == t + i ? i : -1;
 }
 
-/* Records the float array starting at a: 1 and *end past its ']' when it
- * is one, 0 when it is not, -1 when a buffer is full. */
-static int float_array(phocus_json_scan *s, int64_t a, int64_t *end)
+/* Converts the flat float array whose '[' is at a into values[at...]: its
+ * value count and *end past its ']', 0 when the text there is not one,
+ * -1 when the value buffer is full. */
+static int64_t float_row(phocus_json_scan *s, int64_t a, int64_t at, int64_t *end)
 {
     const char *t = s->text;
     const int64_t n = s->size;
@@ -224,9 +286,9 @@ static int float_array(phocus_json_scan *s, int64_t a, int64_t *end)
         int64_t j = float_literal(s, i, &v);
         if (j < 0)
             return 0;
-        if (s->n_values + count >= s->max_values)
+        if (at + count >= s->max_values)
             return -1;
-        s->values[s->n_values + count++] = v;
+        s->values[at + count++] = v;
         i = skip_ws(t, n, j);
         if (i < n && t[i] == ',') {
             i = skip_ws(t, n, i + 1);
@@ -236,11 +298,58 @@ static int float_array(phocus_json_scan *s, int64_t a, int64_t *end)
             return 0;
         }
     }
+    *end = i + 1;
+    return count;
+}
+
+/* Converts the float matrix whose '[' is at a, row after row: its tag and
+ * *end past its ']', 0 when the text there is not one (a ragged or mixed
+ * array among them), -1 when the value buffer is full. */
+static int64_t float_matrix(phocus_json_scan *s, int64_t a, int64_t *end)
+{
+    const char *t = s->text;
+    const int64_t n = s->size;
+    int64_t rows = 0, columns = 0, i = skip_ws(t, n, a + 1), row_end = 0;
+    for (;;) {
+        if (i >= n || t[i] != '[')
+            return 0;
+        int64_t count = float_row(s, i, s->n_values + rows * columns, &row_end);
+        if (count <= 0 || (rows > 0 && count != columns))
+            return count < 0 ? -1 : 0;
+        columns = count;
+        rows++;
+        i = skip_ws(t, n, row_end);
+        if (i < n && t[i] == ',') {
+            i = skip_ws(t, n, i + 1);
+        } else if (i < n && t[i] == ']') {
+            break;
+        } else {
+            return 0;
+        }
+    }
+    if (rows > MAX_ROWS || columns > MAX_COLUMNS)
+        return 0;
+    *end = i + 1;
+    return rows << PHOCUS_JSON_SHAPE_BITS | columns;
+}
+
+/* Records the float array or float matrix whose '[' is at a: 1 and *end
+ * past its ']' when it is one, 0 when it is not, -1 when a buffer is
+ * full. */
+static int float_array(phocus_json_scan *s, int64_t a, int64_t *end)
+{
+    int64_t tag = float_row(s, a, s->n_values, end);
+    if (tag > MAX_COLUMNS)
+        return 0;  /* too long for its tag */
+    if (tag == 0)
+        tag = float_matrix(s, a, end);
+    if (tag <= 0)
+        return (int)tag;
     if (s->n_tags >= s->max_tags)
         return -1;
-    s->tags[s->n_tags++] = count;
-    s->n_values += count;
-    *end = i + 1;
+    const int64_t rows = tag >> PHOCUS_JSON_SHAPE_BITS;
+    s->tags[s->n_tags++] = tag;
+    s->n_values += (rows ? rows : 1) * (tag & MAX_COLUMNS);
     return 1;
 }
 

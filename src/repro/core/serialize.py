@@ -22,11 +22,13 @@ round-tripped instance produces identical solver output.
 
 :func:`loads` parses request bodies.  It returns exactly what
 ``json.loads`` returns, and raises what it raises, but converts the flat
-float arrays that dominate instance documents natively (see
-:func:`repro.core.native.scan_json`).  :func:`loads_request`, its sibling
-for the inline solve routes, leaves those arrays as ``np.ndarray`` slices
-of the scan where :func:`instance_from_dict` reads numbers, so an inline
-instance reaches the solver without a detour through Python floats.
+float arrays and float matrices that dominate instance documents natively
+(see :func:`repro.core.native.scan_json`).  :func:`loads_request`, its
+sibling for the inline solve routes, leaves those arrays as ``np.ndarray``
+slices of the scan where :func:`instance_from_dict` reads numbers (a
+similarity matrix or the embeddings as one C-contiguous 2-D slice), so an
+inline instance reaches the solver without a detour through Python
+floats.
 :func:`number_field` and :func:`numbers_field` read a body's numeric
 options, rejecting what ``json.loads`` parsed as anything else.
 """
@@ -103,7 +105,7 @@ def _floats(leaf) -> np.ndarray:
 def _similarity_from_dict(doc: Dict[str, Any]):
     kind = doc.get("kind")
     if kind == "dense":
-        return DenseSimilarity(_floats(doc["matrix"]))
+        return DenseSimilarity(doc["matrix"])  # it keeps a new array
     if kind == "sparse":
         dtype_name = doc.get("dtype", "float64")
         if dtype_name not in ("float64", "float32"):
@@ -279,15 +281,16 @@ def loads(data: Union[bytes, str]) -> Any:
     for a string: the same values, types, float bits and key order, or
     the same exception with the same message.
 
-    The native scan converts every flat array of float literals, and each
+    The native scan converts every flat array of float literals, and
+    every array of such arrays of one length (a float matrix), and each
     becomes the token ``NaN`` in a *skeleton* of the text.  ``json.loads``
     parses the skeleton with a ``parse_constant`` hook that answers, in
-    document order, each array's list of floats or the text's own
-    ``NaN``/``Infinity``/``-Infinity``.  The original text is parsed
-    instead when it has no float array (it is its own skeleton), when the
-    library is unavailable or the text nests too deep, and when the
-    skeleton does not parse with every hook call matching the scan, so
-    errors read exactly as ``json.loads``'s.
+    document order, each array's list of floats (a matrix's list of row
+    lists) or the text's own ``NaN``/``Infinity``/``-Infinity``.  The
+    original text is parsed instead when it has no float array (it is its
+    own skeleton), when the library is unavailable or the text nests too
+    deep, and when the skeleton does not parse with every hook call
+    matching the scan, so errors read exactly as ``json.loads``'s.
     """
     return _loads(data, arrays=False)
 
@@ -297,10 +300,10 @@ def loads_request(data: bytes) -> Any:
 
     The same document as :func:`loads`, and the same errors, except that
     float arrays where :func:`instance_from_dict` reads numbers (see
-    :data:`_ARRAY_SLOTS`) stay ``np.ndarray`` slices of the scan.  Every
-    other key, inside ``instance`` or beside it, holds exactly what
-    ``json.loads`` returns.  Without the native scan this is
-    :func:`loads`.
+    :data:`_ARRAY_SLOTS`) stay ``np.ndarray`` slices of the scan, a float
+    matrix one C-contiguous 2-D slice.  Every other key, inside
+    ``instance`` or beside it, holds exactly what ``json.loads`` returns.
+    Without the native scan this is :func:`loads`.
     """
     return _loads(data, arrays=True)
 
@@ -364,9 +367,7 @@ def _loads(data: Union[bytes, str], *, arrays: bool) -> Any:
     if scanned is not None:
         skeleton, tags, values = scanned
         try:
-            doc = _parse_skeleton(
-                str(skeleton, "utf-8", errors), tags, values if arrays else values.tolist()
-            )
+            doc = _parse_skeleton(str(skeleton, "utf-8", errors), tags, values, arrays)
         except (ValueError, RecursionError, _Mismatch):
             pass  # parse the original, for its exact error
         else:
@@ -374,16 +375,28 @@ def _loads(data: Union[bytes, str], *, arrays: bool) -> Any:
     return json.loads(data if is_str else data.decode("utf-8"))
 
 
-def _parse_skeleton(skeleton: str, tags: List[int], values) -> Any:
+def _parse_skeleton(
+    skeleton: str, tags: List[int], values: np.ndarray, arrays: bool
+) -> Any:
+    """``json.loads(skeleton)`` with each placeholder answered in order:
+    a slice of ``values`` shaped by its tag, or its list when not
+    ``arrays``; a constant token as json answers it."""
     calls = iter(tags)
     offset = 0
+    shift = native.SHAPE_BITS
+    columns_mask = (1 << shift) - 1
 
     def hook(token: str) -> Any:
         nonlocal offset
         tag = next(calls, None)
         if tag is not None and tag > 0 and token == "NaN":
-            offset += tag
-            return values[offset - tag : offset]
+            rows, columns = tag >> shift, tag & columns_mask
+            start = offset
+            offset += columns * (rows or 1)
+            leaf = values[start:offset]
+            if rows:
+                leaf = leaf.reshape(rows, columns)
+            return leaf if arrays else leaf.tolist()
         if tag is None or tag > 0 or token != native.CONSTANT_TOKENS[tag]:
             raise _Mismatch(token)
         return _CONSTANT(token)
@@ -396,8 +409,9 @@ def _parse_skeleton(skeleton: str, tags: List[int], values) -> Any:
 
 #: Where a request body's float arrays may stay ndarrays: the leaves
 #: :func:`instance_from_dict` reads as numbers and copies.  ``True`` marks
-#: such a leaf (an array, or a list of row arrays); a dict maps keys to
-#: slots; a one-element list applies its slot to every element.
+#: such a leaf (an array; a float matrix is one 2-D array, and the rows of
+#: a ragged one stay arrays in their list); a dict maps keys to slots; a
+#: one-element list applies its slot to every element.
 _ARRAY_SLOTS: Dict[str, Any] = {
     "instance": {
         "subsets": [
@@ -425,7 +439,8 @@ def _settle(doc: Any, tags: List[int]) -> Any:
 
     Counting the arrays in the slots is cheap; only when some of the
     scan's arrays are missing from them does the walk convert the rest
-    (photo metadata holding float lists, a ``budgets`` sweep, ...).
+    (photo metadata holding float lists, a ``budgets`` sweep, ...).  The
+    rows of a ragged matrix are not counted, so they take the walk too.
     """
     scanned = len(tags) - sum(tags.count(kind) for kind in native.CONSTANT_TOKENS)
     if _count_slotted(doc, _ARRAY_SLOTS) == scanned:
@@ -435,11 +450,7 @@ def _settle(doc: Any, tags: List[int]) -> Any:
 
 def _count_slotted(value: Any, slot: Any) -> int:
     if slot is True:
-        if isinstance(value, np.ndarray):
-            return 1
-        if isinstance(value, list):  # rows: a dense matrix, embeddings
-            return list(map(type, value)).count(np.ndarray)
-        return 0
+        return int(isinstance(value, np.ndarray))
     if isinstance(slot, dict) and isinstance(value, dict):
         return sum(
             _count_slotted(value[key], sub) for key, sub in slot.items() if key in value

@@ -20,6 +20,7 @@ from repro.core.instance import (
 from repro.errors import InfeasibleError, ValidationError
 
 from tests.conftest import random_instance
+from tests.oracles.similarity import dense_csr, stored_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,79 @@ class TestDenseSimilarity:
         m = np.array([[1.0, 0.5], [0.5, 1.0]])
         sparse = DenseSimilarity(m).sparsified(0.5)
         assert sparse.pair(0, 1) == pytest.approx(0.5)
+
+
+def _same_bytes(got, want) -> None:
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+#: Entries that test the CSR's and the constructor's edges: signed zeros,
+#: the smallest subnormal, values just outside [0, 1] within tolerance.
+_EDGE_VALUES = [0.0, -0.0, 1.0, 0.5, 5e-324, -5e-324, 1e-300, -1e-10, 1.0 + 1e-10]
+
+
+@st.composite
+def _similarity_matrices(draw):
+    """Square matrices in [0, 1] (within tolerance) with a unit diagonal:
+    rows of zeros and signed zeros, all-nonzero rows, diagonal-only rows,
+    1x1.  ``symmetric`` mirrors the upper triangle bit for bit; otherwise
+    one side of each pair may differ in its last bits or the sign of a
+    zero."""
+    m = draw(st.integers(1, 9))
+    entries = st.sampled_from(_EDGE_VALUES) | st.floats(0.0, 1.0)
+    matrix = np.array(
+        draw(st.lists(entries, min_size=m * m, max_size=m * m)), dtype=np.float64
+    ).reshape(m, m)
+    for row in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        matrix[row] = draw(st.sampled_from([0.0, -0.0]))  # diagonal-only row
+    for row in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        matrix[row] = np.maximum(matrix[row], 0.25)  # all-nonzero row
+    upper = np.triu_indices(m, 1)
+    matrix.T[upper] = matrix[upper]
+    if not draw(st.booleans()):
+        nudge = draw(st.lists(st.sampled_from([0, 1, -1, "sign"]), min_size=m * m, max_size=m * m))
+        for k, (i, j) in enumerate(zip(*upper)):
+            if nudge[k] == "sign":
+                matrix[j, i] = -matrix[j, i] if matrix[j, i] == 0 else matrix[j, i]
+            elif nudge[k]:
+                matrix[j, i] = np.nextafter(matrix[j, i], nudge[k] * np.inf)
+    np.fill_diagonal(matrix, 1.0)
+    return matrix
+
+
+class TestDenseEntries:
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=_similarity_matrices())
+    def test_csr_equals_the_nonzero_formulation(self, matrix):
+        # adopt keeps the signed zeros the constructor would clip away.
+        _same_bytes(DenseSimilarity.adopt(matrix).csr(), dense_csr(matrix))
+        sim = DenseSimilarity(matrix)
+        _same_bytes(sim.csr(), dense_csr(sim.matrix))
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=_similarity_matrices())
+    def test_stored_matrix_equals_the_averaged_one(self, matrix):
+        stored = DenseSimilarity(matrix).matrix
+        _same_bytes([stored], [stored_matrix(matrix)])
+        assert not np.shares_memory(stored, matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.ones((1, 1)),
+            np.zeros((1, 1)),
+            np.eye(4),
+            np.where(np.eye(3) == 1, 1.0, -0.0),
+            np.full((3, 3), -0.0),
+            np.ones((5, 5)),
+            np.zeros((0, 0)),
+        ],
+        ids=["1x1", "1x1-zero", "diagonal", "negative-zeros", "all-negative-zero", "all-ones", "empty"],
+    )
+    def test_csr_on_fixed_matrices(self, matrix):
+        _same_bytes(DenseSimilarity.adopt(matrix).csr(), dense_csr(matrix))
 
 
 # ---------------------------------------------------------------------------

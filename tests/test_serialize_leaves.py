@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import native
 from repro.core.paper_example import figure1_instance
@@ -163,6 +164,61 @@ def test_leaf_forms_decode_to_the_same_instance(name):
 @given(inst=par_instances())
 def test_hypothesis_instances_decode_alike(inst):
     _check_body(_body(instance_to_dict(inst)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(inst=par_instances(), dim=st.integers(1, 5), seed=st.integers(0, 99))
+def test_matrix_leaves_decode_alike(inst, dim, seed):
+    """Dense matrices (1x1 for one-member subsets) and embeddings of any
+    width arrive as 2-D arrays and decode to the instance the lists give."""
+    doc = instance_to_dict(inst)
+    doc["embeddings"] = np.random.default_rng(seed).standard_normal((inst.n, dim)).tolist()
+    body = _body(doc)
+    if native.library() is not None:
+        leaves = loads_request(body)["instance"]
+        for leaf in [q["similarity"]["matrix"] for q in leaves["subsets"]] + [
+            leaves["embeddings"]
+        ]:
+            assert isinstance(leaf, np.ndarray) and leaf.ndim == 2
+    _check_body(body)
+
+
+#: A float matrix where instance_from_dict reads something else:
+#: ``(form, path, value)``, the forms as in conftest's NON_FINITE.
+MISPLACED_MATRICES = {
+    "members": ("dense", ("subsets", 0, "members"), [[0.0, 1.0]]),
+    "relevance": ("dense", ("subsets", 0, "relevance"), [[0.5, 0.5]]),
+    "matrix-1x2": ("dense", ("subsets", 1, "similarity", "matrix"), [[1.0, 0.5]]),
+    "matrix-ragged": ("dense", ("subsets", 1, "similarity", "matrix"), [[1.0, 0.5], [0.5]]),
+    "matrix-3-deep": ("dense", ("subsets", 0, "similarity", "matrix"), [[[1.0]]]),
+    "retained": ("dense", ("retained",), [[0.0]]),
+    "embeddings-rows": ("dense", ("embeddings",), [[0.5, 0.5]]),
+    "embeddings-3-deep": ("csr", ("embeddings",), [[[0.5]], [[0.5]], [[0.5]]]),
+    "csr-indptr": ("csr", ("subsets", 0, "similarity", "indptr"), [[0.0, 2.0, 5.0, 7.0]]),
+    "csr-indices": ("csr", ("subsets", 0, "similarity", "indices"), [[0.0] * 7]),
+    "csr-values": ("csr", ("subsets", 0, "similarity", "values"), [[0.5] * 7]),
+    "rows-values": ("rows", ("subsets", 0, "similarity", "rows", 0, "values"), [[1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISPLACED_MATRICES))
+def test_a_misplaced_matrix_rejects_in_both_forms(case):
+    form, path, value = MISPLACED_MATRICES[case]
+    if form == "csr":
+        doc = csr_instance_doc()
+    else:
+        instance = figure1_instance(4.0)
+        if form == "rows":
+            instance = threshold_sparsify(instance, 0.6)[0]
+        doc = instance_to_dict(instance)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    body = _body(doc)
+    for parsed in (loads_request(body), json.loads(body)):
+        with pytest.raises(ValidationError):
+            instance_from_dict(parsed["instance"])
 
 
 #: Every malformed document of the conftest tables.

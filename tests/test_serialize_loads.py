@@ -324,6 +324,90 @@ class TestFloatCorpus:
         _literals_agree(literals)
 
 
+# The scan folds eight digits per step where eight digit bytes remain in
+# the text and the 19-significant-digit budget allows, and the rest one
+# at a time.  These literals put digit runs at every offset of an 8-byte
+# block and every length around the steps and the budget; each literal
+# sits alone in an array, after 0-7 pad bytes, so each offset occurs.
+
+
+def _digits(rng: random.Random, count: int) -> str:
+    """``count`` random digits, the first nonzero."""
+    return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(count - 1))
+
+
+def _padded_literals_agree(literals) -> None:
+    """Each literal, alone in an array after 0-7 pad bytes, reads as
+    ``json.loads`` reads it, bit for bit."""
+    for lit in literals:
+        for pad in range(8):
+            _agrees(f"[{' ' * pad}{lit}]")
+
+
+class TestEightDigitSteps:
+    def test_1_to_25_significant_digits_at_every_split_and_offset(self):
+        rng = random.Random(20)
+        literals = []
+        for digits in range(1, 26):
+            run = _digits(rng, digits)
+            literals.append(f"0.{run}")
+            for cut in range(1, digits + 1):  # integer part of `cut` digits
+                literals.append(f"{run[:cut]}.{run[cut:] or '0'}")
+        _padded_literals_agree(literals + ["-" + lit for lit in literals[::5]])
+
+    def test_runs_that_cross_the_19_digit_budget_mid_block(self):
+        rng = random.Random(21)
+        literals = []
+        for before in range(9, 20):  # digits read before the run that crosses
+            for run in range(1, 17):
+                lead = _digits(rng, before)
+                tail = "".join(rng.choice("0123456789") for _ in range(run))
+                literals.append(f"{lead}{tail}.5")  # crossing in the integer part
+                literals.append(f"{lead}.{tail}")  # crossing in the fraction
+                literals.append(f"0.{lead}{tail}")
+        _padded_literals_agree(literals)
+
+    def test_0_to_12_leading_fraction_zeros(self):
+        rng = random.Random(22)
+        literals = []
+        for zeros in range(13):
+            for digits in (1, 7, 8, 9, 16, 17, 19, 20, 25):
+                literals.append(f"0.{'0' * zeros}{_digits(rng, digits)}")
+            literals.append(f"0.{'0' * zeros}0")
+            literals.append(f"-0.{'0' * zeros}0")
+        _padded_literals_agree(literals)
+
+    def test_integer_parts_of_1_to_20_digits(self):
+        rng = random.Random(23)
+        literals = []
+        for digits in range(1, 21):
+            whole = _digits(rng, digits)
+            literals += [f"{whole}.0", f"{whole}.5", f"{whole}e0", f"{whole}E-3"]
+            literals.append(f"{whole}.{_digits(rng, 8)}")
+        literals += [f"{'9' * d}.{'9' * (20 - d)}" for d in range(1, 20)]
+        _padded_literals_agree(literals)
+
+    def test_exponent_forms_and_negative_zero(self):
+        rng = random.Random(24)
+        literals = ["-0.0", "0.0", "-0.0e0", "-0E-0", "0.00000000e5", "-0.000000000000e-7"]
+        for digits in (1, 8, 9, 16, 17, 19, 20):
+            run = _digits(rng, digits)
+            for exp in ("e0", "E+7", "e-8", "e16", "E-300", "e308", "e-330"):
+                literals += [f"{run}{exp}", f"0.{run}{exp}", f"-{run[:1]}.{run[1:] or '0'}{exp}"]
+        _padded_literals_agree(literals)
+
+    def test_literals_ending_in_the_last_1_to_8_bytes(self):
+        rng = random.Random(25)
+        for digits in (1, 7, 8, 9, 15, 16, 17, 19, 23):
+            run = _digits(rng, digits)
+            for lit in (f"0.{run}", f"{run}.0", f"{run[:1]}.{run[1:] or '0'}e-5"):
+                for after in range(8):  # bytes after the literal: after + 1
+                    _agrees(f"[{lit}{' ' * after}]")
+                    _agrees(f"[0.5, {lit}{' ' * after}]")
+                    _agrees(f"[[{lit}]{' ' * after}]")
+                _agrees(f"[{lit}")  # the text ends in the literal: json's error
+
+
 # ------------------------------------------------------------- machinery
 
 
